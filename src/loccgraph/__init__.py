@@ -44,6 +44,7 @@ from .graphs import (
     eta_plus_bounds,
     find_isomorphism,
     independence_number,
+    independent_set_of_size,
     is_chordal,
     maximal_cliques,
     path_graph,
@@ -104,6 +105,7 @@ __all__ = [
     "find_isomorphism",
     "generate",
     "independence_number",
+    "independent_set_of_size",
     "is_chordal",
     "maximal_cliques",
     "parse_family",

@@ -131,7 +131,6 @@ def _options(args) -> DecideOptions:
         tol=_tolerance(args),
         max_iter=args.max_iter,
         sandwich_budget=args.sandwich_budget,
-        seed=args.seed,
     )
 
 

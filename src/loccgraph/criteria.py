@@ -22,8 +22,11 @@ from .decomposition import (
     verify_decomposition,
 )
 from .errors import LoccGraphError, SearchBudgetExceeded
-from .graphs import (
+# edge_clique_cover_number and frame are no longer called here; they stay
+# bound because perfbench/layertrace.py wraps the names this module binds
+from .graphs import (  # noqa: F401
     ChordalityResult,
+    EtaBounds,
     Graph,
     chordal_sandwich,
     chromatic_number,
@@ -31,13 +34,14 @@ from .graphs import (
     eta_plus_bounds,
     find_two_clique_cover,
     independence_number,
+    independent_set_of_size,
     is_chordal,
     is_clique,
     is_perfect_elimination_ordering,
     maximal_cliques,
     simplicial_vertices,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank
+from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank  # noqa: F401
 from .locc import Protocol, ProtocolReport, matches_projective_basis, simulate, synthesize_protocol, two_clique_protocol, validate_povm
 from .states import ProductStateSet, StateGraphs
 
@@ -92,8 +96,6 @@ class DecideOptions:
     sandwich_budget: int = 25
     search_budget: int = 40
     feasibility_gap_rel: float = 1e-11
-    cover_exact_bound: int = 12
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,23 +112,27 @@ def spanning_obstruction(
     states: ProductStateSet,
     supports: Optional[Sequence[frozenset[int]]] = None,
     tol: Tolerance = DEFAULT_TOL,
+    d_eff: Optional[int] = None,
 ) -> Optional[SpanningObstructionReport]:
     """Proof that every admissible outcome operator vanishes.
 
     If for every admissible support the excluded states span Alice's whole
     effective space, any positive operator silent outside a support is zero
     there, so no measurement with a nonzero first round exists. Quantifying
-    over maximal supports covers all smaller ones.
+    over maximal supports covers all smaller ones. d_eff defaults to the
+    effective dimension of the states.
     """
-    d_eff = effective_dimension(states, tol)
+    if d_eff is None:
+        d_eff = effective_dimension(states, tol)
     if supports is None:
         supports = maximal_cliques(states.build_graphs(tol).bob_orthogonality())
     entries = []
     for s in supports:
-        outside = [states.alice[i - 1] for i in range(1, states.n + 1) if i not in s]
-        if not outside:
+        outside = np.ones(states.n, dtype=bool)
+        outside[[i - 1 for i in s]] = False
+        if not outside.any():
             return None
-        r = numeric_rank(frame(outside), tol)
+        r = numeric_rank(states.alice[outside], tol)
         if r < d_eff:
             return None
         entries.append((frozenset(s), r))
@@ -177,6 +183,41 @@ def _peel_and_wrap(
     )
 
 
+def _sandwich_verdict(
+    work: ProductStateSet,
+    direction: str,
+    ga: Graph,
+    host: Graph,
+    chi: int,
+    params: dict,
+    notes: list[str],
+    opt: DecideOptions,
+) -> Optional[Verdict]:
+    """At minimum dimension a chordal sandwich decides either way: peeling
+    it gives the protocol, and its absence is the certificate. None when the
+    sandwich search is over budget."""
+    try:
+        sandwich = chordal_sandwich(ga, host, opt.sandwich_budget)
+    except SearchBudgetExceeded as exc:
+        notes.append(str(exc))
+        return None
+    if sandwich is None:
+        return Verdict(
+            INDISTINGUISHABLE, direction,
+            Certificate(KIND_NO_SANDWICH, {"chi": chi}),
+            params, notes=tuple(notes),
+        )
+    chord_s = is_chordal(sandwich)
+    return _peel_and_wrap(
+        work, direction, sandwich, KIND_SANDWICH,
+        {
+            "sandwich_edges": [list(e) for e in sandwich.edge_list()],
+            "ordering": list(chord_s.ordering),
+        },
+        params, notes, opt.tol,
+    )
+
+
 def decide(
     states: ProductStateSet,
     direction: str = ALICE_FIRST,
@@ -220,20 +261,6 @@ def decide(
             {"ordering": list(chord_h.ordering)}, params, notes, tol,
         )
 
-    # host holds a union of at most two cliques only if it is chordal, so
-    # this rung cannot fire after the two above; kept so the certificate
-    # ladder matches its statement rung for rung
-    if host.n <= opt.cover_exact_bound:
-        cover_res = edge_clique_cover_number(host, opt.cover_exact_bound)
-        params["host_cover_number"] = cover_res.count
-        if cover_res.count <= 2:
-            protocol = two_clique_protocol(work, cover_res.cover.cliques, tol)
-            return _distinguishable(
-                work, direction, KIND_COVER_LE2,
-                {"cliques": [sorted(c) for c in cover_res.cover.cliques]},
-                params, notes, None, protocol, tol,
-            )
-
     if d_eff == 2:
         pair = find_two_clique_cover(host, ga.edges)
         if pair is not None:
@@ -252,27 +279,11 @@ def decide(
             notes.append(str(exc))
             chi = None
         if chi == d_eff:
-            try:
-                sandwich = chordal_sandwich(ga, host, opt.sandwich_budget)
-            except SearchBudgetExceeded as exc:
-                notes.append(str(exc))
-                sandwich = False
-            if sandwich is None:
-                return Verdict(
-                    INDISTINGUISHABLE, direction,
-                    Certificate(KIND_NO_SANDWICH, {"chi": chi}),
-                    params, notes=tuple(notes),
-                )
-            if sandwich is not False:
-                chord_s = is_chordal(sandwich)
-                return _peel_and_wrap(
-                    work, direction, sandwich, KIND_SANDWICH,
-                    {
-                        "sandwich_edges": [list(e) for e in sandwich.edge_list()],
-                        "ordering": list(chord_s.ordering),
-                    },
-                    params, notes, tol,
-                )
+            verdict = _sandwich_verdict(
+                work, direction, ga, host, chi, params, notes, opt
+            )
+            if verdict is not None:
+                return verdict
         return Verdict(
             INDISTINGUISHABLE, direction,
             Certificate(
@@ -286,18 +297,24 @@ def decide(
         alpha = chi = None
         try:
             alpha, alpha_wit = independence_number(host, opt.search_budget)
-            chi, _ = chromatic_number(gb, opt.search_budget)
+            chi, colouring = chromatic_number(gb, opt.search_budget)
             params["alpha_host"] = alpha
             params["chi_bob"] = chi
         except SearchBudgetExceeded as exc:
             notes.append(str(exc))
         simp = simplicial_vertices(host)
         params["simplicial_host"] = tuple(sorted(simp))
-        if alpha is not None:
-            try:
-                params["eta_host"] = eta_plus_bounds(host, opt.search_budget)
-            except SearchBudgetExceeded:
-                pass
+        # alpha(host) <= d_eff for every orthogonal product set: states
+        # independent in the host overlap pairwise on Bob's side, so their
+        # Alice parts are pairwise orthogonal. An independent host set of
+        # size d_eff therefore proves alpha(host) = d_eff, exact search or not.
+        witness = None
+        if chi is not None:
+            # the far side's overlap graph is the host's complement, so these
+            # are the host's minimum-rank bounds
+            params["eta_host"] = EtaBounds(
+                alpha, alpha_wit, chi, colouring, alpha == chi
+            )
             if d_eff == chi and alpha < chi:
                 return Verdict(
                     INDISTINGUISHABLE, direction,
@@ -308,43 +325,39 @@ def decide(
                     ),
                     params, notes=tuple(notes),
                 )
-            if not simp and alpha == d_eff:
-                return Verdict(
-                    INDISTINGUISHABLE, direction,
-                    Certificate(
-                        KIND_NO_SIMPLICIAL,
-                        {"alpha": alpha, "d_eff": d_eff,
-                         "alpha_witness": sorted(alpha_wit),
-                         "eta": d_eff,
-                         "eta_certificate": "independent set meets Gram rank"},
-                    ),
-                    params, notes=tuple(notes),
+            if alpha == d_eff:
+                witness = alpha_wit
+        elif not simp and d_eff <= opt.search_budget:
+            try:
+                witness = independent_set_of_size(
+                    host, d_eff, opt.search_budget * work.n
                 )
-            if d_eff == chi:
-                try:
-                    sandwich = chordal_sandwich(ga, host, opt.sandwich_budget)
-                except SearchBudgetExceeded as exc:
-                    notes.append(str(exc))
-                    sandwich = False
-                if sandwich is None:
-                    return Verdict(
-                        INDISTINGUISHABLE, direction,
-                        Certificate(KIND_NO_SANDWICH, {"chi": chi}),
-                        params, notes=tuple(notes),
-                    )
-                if sandwich is not False:
-                    chord_s = is_chordal(sandwich)
-                    return _peel_and_wrap(
-                        work, direction, sandwich, KIND_SANDWICH,
-                        {
-                            "sandwich_edges": [list(e) for e in sandwich.edge_list()],
-                            "ordering": list(chord_s.ordering),
-                        },
-                        params, notes, tol,
-                    )
+            except SearchBudgetExceeded as exc:
+                notes.append(str(exc))
+            else:
+                if witness is None:
+                    notes.append(f"no independent host set of size {d_eff}")
+        if not simp and witness is not None:
+            return Verdict(
+                INDISTINGUISHABLE, direction,
+                Certificate(
+                    KIND_NO_SIMPLICIAL,
+                    {"alpha": d_eff, "d_eff": d_eff,
+                     "alpha_witness": sorted(witness),
+                     "eta": d_eff,
+                     "eta_certificate": "independent set meets Gram rank"},
+                ),
+                params, notes=tuple(notes),
+            )
+        if chi == d_eff:
+            verdict = _sandwich_verdict(
+                work, direction, ga, host, chi, params, notes, opt
+            )
+            if verdict is not None:
+                return verdict
 
     cliques = maximal_cliques(host)
-    obstruction = spanning_obstruction(work, cliques, tol)
+    obstruction = spanning_obstruction(work, cliques, tol, d_eff)
     if obstruction is not None:
         return Verdict(
             INDISTINGUISHABLE, direction,
@@ -643,9 +656,25 @@ def verify_certificate(
                 f"relative residual {rep.rel_residual:.3g}",
             )
     elif kind == KIND_NO_SIMPLICIAL:
+        # an independent host set of size d_eff attains the bound
+        # alpha(host) <= d_eff, so no exact search is needed
         check("no simplicial vertices", not simplicial_vertices(host))
-        alpha, _ = independence_number(host)
-        check("independent set meets rank", alpha == d_eff, f"alpha {alpha}")
+        witness = list(data.get("alpha_witness", ()))
+        in_range = len(set(witness)) == len(witness) and all(
+            isinstance(i, int) and 1 <= i <= work.n for i in witness
+        )
+        check("witness distinct and in range", in_range, f"witness {witness}")
+        # independent in the host means pairwise overlapping on Bob's side
+        check("witness independent in host", in_range and is_clique(gb, witness))
+        check(
+            "witness size meets rank",
+            len(witness) == d_eff,
+            f"{len(witness)} states, d_eff {d_eff}",
+        )
+        rank = None
+        if in_range:
+            rank = numeric_rank(work.alice[[i - 1 for i in witness]], tol)
+        check("witness spans effective space", rank == d_eff, f"rank {rank}")
     elif kind == KIND_ALPHA_CHI:
         alpha, _ = independence_number(host)
         chi, _ = chromatic_number(gb)
@@ -656,7 +685,10 @@ def verify_certificate(
         check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
         check("no chordal sandwich", chordal_sandwich(ga, host) is None)
     elif kind == KIND_SPANNING:
-        check("obstruction reproducible", spanning_obstruction(work, tol=tol) is not None)
+        check(
+            "obstruction reproducible",
+            spanning_obstruction(work, tol=tol, d_eff=d_eff) is not None,
+        )
     elif kind == KIND_UNKNOWN:
         check("nothing to verify", True)
 

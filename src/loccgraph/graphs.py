@@ -99,10 +99,33 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph.from_edges(len(keep), edges), keep
 
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Bit w-1 of entry v is set when w is adjacent to v; entry 0 is unused."""
+    nbr_mask = [0] * (g.n + 1)
+    for i, j in g.edges:
+        nbr_mask[i] |= 1 << (j - 1)
+        nbr_mask[j] |= 1 << (i - 1)
+    return nbr_mask
+
+
+def _bits(mask: int):
+    """Vertices whose bits are set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood induces a clique."""
-    adj = g.adjacency()
-    return frozenset(v for v in g.vertices if is_clique(g, adj[v]))
+    nbr_mask = _neighbour_masks(g)
+    # N(v) is a clique when each neighbour w sees the rest of N(v)
+    return frozenset(
+        v for v in g.vertices
+        if all(
+            (nbr_mask[v] & ~nbr_mask[w]) == 1 << (w - 1) for w in _bits(nbr_mask[v])
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,35 +248,56 @@ def independence_number(g: Graph, budget: int = 40) -> tuple[int, frozenset[int]
     """Exact maximum independent set by branch and bound."""
     if g.n > budget:
         raise SearchBudgetExceeded(f"independence search limited to n <= {budget}")
-    adj = g.adjacency()
-    nbr_mask = [0] * (g.n + 1)
-    for v in g.vertices:
-        for w in adj[v]:
-            nbr_mask[v] |= 1 << (w - 1)
+    nbr_mask = _neighbour_masks(g)
     best_size = 0
     best_set = 0
 
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length()
-            mask ^= low
-
     def expand(cand: int, size: int, picked: int):
         nonlocal best_size, best_set
-        if size + bin(cand).count("1") <= best_size:
+        if size + cand.bit_count() <= best_size:
             return
         if cand == 0:
             best_size, best_set = size, picked
             return
-        v = max(bits(cand), key=lambda u: (bin(cand & nbr_mask[u]).count("1"), -u))
+        v = max(_bits(cand), key=lambda u: ((cand & nbr_mask[u]).bit_count(), -u))
         vbit = 1 << (v - 1)
         expand(cand & ~nbr_mask[v] & ~vbit, size + 1, picked | vbit)
         expand(cand & ~vbit, size, picked)
 
     expand((1 << g.n) - 1, 0, 0)
-    witness = frozenset(v for v in g.vertices if best_set >> (v - 1) & 1)
-    return best_size, witness
+    return best_size, frozenset(_bits(best_set))
+
+
+def independent_set_of_size(
+    g: Graph, k: int, node_budget: int
+) -> Optional[frozenset[int]]:
+    """Some independent set of exactly k vertices, or None when none exists.
+
+    Depth-first search that branches on the candidate of lowest degree among
+    the candidates and includes it first, so sparse regions fill the set
+    greedily before any backtracking. A branch is cut once its candidates
+    cannot reach k. Raises SearchBudgetExceeded after node_budget branch
+    nodes without an answer either way.
+    """
+    nbr_mask = _neighbour_masks(g)
+    stack = [((1 << g.n) - 1, 0, 0)]
+    nodes = 0
+    while stack:
+        cand, size, picked = stack.pop()
+        if size >= k:
+            return frozenset(_bits(picked))
+        if size + cand.bit_count() < k:
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"independent set search for size {k} limited to {node_budget} nodes"
+            )
+        v = min(_bits(cand), key=lambda u: ((cand & nbr_mask[u]).bit_count(), u))
+        vbit = 1 << (v - 1)
+        stack.append((cand & ~vbit, size, picked))
+        stack.append((cand & ~nbr_mask[v] & ~vbit, size + 1, picked | vbit))
+    return None
 
 
 def _greedy_coloring(g: Graph) -> dict[int, int]:

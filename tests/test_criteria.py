@@ -19,7 +19,8 @@ from loccgraph.criteria import (
     verify_certificate,
 )
 from loccgraph.errors import LoccGraphError
-from loccgraph.families import generate
+from loccgraph.families import FAMILIES, generate
+from loccgraph.graphs import independence_number
 from loccgraph.linalg import DEFAULT_TOL
 
 
@@ -219,6 +220,86 @@ def test_search_budget_degrades_gracefully():
     assert v.status == INDISTINGUISHABLE
     assert v.certificate.kind == "SpanningObstruction"
     assert any("limited" in note for note in v.notes)
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+@pytest.mark.parametrize("spec", ["bullseye:11", "bullseye-recursive:7"])
+def test_rings_past_exact_search_carry_witness(spec, direction):
+    # n = 41 and 49 lie beyond the exact independence search; an independent
+    # host set of size d_eff still certifies the minimum-dimension rung
+    s = generate(spec)
+    v = decide(s, direction)
+    assert v.status == INDISTINGUISHABLE
+    assert v.certificate.kind == "MinDimNoSimplicial"
+    d_eff = v.parameters["d_eff"]
+    assert v.certificate.data["alpha"] == d_eff
+    assert len(v.certificate.data["alpha_witness"]) == d_eff
+    outcome = verify_certificate(s, v)
+    assert outcome.ok, outcome.checks
+
+
+def _checks(states, verdict, witness):
+    data = dict(verdict.certificate.data, alpha_witness=witness)
+    forged = Verdict(
+        verdict.status, verdict.direction,
+        Certificate(verdict.certificate.kind, data), verdict.parameters,
+    )
+    outcome = verify_certificate(states, forged)
+    assert not outcome.ok
+    return {name: ok for name, ok, _ in outcome.checks}
+
+
+def test_tampered_witness_fails_verification():
+    s = generate("bullseye:11")
+    v = decide(s)
+    witness = v.certificate.data["alpha_witness"]
+    assert verify_certificate(s, v).ok
+
+    checks = _checks(s, v, witness[1:])
+    assert not checks["witness size meets rank"]
+
+    # trade a member for an outsider adjacent in the host to another member
+    host = s.build_graphs().bob_orthogonality()
+    u, w = next(
+        (u, w) for w in witness for u in host.vertices
+        if u not in witness and host.has_edge(u, w)
+    )
+    x = next(x for x in witness if x != w)
+    checks = _checks(s, v, sorted(set(witness) - {x} | {u}))
+    assert not checks["witness independent in host"]
+    assert checks["witness size meets rank"]
+
+
+def test_host_independence_never_exceeds_effective_dimension():
+    # independent host states overlap pairwise on Bob's side, so their
+    # Alice parts are orthogonal: alpha(host) <= d_eff for every set
+    specs = {
+        "example1": ["example1"],
+        "example2": ["example2"],
+        "example3": ["example3"],
+        "example4": ["example4"],
+        "pentagon-path": ["pentagon-path"],
+        "bennett": ["bennett"],
+        "bennett-subset": ["bennett-subset:2,8,6,4,9", "bennett-subset:2,8,6,9,7",
+                           "bennett-subset:1,3,5,7,9"],
+        "tiles": ["tiles"],
+        "bullseye": [f"bullseye:{d}" for d in range(3, 11)],
+        "bullseye-recursive": ["bullseye-recursive:3", "bullseye-recursive:5"],
+        "cycle-rep": [f"cycle-rep:{n}" for n in (4, 5, 6)],
+        "path-rep": [f"path-rep:{n}" for n in (3, 5, 8, 12, 20, 30, 40)],
+    }
+    assert set(specs) == set(FAMILIES)
+    sets = [generate(spec) for group in specs.values() for spec in group]
+    rng = np.random.default_rng(23)
+    sets += [
+        brute.random_product_instance(int(rng.integers(3, 9)), rng)[0]
+        for _ in range(20)
+    ]
+    for s in sets:
+        assert s.n <= 40
+        for work in (s, s.swapped()):
+            host = work.build_graphs().bob_orthogonality()
+            assert independence_number(host)[0] <= effective_dimension(work)
 
 
 def test_direction_swap_consistency():

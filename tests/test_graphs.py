@@ -19,6 +19,7 @@ from loccgraph.graphs import (
     find_isomorphism,
     find_two_clique_cover,
     independence_number,
+    independent_set_of_size,
     is_chordal,
     is_perfect_elimination_ordering,
     lex_bfs_order,
@@ -103,6 +104,43 @@ def test_independence_number_witness():
     assert size == 3
     g = cycle_graph(7)
     assert all(not g.has_edge(u, v) for u, v in itertools.combinations(witness, 2))
+
+
+def test_simplicial_vertices_match_definition():
+    # simplicial: every two neighbours are adjacent
+    for n in range(1, 6):
+        for g in brute.all_graphs(n):
+            adj = g.adjacency()
+            expected = {
+                v for v in g.vertices
+                if all(g.has_edge(a, b) for a, b in itertools.combinations(adj[v], 2))
+            }
+            assert simplicial_vertices(g) == expected
+
+
+def test_independent_set_of_size_matches_brute_alpha():
+    for n in range(1, 6):
+        for g in brute.all_graphs(n):
+            alpha = brute.brute_alpha(g)
+            for k in range(n + 2):
+                # a search tree of depth n has fewer than 2^(n+1) nodes
+                found = independent_set_of_size(g, k, node_budget=2 ** (n + 1))
+                if k > alpha:
+                    assert found is None
+                    continue
+                assert found is not None and len(found) == k
+                assert all(
+                    not g.has_edge(u, v) for u, v in itertools.combinations(found, 2)
+                )
+
+
+def test_independent_set_of_size_budget():
+    # C_7 has no independent 4-set, and proving it takes more than one node
+    with pytest.raises(SearchBudgetExceeded):
+        independent_set_of_size(cycle_graph(7), 4, node_budget=1)
+    # lowest degree first walks a long cycle greedily, one node per member
+    found = independent_set_of_size(cycle_graph(97), 48, node_budget=48)
+    assert found == frozenset(range(1, 97, 2))
 
 
 def test_chromatic_number_coloring():

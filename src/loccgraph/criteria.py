@@ -427,10 +427,10 @@ def analyze(
     alpha = chi = eta = None
     wit: tuple[int, ...] = ()
     try:
-        a, aw = independence_number(host, budget)
-        alpha, wit = a, tuple(sorted(aw))
-        chi = chromatic_number(graphs.bob, budget)[0]
+        # the host's complement is Bob's overlap graph, so eta's bounds are
+        # alpha(host) with its witness and chi(bob)
         eta = eta_plus_bounds(host, budget)
+        alpha, wit, chi = eta.lower, tuple(sorted(eta.lower_witness)), eta.upper
     except SearchBudgetExceeded as exc:
         notes.append(str(exc))
     return AnalyzeReport(

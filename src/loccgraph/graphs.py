@@ -555,39 +555,17 @@ class EtaBounds:
     upper: int
     upper_coloring: dict[int, int] = field(compare=False)
     certified: bool = False
-    note: str = ""
 
 
-def eta_plus_bounds(
-    g: Graph,
-    budget: int = 40,
-    randomized_attempts: int = 0,
-    seed: int = 0,
-) -> EtaBounds:
+def eta_plus_bounds(g: Graph, budget: int = 40) -> EtaBounds:
     """Outer bounds on the invertible-diagonal PSD minimum rank.
 
     Lower bound: independence number. Upper bound: chromatic number of the
-    complement. Certified when they coincide. Optionally a seeded low-rank
-    representation search tries to pull the upper bound down (never below
-    the lower bound).
+    complement. Certified when they coincide.
     """
     lower, witness = independence_number(g, budget)
     upper, coloring = chromatic_number(complement(g), budget)
-    note = ""
-    if lower != upper and randomized_attempts > 0:
-        from .minrank import pattern_constrained_lowrank
-
-        r = upper - 1
-        while r > lower:
-            m = pattern_constrained_lowrank(
-                g, r, edge_floor=None, seed=seed, restarts=randomized_attempts
-            )
-            if m is None:
-                break
-            upper = r
-            note = f"upper bound improved to {r} by randomized representation"
-            r -= 1
-    return EtaBounds(lower, witness, upper, coloring, lower == upper, note)
+    return EtaBounds(lower, witness, upper, coloring, lower == upper)
 
 
 # ---------------------------------------------------------------------------

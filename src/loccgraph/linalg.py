@@ -140,28 +140,24 @@ def least_squares_preimage(
 
 
 def orthonormal_columns(cols: Iterable[np.ndarray], dim: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Gram-Schmidt a sequence of vectors in C^dim, dropping dependent ones."""
-    kept: list[np.ndarray] = []
-    for c in cols:
-        vec = as_vector(c).astype(complex)
-        if vec.shape[0] != dim:
-            raise DimensionMismatch("column dimension mismatch")
-        for k in kept:
-            vec = vec - k * (k.conj() @ vec)
-        nrm = float(np.linalg.norm(vec))
-        if nrm > 10 * tol.rank_tol:
-            kept.append(vec / nrm)
-    if kept:
-        return np.stack(kept, axis=1)
-    return np.zeros((dim, 0), dtype=complex)
+    """Orthonormal basis of the span of vectors in C^dim: the left singular
+    vectors whose singular values exceed rank_tol relative to the largest."""
+    vecs = [as_vector(c) for c in cols]
+    if any(v.shape[0] != dim for v in vecs):
+        raise DimensionMismatch("column dimension mismatch")
+    if not vecs:
+        return np.zeros((dim, 0), dtype=complex)
+    u, sv, _ = np.linalg.svd(np.stack(vecs, axis=1), full_matrices=False)
+    return u[:, : int(np.count_nonzero(sv > tol.rank_tol * sv[0]))]
 
 
 def complete_basis(partial: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of C^d."""
-    d = partial.shape[0]
-    cols = list(partial.T)
-    candidates = cols + [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-    full = orthonormal_columns(candidates, d, tol)
-    if full.shape[1] != d:
+    """Extend orthonormal columns to a full orthonormal basis of C^d: the
+    given columns first, then the trailing columns of a complete QR."""
+    arr = as_matrix(partial)
+    d, k = arr.shape
+    q, _ = np.linalg.qr(arr, mode="complete")
+    full = np.concatenate([arr, q[:, k:]], axis=1)
+    if k > d or np.abs(full.conj().T @ full - np.eye(d)).max() > 10 * tol.rank_tol:
         raise DimensionMismatch("could not complete to a full basis")
     return full

@@ -3,8 +3,9 @@
 A protocol is an Alice POVM whose outcome operators only respond to states
 in their declared support, plus one Bob plan per outcome: an orthonormal
 basis that isolates each surviving state. Protocols are synthesized from
-Gram splittings (each rank-one piece lifts to a POVM element through a
-least-squares preimage) and checked by exact simulation.
+Gram splittings, one outcome per distinct support (each rank-one piece lifts
+to a POVM element through a least-squares preimage), and checked by exact
+simulation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .errors import (
     NonOrthogonalBobClique,
     NotPSD,
 )
-from .linalg import (
+# numeric_rank is not called here; it stays bound because
+# perfbench/layertrace.py wraps the names this module binds
+from .linalg import (  # noqa: F401
     DEFAULT_TOL,
     Tolerance,
     complete_basis,
@@ -62,15 +65,9 @@ class Povm:
                 out += e.matrix()
         return out
 
-    def outcome_support(self, outcome: int) -> frozenset[int]:
-        sups = [e.support for e in self.elements if e.outcome == outcome]
-        return frozenset().union(*sups) if sups else frozenset()
-
     def total(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for e in self.elements:
-            out += e.matrix()
-        return out
+        dirs, weights = _weighted_directions(self)
+        return (dirs.T * weights) @ dirs.conj()
 
 
 @dataclass(frozen=True)
@@ -114,23 +111,18 @@ class ProtocolReport:
 def _bob_plan(
     states: ProductStateSet, outcome: int, support: frozenset[int], tol: Tolerance
 ) -> BobPlan:
+    """Column j is member j's normalised Bob vector, so labels line up; the
+    rest of the basis pads it out."""
     members = sorted(support)
-    vectors = []
-    for i in members:
-        for j in members:
-            if j <= i:
-                continue
-            ov = abs(np.vdot(states.bob[i - 1], states.bob[j - 1]))
-            if ov > 100 * tol.zero_tol:
-                raise NonOrthogonalBobClique(
-                    f"states {states.labels[i-1]} and {states.labels[j-1]} overlap "
-                    f"({ov:.3g}) on Bob's side within outcome {outcome}"
-                )
-        vectors.append(states.bob[i - 1])
-    partial = orthonormal_columns(vectors, states.d_bob, tol)
-    if partial.shape[1] != len(members):
+    cols = states.bob[[i - 1 for i in members]].T
+    partial = cols / np.linalg.norm(cols, axis=0)
+    overlap = np.abs(partial.conj().T @ partial - np.eye(len(members)))
+    if overlap.max(initial=0.0) > 100 * tol.zero_tol:
+        j, k = np.unravel_index(np.argmax(overlap), overlap.shape)
         raise NonOrthogonalBobClique(
-            f"Bob states in outcome {outcome} are linearly dependent"
+            f"states {states.labels[members[j] - 1]} and "
+            f"{states.labels[members[k] - 1]} overlap ({overlap[j, k]:.3g}) "
+            f"on Bob's side within outcome {outcome}"
         )
     basis = complete_basis(partial, tol)
     labels: list[Optional[str]] = [states.labels[i - 1] for i in members]
@@ -143,21 +135,24 @@ def synthesize_protocol(
     dec: Decomposition,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Protocol:
-    """Lift a Gram splitting to a full protocol, one outcome per term.
+    """Lift a Gram splitting to a full protocol, one outcome per support.
 
     Each term v v* pulls back through the Alice frame X (solve X* phi = v)
-    to the element |phi0><phi0| of weight ||phi0||^2. The pieces then sum to
-    the identity on the span of Alice's states; whatever is missing on the
-    orthogonal complement is appended to the last outcome, where no state
-    can trigger it.
+    to the element |phi0><phi0| of weight ||phi0||^2, filed under the
+    outcome of its support; Bob's reply depends only on that support. The
+    pieces then sum to the identity on the span of Alice's states; whatever
+    is missing on the orthogonal complement is appended to the last
+    outcome, where no state can trigger it.
     """
     if dec.n != states.n:
         raise InvalidInput(f"splitting over {dec.n} states, set has {states.n}")
     if not dec.terms:
         raise InvalidInput("empty splitting")
     x = states.alice_frame()
+    outcome_of: dict[frozenset[int], int] = {}
     elements: list[PovmElement] = []
-    for k, term in enumerate(dec.terms, start=1):
+    for term in dec.terms:
+        k = outcome_of.setdefault(term.support, len(outcome_of) + 1)
         phi, mu = least_squares_preimage(x, term.vector, tol)
         elements.append(PovmElement(k, mu**2, phi, term.support))
 
@@ -167,20 +162,14 @@ def synthesize_protocol(
     if w[-1] < -10 * tol.psd_tol:
         raise NotPSD(f"splitting overshoots the identity by {-w[-1]:.3g}")
     last = elements[-1]
-    extra = []
-    for col in range(len(w)):
-        if w[col] > tol.zero_tol:
-            extra.append(
-                PovmElement(last.outcome, float(w[col]), v[:, col], last.support)
-            )
-    if extra:
-        povm = Povm(states.d_alice, tuple(elements + extra))
-
+    elements += [
+        PovmElement(last.outcome, float(w[c]), v[:, c], last.support)
+        for c in np.flatnonzero(w > tol.zero_tol)
+    ]
     plans = tuple(
-        _bob_plan(states, k, term.support, tol)
-        for k, term in enumerate(dec.terms, start=1)
+        _bob_plan(states, k, support, tol) for support, k in outcome_of.items()
     )
-    return Protocol(povm, plans)
+    return Protocol(Povm(states.d_alice, tuple(elements)), plans)
 
 
 def two_clique_protocol(
@@ -224,12 +213,11 @@ def two_clique_protocol(
     ] + [
         PovmElement(2, 1.0, rest[:, c], frozenset(v2)) for c in range(rest.shape[1])
     ]
-    elements = [e for e in elements if e.weight > 0]
-    outcomes = sorted({e.outcome for e in elements})
+    povm = Povm(states.d_alice, tuple(elements))
     plans = tuple(
-        _bob_plan(states, k, cover[k - 1], tol) for k in outcomes
+        _bob_plan(states, k, cover[k - 1], tol) for k in povm.outcome_ids()
     )
-    return Protocol(Povm(states.d_alice, tuple(elements)), plans)
+    return Protocol(povm, plans)
 
 
 def povm_to_decomposition(
@@ -244,22 +232,44 @@ def povm_to_decomposition(
     total = np.zeros((states.n, states.n), dtype=complex)
     for outcome in povm.outcome_ids():
         mk = hermitize(x.conj().T @ povm.outcome_operator(outcome) @ x)
-        wmin = float(np.linalg.eigvalsh(mk).min())
-        if wmin < -tol.psd_tol * scale:
-            raise NotPSD(f"outcome {outcome} pushes to eigenvalue {wmin:.3g}")
-        support = frozenset(
-            i + 1 for i in range(states.n) if mk[i, i].real > tol.zero_tol * scale
-        )
         w, v = eigh_desc(mk)
-        for col in range(len(w)):
-            if w[col] <= tol.zero_tol * scale:
-                continue
-            vec = np.sqrt(w[col]) * v[:, col]
-            vec[[i - 1 for i in range(1, states.n + 1) if i not in support]] = 0.0
+        if w[-1] < -tol.psd_tol * scale:
+            raise NotPSD(f"outcome {outcome} pushes to eigenvalue {w[-1]:.3g}")
+        inside = np.diagonal(mk).real > tol.zero_tol * scale
+        support = frozenset((np.flatnonzero(inside) + 1).tolist())
+        for c in np.flatnonzero(w > tol.zero_tol * scale):
+            vec = np.where(inside, np.sqrt(w[c]) * v[:, c], 0.0)
             terms.append(DecompositionTerm(support, vec))
             total += np.outer(vec, vec.conj())
     residual = float(np.linalg.norm(hermitize(m) - total))
     return Decomposition(states.n, tuple(terms), residual)
+
+
+def _weighted_directions(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """Element directions as the rows of an (elements x dim) array, and the
+    element weights."""
+    dirs = np.array([e.direction for e in povm.elements], dtype=complex)
+    weights = np.array([e.weight for e in povm.elements], dtype=float)
+    return dirs.reshape(len(povm.elements), povm.dim), weights
+
+
+def _alice_probabilities(
+    povm: Povm, states: ProductStateSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """w_e |<d_e, a_i>|^2 for every element e (rows) and state i (columns),
+    with the mask of the states each element's support declares."""
+    dirs, weights = _weighted_directions(povm)
+    probs = weights[:, None] * np.abs(dirs.conj() @ states.alice.T) ** 2
+    inside = np.zeros(probs.shape, dtype=bool)
+    for row, e in enumerate(povm.elements):
+        inside[row, [i - 1 for i in e.support if 1 <= i <= states.n]] = True
+    return probs, inside
+
+
+def _completeness_deviation(povm: Povm) -> float:
+    return float(
+        np.abs(np.linalg.eigvalsh(hermitize(povm.total() - np.eye(povm.dim)))).max()
+    )
 
 
 def validate_povm(
@@ -268,17 +278,12 @@ def validate_povm(
     tol: Tolerance = DEFAULT_TOL,
 ) -> PovmReport:
     """Completeness, element positivity, and support discipline."""
-    dev_eigs = np.linalg.eigvalsh(hermitize(povm.total() - np.eye(povm.dim)))
-    completeness = float(np.abs(dev_eigs).max())
+    completeness = _completeness_deviation(povm)
     min_weight = min((e.weight for e in povm.elements), default=0.0)
     leakage = 0.0
     if states is not None:
-        for e in povm.elements:
-            for i in range(1, states.n + 1):
-                if i in e.support:
-                    continue
-                p = e.weight * abs(np.vdot(e.direction, states.alice[i - 1])) ** 2
-                leakage = max(leakage, float(p))
+        probs, inside = _alice_probabilities(povm, states)
+        leakage = float(probs[~inside].max(initial=0.0))
     ok = (
         completeness <= 10 * tol.psd_tol
         and min_weight >= -tol.psd_tol
@@ -290,39 +295,39 @@ def validate_povm(
 def simulate(
     states: ProductStateSet, protocol: Protocol, tol: Tolerance = DEFAULT_TOL
 ) -> ProtocolReport:
-    """Exact outcome statistics of the two-round protocol on each state."""
-    index = {lbl: i for i, lbl in enumerate(states.labels, start=1)}
-    per_state: list[tuple[str, float]] = []
-    leakage = 0.0
-    for i in range(1, states.n + 1):
-        a = states.alice[i - 1]
-        b = states.bob[i - 1]
-        success = 0.0
-        for outcome in protocol.alice.outcome_ids():
-            op = protocol.alice.outcome_operator(outcome)
-            p_alice = float(np.real(np.vdot(a, op @ a)))
-            if i not in protocol.alice.outcome_support(outcome):
-                leakage = max(leakage, p_alice)
-                continue
-            plan = protocol.plan_for(outcome)
-            p_bob = 0.0
-            for col, lbl in enumerate(plan.labels):
-                if lbl is not None and index.get(lbl) == i:
-                    p_bob += abs(np.vdot(plan.basis[:, col], b)) ** 2
-            success += p_alice * p_bob
-        per_state.append((states.labels[i - 1], success))
-    completeness = float(
-        np.abs(
-            np.linalg.eigvalsh(
-                hermitize(protocol.alice.total() - np.eye(protocol.alice.dim))
-            )
-        ).max()
-    )
+    """Exact outcome statistics of the two-round protocol on each state:
+    Alice's element probabilities summed per outcome, times the weight of
+    each state on Bob's columns labelled with it."""
+    povm = protocol.alice
+    outcomes = povm.outcome_ids()
+    row_of = {outcome: k for k, outcome in enumerate(outcomes)}
+    rows = [row_of[e.outcome] for e in povm.elements]
+    probs, inside = _alice_probabilities(povm, states)
+    p_alice = np.zeros((len(outcomes), states.n))
+    np.add.at(p_alice, rows, probs)
+    seen = np.zeros(p_alice.shape, dtype=bool)
+    np.logical_or.at(seen, rows, inside)
+
+    index = {lbl: i for i, lbl in enumerate(states.labels)}
+    p_bob = np.zeros_like(p_alice)
+    for k, outcome in enumerate(outcomes):
+        if not seen[k].any():
+            continue
+        plan = protocol.plan_for(outcome)
+        cols = [j for j, lbl in enumerate(plan.labels) if lbl in index]
+        owners = [index[plan.labels[j]] for j in cols]
+        hits = np.einsum(
+            "dj,jd->j", plan.basis[:, cols].conj(), states.bob[owners]
+        )
+        np.add.at(p_bob[k], owners, np.abs(hits) ** 2)
+
+    success = (p_alice * p_bob * seen).sum(axis=0)
+    per_state = tuple(zip(states.labels, success.tolist()))
     return ProtocolReport(
-        tuple(per_state),
-        min(p for _, p in per_state),
-        completeness,
-        float(leakage),
+        per_state,
+        float(success.min()),
+        _completeness_deviation(povm),
+        float(p_alice[~seen].max(initial=0.0)),
     )
 
 

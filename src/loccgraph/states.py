@@ -132,18 +132,12 @@ class ProductStateSet:
         return hermitize(self.alice_gram() * self.bob_gram())
 
     def build_graphs(self, tol: Tolerance = DEFAULT_TOL) -> StateGraphs:
-        ga = gram(list(self.alice))
-        gb = gram(list(self.bob))
-        edges_a = []
-        edges_b = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if abs(ga[i, j]) > tol.zero_tol:
-                    edges_a.append((i + 1, j + 1))
-                if abs(gb[i, j]) > tol.zero_tol:
-                    edges_b.append((i + 1, j + 1))
+        def overlaps(g: np.ndarray) -> Graph:
+            i, j = np.nonzero(np.triu(np.abs(g) > tol.zero_tol, k=1))
+            return Graph.from_edges(self.n, zip(i + 1, j + 1))
+
         return StateGraphs(
-            Graph.from_edges(self.n, edges_a), Graph.from_edges(self.n, edges_b)
+            overlaps(gram(list(self.alice))), overlaps(gram(list(self.bob)))
         )
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:

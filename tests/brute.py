@@ -242,3 +242,21 @@ def random_product_instance(n: int, rng: np.random.Generator):
         if graphs.alice == g and graphs.bob == gbar:
             return states, g
     raise RuntimeError(f"no usable random instance at n={n}")
+
+
+# every built-in family at the sizes the soundness sweep decides in both
+# directions
+SWEEP_SPECS = {
+    "example1": ["example1"],
+    "example2": ["example2"],
+    "example3": ["example3"],
+    "example4": ["example4"],
+    "pentagon-path": ["pentagon-path"],
+    "bennett": ["bennett"],
+    "bennett-subset": ["bennett-subset:2,8,6,4,9"],
+    "tiles": ["tiles"],
+    "bullseye": ["bullseye:5", "bullseye:9", "bullseye:15"],
+    "bullseye-recursive": ["bullseye-recursive:5", "bullseye-recursive:7"],
+    "cycle-rep": ["cycle-rep:6", "cycle-rep:8"],
+    "path-rep": ["path-rep:8", "path-rep:14", "path-rep:20"],
+}

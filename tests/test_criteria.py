@@ -75,6 +75,9 @@ def test_decide_rejects_unknown_direction():
         ("cycle-rep:5", ALICE_FIRST, INDISTINGUISHABLE, "AlphaLessThanChi"),
         ("cycle-rep:6", ALICE_FIRST, INDISTINGUISHABLE, "SpanningObstruction"),
         ("path-rep:5", ALICE_FIRST, DISTINGUISHABLE, "ChordalAliceGraph"),
+        ("path-rep:14", ALICE_FIRST, DISTINGUISHABLE, "ChordalAliceGraph"),
+        ("path-rep:16", ALICE_FIRST, DISTINGUISHABLE, "ChordalAliceGraph"),
+        ("path-rep:20", ALICE_FIRST, DISTINGUISHABLE, "ChordalAliceGraph"),
     ],
 )
 def test_decide_family_table(spec, direction, status, kind):
@@ -310,3 +313,24 @@ def test_direction_swap_consistency():
     v2 = decide(s.swapped(), ALICE_FIRST)
     assert v2.status == v.status
     assert v2.certificate.kind == v.certificate.kind
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_every_family_decides_and_verifies(direction):
+    # soundness sweep: every verdict verifies, and a synthesized protocol
+    # has one Alice outcome and one Bob plan per support of its splitting
+    assert set(brute.SWEEP_SPECS) == set(FAMILIES)
+    for specs in brute.SWEEP_SPECS.values():
+        for spec in specs:
+            s = generate(spec)
+            v = decide(s, direction)
+            outcome = verify_certificate(s, v)
+            assert outcome.ok, (spec, outcome.checks)
+            if v.decomposition is not None:
+                supports = {t.support for t in v.decomposition.terms}
+                assert (
+                    len(v.protocol.alice.outcome_ids())
+                    == len(v.protocol.bob)
+                    == len(supports)
+                ), spec
+

@@ -130,3 +130,30 @@ def test_default_tolerances():
     assert DEFAULT_TOL.zero_tol == pytest.approx(1e-9)
     assert DEFAULT_TOL.psd_tol == pytest.approx(1e-8)
     assert DEFAULT_TOL.rank_tol == pytest.approx(1e-7)
+
+
+def test_orthonormal_columns_rank_cut_is_relative():
+    # a tiny but well-conditioned family keeps its full rank
+    cols = [1e-9 * np.array([1.0, 0.0, 0.0]), 1e-9 * np.array([0.0, 1.0, 0.0]),
+            1e-9 * np.array([1.0, 1.0, 0.0])]
+    q = orthonormal_columns(cols, 3)
+    assert q.shape == (3, 2)
+    assert np.allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
+    assert orthonormal_columns([], 3).shape == (3, 0)
+    with pytest.raises(DimensionMismatch):
+        orthonormal_columns([np.ones(2)], 3)
+
+
+def test_complete_basis_keeps_columns_and_rejects_bad_input():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    partial, _ = np.linalg.qr(z)
+    full = complete_basis(partial)
+    assert full.shape == (6, 6)
+    assert np.array_equal(full[:, :2], partial)
+    assert np.allclose(full.conj().T @ full, np.eye(6), atol=1e-12)
+    assert complete_basis(np.zeros((3, 0))).shape == (3, 3)
+    with pytest.raises(DimensionMismatch):
+        complete_basis(np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        complete_basis(np.eye(2, 3))

@@ -136,3 +136,62 @@ def test_random_roundtrips_both_directions():
         back = povm_to_decomposition(states, protocol.alice)
         rep = verify_decomposition(m, back, host=g, rel_bound=1e-7)
         assert rep.ok and rep.supports_ok
+
+
+def test_one_outcome_per_support():
+    # splitting every term in two halves keeps the supports, so the outcome
+    # and plan counts stay those of the distinct supports
+    from loccgraph.decomposition import Decomposition, DecompositionTerm
+
+    rng = np.random.default_rng(9)
+    states, g = brute.random_product_instance(6, rng)
+    dec = chordal_decompose(states.alice_gram(), g)
+    halves = Decomposition(
+        dec.n,
+        tuple(
+            DecompositionTerm(t.support, t.vector / np.sqrt(2))
+            for t in dec.terms for _ in range(2)
+        ),
+        dec.residual,
+    )
+    protocol = synthesize_protocol(states, halves)
+    supports = {t.support for t in dec.terms}
+    assert len(protocol.alice.outcome_ids()) == len(protocol.bob) == len(supports)
+    # Bob's column j detects member j of the outcome's support
+    support_of = {e.outcome: e.support for e in protocol.alice.elements}
+    for plan in protocol.bob:
+        members = [states.labels[i - 1] for i in sorted(support_of[plan.outcome])]
+        assert list(plan.labels[: len(members)]) == members
+    assert simulate(states, protocol).min_success >= 1 - 1e-9
+
+
+def test_simulate_matches_operator_reference():
+    # the leaky cover of test_two_clique_protocol_rejects_bad_cover, checked
+    # against outcome operators built state by state
+    states = generate("example1")
+    protocol = two_clique_protocol(
+        states, (frozenset({1, 2}), frozenset({1, 3, 4}))
+    )
+    povm = protocol.alice
+    success, leakage = [], 0.0
+    for i in range(1, states.n + 1):
+        a, b = states.alice[i - 1], states.bob[i - 1]
+        total = 0.0
+        for outcome in povm.outcome_ids():
+            p = float(np.real(np.vdot(a, povm.outcome_operator(outcome) @ a)))
+            support = set().union(
+                *(e.support for e in povm.elements if e.outcome == outcome)
+            )
+            if i not in support:
+                leakage = max(leakage, p)
+                continue
+            plan = protocol.plan_for(outcome)
+            col = plan.labels.index(states.labels[i - 1])
+            total += p * abs(np.vdot(plan.basis[:, col], b)) ** 2
+        success.append(total)
+    sim = simulate(states, protocol)
+    assert np.allclose([p for _, p in sim.per_state], success, atol=1e-12)
+    assert sim.max_support_leakage == pytest.approx(leakage, abs=1e-12)
+    assert validate_povm(povm, states).max_support_leakage == pytest.approx(
+        leakage, abs=1e-12
+    )

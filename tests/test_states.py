@@ -103,3 +103,34 @@ def test_unnormalized_input_fails_validation_when_not_normalizing():
     assert not rep.ok
     label, deviation = rep.unit_deviations[0]
     assert label == "1" and deviation > 0.5
+
+
+def _pairwise_edges(vectors, tol=1e-9):
+    from loccgraph.linalg import gram
+
+    g = gram(list(vectors))
+    n = len(vectors)
+    return frozenset(
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if abs(g[i, j]) > tol
+    )
+
+
+def test_build_graphs_matches_pairwise_loop():
+    import brute
+    from loccgraph.families import generate
+
+    sets = [
+        generate(spec) for specs in brute.SWEEP_SPECS.values() for spec in specs
+    ]
+    rng = np.random.default_rng(31)
+    sets += [
+        brute.random_product_instance(int(rng.integers(3, 9)), rng)[0]
+        for _ in range(20)
+    ]
+    for s in sets:
+        graphs = s.build_graphs()
+        assert graphs.alice.edges == _pairwise_edges(s.alice)
+        assert graphs.bob.edges == _pairwise_edges(s.bob)

@@ -110,7 +110,7 @@ def effective_dimension(states: ProductStateSet, tol: Tolerance = DEFAULT_TOL) -
 
 def spanning_obstruction(
     states: ProductStateSet,
-    supports: Optional[Sequence[frozenset[int]]] = None,
+    supports: Sequence[frozenset[int]],
     tol: Tolerance = DEFAULT_TOL,
     d_eff: Optional[int] = None,
 ) -> Optional[SpanningObstructionReport]:
@@ -124,8 +124,6 @@ def spanning_obstruction(
     """
     if d_eff is None:
         d_eff = effective_dimension(states, tol)
-    if supports is None:
-        supports = maximal_cliques(states.build_graphs(tol).bob_orthogonality())
     entries = []
     for s in supports:
         outside = np.ones(states.n, dtype=bool)
@@ -687,7 +685,8 @@ def verify_certificate(
     elif kind == KIND_SPANNING:
         check(
             "obstruction reproducible",
-            spanning_obstruction(work, tol=tol, d_eff=d_eff) is not None,
+            spanning_obstruction(work, maximal_cliques(host), tol, d_eff)
+            is not None,
         )
     elif kind == KIND_UNKNOWN:
         check("nothing to verify", True)

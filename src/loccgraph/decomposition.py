@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidCover, NegativePivot, NotPSD, PatternViolation
-from .graphs import Graph, is_chordal, is_clique
+from .graphs import Graph, adjacency_matrix, is_chordal, is_clique
 from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, psd_check
 
 
@@ -51,12 +51,12 @@ class Decomposition:
 
 
 def _pattern_leaks(m: np.ndarray, g: Graph, bound: float) -> list[tuple[int, int, float]]:
-    leaks = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not g.has_edge(i + 1, j + 1) and abs(m[i, j]) > bound:
-                leaks.append((i + 1, j + 1, float(abs(m[i, j]))))
-    return leaks
+    off = (np.abs(m) > bound) & ~adjacency_matrix(g)
+    rows, cols = np.nonzero(np.triu(off, k=1))
+    return [
+        (i + 1, j + 1, float(abs(m[i, j])))
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ]
 
 
 def chordal_decompose(
@@ -87,14 +87,14 @@ def chordal_decompose(
     if not chord.chordal:
         raise PatternViolation(f"pattern graph has a chordless cycle {chord.hole}")
 
-    adj = g.adjacency()
-    order = chord.ordering
-    pos = {v: i for i, v in enumerate(order)}
+    adj = adjacency_matrix(g)
+    later = np.ones(g.n, dtype=bool)
     r = m.copy()
     terms: list[DecompositionTerm] = []
     steps: list[float] = []
-    for v in order:
+    for v in chord.ordering:
         vi = v - 1
+        later[vi] = False
         pivot = float(r[vi, vi].real)
         if pivot < -tol.psd_tol * scale:
             raise NegativePivot(f"pivot {pivot:.3g} at vertex {v}")
@@ -102,22 +102,21 @@ def chordal_decompose(
             r[vi, :] = 0.0
             r[:, vi] = 0.0
             continue
-        allowed = {v} | {u for u in adj[v] if pos[u] > pos[v]}
+        # v and its neighbours not yet eliminated
+        allowed = adj[vi] & later
+        allowed[vi] = True
         col = r[:, vi].copy()
-        for u in range(1, g.n + 1):
-            if u not in allowed and abs(col[u - 1]) > 10 * tol.zero_tol * scale:
-                raise PatternViolation(
-                    f"eliminating {v}: residual entry at {u} of size {abs(col[u-1]):.3g}"
-                )
-            if u not in allowed:
-                col[u - 1] = 0.0
-        w = col / np.sqrt(pivot)
-        support = frozenset(
-            u for u in allowed if abs(w[u - 1]) > tol.zero_tol * scale
-        ) | {v}
-        vec = np.where(
-            np.isin(np.arange(1, g.n + 1), sorted(support)), w, 0.0
-        )
+        stray = np.flatnonzero(~allowed & (np.abs(col) > 10 * tol.zero_tol * scale))
+        if stray.size:
+            u = int(stray[0]) + 1
+            raise PatternViolation(
+                f"eliminating {v}: residual entry at {u} of size {abs(col[u-1]):.3g}"
+            )
+        w = np.where(allowed, col, 0.0) / np.sqrt(pivot)
+        keep = allowed & (np.abs(w) > tol.zero_tol * scale)
+        keep[vi] = True
+        support = frozenset((np.flatnonzero(keep) + 1).tolist())
+        vec = np.where(keep, w, 0.0)
         terms.append(DecompositionTerm(support, vec))
         r = hermitize(r - np.outer(vec, vec.conj()))
         r[vi, :] = 0.0
@@ -150,17 +149,15 @@ def verify_decomposition(
     residual = float(np.linalg.norm(m - dec.matrix()))
     bad: list[frozenset[int]] = []
     if host is not None:
-        for t in dec.terms:
-            if not is_clique(host, t.support):
-                bad.append(t.support)
-    for t in dec.terms:
-        off = [
-            i + 1
-            for i in range(dec.n)
-            if abs(t.vector[i]) > tol.zero_tol * scale and (i + 1) not in t.support
-        ]
-        if off:
-            bad.append(t.support)
+        clique = {s: is_clique(host, s) for s in {t.support for t in dec.terms}}
+        bad += [t.support for t in dec.terms if not clique[t.support]]
+    # entries of each term's vector that are nonzero outside its support
+    inside = np.zeros((len(dec.terms), dec.n), dtype=bool)
+    for row, t in enumerate(dec.terms):
+        inside[row, [i - 1 for i in t.support if 1 <= i <= dec.n]] = True
+    vectors = np.array([t.vector for t in dec.terms]).reshape(inside.shape)
+    stray = ((np.abs(vectors) > tol.zero_tol * scale) & ~inside).any(axis=1)
+    bad += [t.support for t, off in zip(dec.terms, stray) if off]
     supports_ok = not bad
     rel = residual / scale
     return DecompositionReport(

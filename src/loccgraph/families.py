@@ -15,6 +15,7 @@ import numpy as np
 from .errors import AssertionFailure, InvalidSpec
 from .graphs import (
     Graph,
+    adjacency_matrix,
     complement,
     cycle_graph,
     find_isomorphism,
@@ -201,10 +202,7 @@ def _bullseye_recursive(d: int, seed: int) -> ProductStateSet:
 def _sqrt_overlap_side(g: Graph, t: float) -> np.ndarray:
     """Columns of (I + t A(g))^(1/2): unit vectors overlapping exactly on
     the edges of g."""
-    adj = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1.0
-    w, v = np.linalg.eigh(np.eye(g.n) + t * adj)
+    w, v = np.linalg.eigh(np.eye(g.n) + t * adjacency_matrix(g))
     if w.min() <= 0:
         raise AssertionFailure(f"overlap weight {t} is too large for this graph")
     return (v * np.sqrt(w)) @ v.T

@@ -7,105 +7,99 @@ sets, colorings, covers) is returned so callers can re-verify it.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import InvalidInput, SearchBudgetExceeded
 
 
-def _norm_edge(i: int, j: int) -> tuple[int, int]:
-    if i == j:
-        raise InvalidInput(f"self-loop at vertex {i}")
-    return (i, j) if i < j else (j, i)
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph; vertices are 1..n, edges unordered pairs."""
+    """Immutable simple graph on vertices 1..n, stored as neighbour bitmasks:
+    bit w-1 of nbrs[v-1] is set when v and w are adjacent."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    nbrs: tuple[int, ...]
 
     def __post_init__(self):
+        nbrs = tuple(map(int, self.nbrs))
+        object.__setattr__(self, "nbrs", nbrs)
         if self.n < 1:
             raise InvalidInput("graph needs at least one vertex")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise InvalidInput(f"edge ({i},{j}) out of range for n={self.n}")
+        if len(nbrs) != self.n or min(nbrs) < 0 or max(nbrs) >> self.n:
+            raise InvalidInput(f"need {self.n} neighbour masks of {self.n} bits")
+        a = adjacency_matrix(self)
+        if a.diagonal().any() or not (a == a.T).all():
+            raise InvalidInput("neighbour masks must be symmetric without self-loops")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        return cls(n, frozenset(_norm_edge(int(i), int(j)) for i, j in edges))
+        nbrs = [0] * n
+        for i, j in edges:
+            i, j = sorted((int(i), int(j)))
+            if not (1 <= i < j <= n):
+                raise InvalidInput(f"edge ({i},{j}) needs two distinct vertices in 1..{n}")
+            nbrs[i - 1] |= 1 << (j - 1)
+            nbrs[j - 1] |= 1 << (i - 1)
+        return cls(n, tuple(nbrs))
+
+    @classmethod
+    def from_matrix(cls, a) -> "Graph":
+        """Graph joining i != j wherever the symmetric boolean matrix a is set."""
+        a = np.array(a, dtype=bool)
+        np.fill_diagonal(a, False)
+        rows = np.packbits(a, axis=1, bitorder="little")
+        return cls(len(a), tuple(int.from_bytes(r.tobytes(), "little") for r in rows))
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges as (i, j) pairs with i < j."""
+        return frozenset(self.edge_list())
+
     def has_edge(self, i: int, j: int) -> bool:
-        return _norm_edge(i, j) in self.edges if i != j else False
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            return False
+        return bool(self.nbrs[i - 1] >> (j - 1) & 1)
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return {v: set(_bits(m)) for v, m in zip(self.vertices, self.nbrs)}
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        # the bits above v's own are its later neighbours, lowest first
+        return [
+            (v, w) for v in self.vertices for w in _bits(self.nbrs[v - 1] >> v << v)
+        ]
 
     def degree_sequence(self) -> tuple[int, ...]:
-        adj = self.adjacency()
-        return tuple(sorted(len(adj[v]) for v in self.vertices))
+        return tuple(sorted(m.bit_count() for m in self.nbrs))
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Boolean n x n matrix, entry [v-1, w-1] set when v ~ w."""
+    width = (g.n + 7) // 8
+    raw = b"".join([m.to_bytes(width, "little") for m in g.nbrs])
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").view(bool)
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+def _full(n: int) -> int:
+    return (1 << n) - 1
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InvalidInput("cycle needs n >= 3")
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Graph.from_edges(n, edges)
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
-
-
-def complement(g: Graph) -> Graph:
-    full = {(i, j) for i in g.vertices for j in range(i + 1, g.n + 1)}
-    return Graph(g.n, frozenset(full - set(g.edges)))
-
-
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    vs = sorted(set(vertices))
-    return all(g.has_edge(a, b) for idx, a in enumerate(vs) for b in vs[idx + 1:])
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph relabeled to 1..k; second item maps new index-1 to old."""
-    keep = tuple(sorted(set(vertices)))
-    if not keep:
-        raise InvalidInput("induced subgraph needs at least one vertex")
-    pos = {v: i + 1 for i, v in enumerate(keep)}
-    edges = [(pos[i], pos[j]) for i, j in g.edges if i in pos and j in pos]
-    return Graph.from_edges(len(keep), edges), keep
-
-
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Bit w-1 of entry v is set when w is adjacent to v; entry 0 is unused."""
-    nbr_mask = [0] * (g.n + 1)
-    for i, j in g.edges:
-        nbr_mask[i] |= 1 << (j - 1)
-        nbr_mask[j] |= 1 << (i - 1)
-    return nbr_mask
+def _mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << (v - 1)
+    return mask
 
 
 def _bits(mask: int):
@@ -116,16 +110,46 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _clique_mask(nbrs: Sequence[int], mask: int) -> bool:
+    # each member sees every other member
+    return all(mask & ~nbrs[w - 1] == 1 << (w - 1) for w in _bits(mask))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, tuple(_full(n) ^ (1 << v) for v in range(n)))
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph(n, (0,) * n)
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise InvalidInput("cycle needs n >= 3")
+    return Graph(n, tuple((1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n)))
+
+
+def path_graph(n: int) -> Graph:
+    # bit v+1 and, past the first vertex, bit v-1
+    return Graph(n, tuple(((2 << v) | (1 << v >> 1)) & _full(n) for v in range(n)))
+
+
+def complement(g: Graph) -> Graph:
+    full = _full(g.n)
+    return Graph(g.n, tuple((full & ~m) ^ (1 << v) for v, m in enumerate(g.nbrs)))
+
+
+def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+    vs = set(vertices)
+    if not all(1 <= v <= g.n for v in vs):
+        # a vertex outside the graph is adjacent to nothing
+        return len(vs) <= 1
+    return _clique_mask(g.nbrs, _mask(vs))
+
+
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood induces a clique."""
-    nbr_mask = _neighbour_masks(g)
-    # N(v) is a clique when each neighbour w sees the rest of N(v)
-    return frozenset(
-        v for v in g.vertices
-        if all(
-            (nbr_mask[v] & ~nbr_mask[w]) == 1 << (w - 1) for w in _bits(nbr_mask[v])
-        )
-    )
+    return frozenset(v for v in g.vertices if _clique_mask(g.nbrs, g.nbrs[v - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +164,20 @@ class ChordalityResult:
 
 
 def lex_bfs_order(g: Graph) -> tuple[int, ...]:
-    """Lexicographic BFS visit order; ties go to the smallest vertex."""
-    adj = g.adjacency()
-    labels: dict[int, tuple[int, ...]] = {v: () for v in g.vertices}
-    unvisited = set(g.vertices)
+    """Lexicographic BFS visit order; ties go to the smallest vertex.
+
+    Partition refinement: the unvisited vertices sit in cells ordered by
+    decreasing label, and visiting v moves v's neighbours in each cell
+    ahead of the rest of that cell.
+    """
+    cells = [_full(g.n)]
     order: list[int] = []
-    for t in range(g.n):
-        v = max(unvisited, key=lambda u: (labels[u], -u))
-        order.append(v)
-        unvisited.remove(v)
-        stamp = g.n - t
-        for w in adj[v]:
-            if w in unvisited:
-                labels[w] = labels[w] + (stamp,)
+    while cells:
+        low = cells[0] & -cells[0]
+        order.append(low.bit_length())
+        cells[0] ^= low
+        nb = g.nbrs[order[-1] - 1]
+        cells = [part for cell in cells for part in (cell & nb, cell & ~nb) if part]
     return tuple(order)
 
 
@@ -160,11 +185,10 @@ def is_perfect_elimination_ordering(g: Graph, order: Sequence[int]) -> bool:
     """Full pairwise check that later neighborhoods are cliques."""
     if sorted(order) != list(g.vertices):
         return False
-    pos = {v: i for i, v in enumerate(order)}
-    adj = g.adjacency()
+    later = _full(g.n)
     for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if not is_clique(g, later):
+        later ^= 1 << (v - 1)
+        if not _clique_mask(g.nbrs, g.nbrs[v - 1] & later):
             return False
     return True
 
@@ -176,24 +200,25 @@ def find_hole(g: Graph) -> Optional[tuple[int, ...]]:
     x-y path avoiding the rest of N[v]; the shortest such path is induced,
     so closing it through v yields a hole.
     """
-    adj = g.adjacency()
+    nbrs = g.nbrs
     for v in g.vertices:
-        nbrs = sorted(adj[v])
-        for ai, x in enumerate(nbrs):
-            for y in nbrs[ai + 1:]:
-                if y in adj[x]:
+        around = list(_bits(nbrs[v - 1]))
+        for ai, x in enumerate(around):
+            for y in around[ai + 1:]:
+                if nbrs[x - 1] >> (y - 1) & 1:
                     continue
-                blocked = (adj[v] | {v}) - {x, y}
-                path = _shortest_path_avoiding(adj, x, y, blocked)
+                blocked = (nbrs[v - 1] | 1 << (v - 1)) & ~_mask((x, y))
+                path = _shortest_path_avoiding(nbrs, x, y, blocked)
                 if path is not None:
                     return (v, *path)
     return None
 
 
 def _shortest_path_avoiding(
-    adj: dict[int, set[int]], src: int, dst: int, blocked: set[int]
+    nbrs: Sequence[int], src: int, dst: int, blocked: int
 ) -> Optional[tuple[int, ...]]:
     parent: dict[int, int] = {src: 0}
+    seen = blocked | 1 << (src - 1)
     queue = deque([src])
     while queue:
         u = queue.popleft()
@@ -202,9 +227,9 @@ def _shortest_path_avoiding(
             while path[-1] != src:
                 path.append(parent[path[-1]])
             return tuple(reversed(path))
-        for w in sorted(adj[u]):
-            if w in blocked or w in parent:
-                continue
+        fresh = nbrs[u - 1] & ~seen
+        seen |= fresh
+        for w in _bits(fresh):
             parent[w] = u
             queue.append(w)
     return None
@@ -226,29 +251,32 @@ def is_chordal(g: Graph) -> ChordalityResult:
 
 
 def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
-    """Bron-Kerbosch with pivoting; output sorted for determinism."""
-    adj = g.adjacency()
-    out: list[frozenset[int]] = []
+    """Bitset Bron-Kerbosch with Tomita pivoting: the pivot is the smallest
+    vertex of P | X with the most neighbours in P. Output sorted for
+    determinism."""
+    nbrs = g.nbrs
+    out: list[int] = []
 
-    def expand(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            out.append(frozenset(r))
+    def expand(r: int, p: int, x: int):
+        if not p | x:
+            out.append(r)
             return
-        pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        pivot = max(_bits(p | x), key=lambda u: (p & nbrs[u - 1]).bit_count())
+        for v in _bits(p & ~nbrs[pivot - 1]):
+            vbit = 1 << (v - 1)
+            expand(r | vbit, p & nbrs[v - 1], x & nbrs[v - 1])
+            p ^= vbit
+            x |= vbit
 
-    expand(set(), set(g.vertices), set())
-    return tuple(sorted(out, key=lambda c: sorted(c)))
+    expand(0, _full(g.n), 0)
+    return tuple(sorted((frozenset(_bits(c)) for c in out), key=sorted))
 
 
 def independence_number(g: Graph, budget: int = 40) -> tuple[int, frozenset[int]]:
     """Exact maximum independent set by branch and bound."""
     if g.n > budget:
         raise SearchBudgetExceeded(f"independence search limited to n <= {budget}")
-    nbr_mask = _neighbour_masks(g)
+    nbrs = g.nbrs
     best_size = 0
     best_set = 0
 
@@ -259,12 +287,12 @@ def independence_number(g: Graph, budget: int = 40) -> tuple[int, frozenset[int]
         if cand == 0:
             best_size, best_set = size, picked
             return
-        v = max(_bits(cand), key=lambda u: ((cand & nbr_mask[u]).bit_count(), -u))
+        v = max(_bits(cand), key=lambda u: ((cand & nbrs[u - 1]).bit_count(), -u))
         vbit = 1 << (v - 1)
-        expand(cand & ~nbr_mask[v] & ~vbit, size + 1, picked | vbit)
+        expand(cand & ~nbrs[v - 1] & ~vbit, size + 1, picked | vbit)
         expand(cand & ~vbit, size, picked)
 
-    expand((1 << g.n) - 1, 0, 0)
+    expand(_full(g.n), 0, 0)
     return best_size, frozenset(_bits(best_set))
 
 
@@ -279,8 +307,8 @@ def independent_set_of_size(
     cannot reach k. Raises SearchBudgetExceeded after node_budget branch
     nodes without an answer either way.
     """
-    nbr_mask = _neighbour_masks(g)
-    stack = [((1 << g.n) - 1, 0, 0)]
+    nbrs = g.nbrs
+    stack = [(_full(g.n), 0, 0)]
     nodes = 0
     while stack:
         cand, size, picked = stack.pop()
@@ -293,74 +321,63 @@ def independent_set_of_size(
             raise SearchBudgetExceeded(
                 f"independent set search for size {k} limited to {node_budget} nodes"
             )
-        v = min(_bits(cand), key=lambda u: ((cand & nbr_mask[u]).bit_count(), u))
+        v = min(_bits(cand), key=lambda u: ((cand & nbrs[u - 1]).bit_count(), u))
         vbit = 1 << (v - 1)
         stack.append((cand & ~vbit, size, picked))
-        stack.append((cand & ~nbr_mask[v] & ~vbit, size + 1, picked | vbit))
+        stack.append((cand & ~nbrs[v - 1] & ~vbit, size + 1, picked | vbit))
     return None
 
 
-def _greedy_coloring(g: Graph) -> dict[int, int]:
-    """DSATUR greedy colouring, colours numbered from 1."""
-    adj = g.adjacency()
+def _coloring(g: Graph, k: int) -> Optional[dict[int, int]]:
+    """A proper colouring with colours 1..k, or None when there is none.
+
+    Backtracking in DSATUR order: the next vertex has the most distinct
+    colours among its neighbours, then the highest degree, then the lowest
+    index, and takes the lowest colour that fits first. With k >= n the
+    first branch never fails, so it is the greedy DSATUR colouring.
+    """
+    nbrs = g.nbrs
     color: dict[int, int] = {}
-    saturation: dict[int, set[int]] = {v: set() for v in g.vertices}
-    while len(color) < g.n:
+    classes = [0] * k  # classes[c-1]: the vertices coloured c
+
+    def rec(left: int, top: int) -> bool:
+        # top: the highest colour in use
+        if not left:
+            return True
         v = max(
-            (u for u in g.vertices if u not in color),
-            key=lambda u: (len(saturation[u]), len(adj[u]), -u),
+            _bits(left),
+            key=lambda u: (
+                sum(1 for m in classes[:top] if m & nbrs[u - 1]),
+                nbrs[u - 1].bit_count(),
+                -u,
+            ),
         )
-        c = 1
-        while c in saturation[v]:
-            c += 1
-        color[v] = c
-        for w in adj[v]:
-            saturation[w].add(c)
-    return color
+        vbit = 1 << (v - 1)
+        for c in range(1, min(k, top + 1) + 1):
+            if classes[c - 1] & nbrs[v - 1]:
+                continue
+            color[v] = c
+            classes[c - 1] |= vbit
+            if rec(left ^ vbit, max(top, c)):
+                return True
+            del color[v]
+            classes[c - 1] ^= vbit
+        return False
+
+    return dict(color) if rec(_full(g.n), 0) else None
 
 
 def chromatic_number(g: Graph, budget: int = 40) -> tuple[int, dict[int, int]]:
     """Exact chromatic number with a proper colouring witness."""
     if g.n > budget:
         raise SearchBudgetExceeded(f"colouring search limited to n <= {budget}")
-    if not g.edges:
-        return 1, {v: 1 for v in g.vertices}
     omega, _ = independence_number(complement(g), budget)
-    greedy = _greedy_coloring(g)
+    greedy = _coloring(g, g.n)
     upper = max(greedy.values())
     if upper == omega:
         return upper, greedy
-    adj = g.adjacency()
-
-    def try_k(k: int) -> Optional[dict[int, int]]:
-        color: dict[int, int] = {}
-
-        def rec() -> bool:
-            if len(color) == g.n:
-                return True
-            v = max(
-                (u for u in g.vertices if u not in color),
-                key=lambda u: (
-                    len({color[w] for w in adj[u] if w in color}),
-                    len(adj[u]),
-                    -u,
-                ),
-            )
-            used = {color[w] for w in adj[v] if w in color}
-            limit = min(k, (max(color.values()) if color else 0) + 1)
-            for c in range(1, limit + 1):
-                if c in used:
-                    continue
-                color[v] = c
-                if rec():
-                    return True
-                del color[v]
-            return False
-
-        return dict(color) if rec() else None
-
     for k in range(omega, upper):
-        witness = try_k(k)
+        witness = _coloring(g, k)
         if witness is not None:
             return k, witness
     return upper, greedy
@@ -371,96 +388,78 @@ class CliqueCover:
     cliques: tuple[frozenset[int], ...]
 
     def covers(self, g: Graph) -> bool:
-        if any(not is_clique(g, c) for c in self.cliques):
+        if not all(is_clique(g, c) for c in self.cliques):
             return False
-        covered_vertices = set().union(*self.cliques) if self.cliques else set()
-        if covered_vertices != set(g.vertices):
+        if set().union(*self.cliques) != set(g.vertices):
             return False
-        return all(
-            any(i in c and j in c for c in self.cliques) for i, j in g.edges
-        )
+        masks = [_mask(c) for c in self.cliques]
+        return all(any(m & e == e for m in masks) for e in map(_mask, g.edges))
 
 
 @dataclass(frozen=True)
 class CoverResult:
     count: int
     cover: CliqueCover
-    exact: bool
 
 
-def edge_clique_cover_number(
-    g: Graph, exact_bound: int = 12, allow_heuristic: bool = False
-) -> CoverResult:
+def edge_clique_cover_number(g: Graph, exact_bound: int = 12) -> CoverResult:
     """Minimum number of cliques covering every edge and every vertex.
 
-    Exact branch and bound over maximal cliques up to exact_bound vertices;
-    beyond that a greedy cover is returned (flagged exact=False) when
-    allow_heuristic is set, otherwise the search refuses.
+    Exact branch and bound over maximal cliques, started from a greedy
+    cover; a graph with edges on more than exact_bound vertices is refused.
     """
-    adj = g.adjacency()
-    isolated = tuple(sorted(v for v in g.vertices if not adj[v]))
-    singletons = tuple(frozenset({v}) for v in isolated)
+    singletons = tuple(frozenset({v}) for v in g.vertices if not g.nbrs[v - 1])
     edges = g.edge_list()
     if not edges:
-        return CoverResult(len(singletons), CliqueCover(singletons), True)
-
-    cliques = maximal_cliques(g)
-    cliques = tuple(c for c in cliques if len(c) >= 2)
-    edge_in = {
-        e: tuple(ci for ci, c in enumerate(cliques) if e[0] in c and e[1] in c)
-        for e in edges
-    }
-
-    def greedy() -> list[int]:
-        uncovered = set(edges)
-        chosen: list[int] = []
-        while uncovered:
-            ci = max(
-                range(len(cliques)),
-                key=lambda i: (
-                    sum(1 for e in uncovered if e[0] in cliques[i] and e[1] in cliques[i]),
-                    -i,
-                ),
-            )
-            chosen.append(ci)
-            uncovered = {
-                e for e in uncovered if not (e[0] in cliques[ci] and e[1] in cliques[ci])
-            }
-        return chosen
-
+        return CoverResult(len(singletons), CliqueCover(singletons))
     if g.n > exact_bound:
-        if not allow_heuristic:
-            raise SearchBudgetExceeded(
-                f"exact edge clique cover limited to n <= {exact_bound}"
-            )
-        chosen = greedy()
-        cover = CliqueCover(tuple(cliques[i] for i in chosen) + singletons)
-        return CoverResult(len(chosen) + len(singletons), cover, False)
+        raise SearchBudgetExceeded(
+            f"exact edge clique cover limited to n <= {exact_bound}"
+        )
 
-    best: list[int] = greedy()
+    cliques = tuple(c for c in maximal_cliques(g) if len(c) >= 2)
+    # bit e of covered[ci] is set when clique ci holds edges[e]; sets of
+    # edges are masks over the sorted edge list
+    covered = [
+        _mask(e + 1 for e, (i, j) in enumerate(edges) if i in c and j in c)
+        for c in cliques
+    ]
+    edge_in = [
+        tuple(ci for ci, m in enumerate(covered) if m >> e & 1)
+        for e in range(len(edges))
+    ]
+
+    # greedy start: the clique covering the most uncovered edges, lowest first
+    best: list[int] = []
+    uncovered = _full(len(edges))
+    while uncovered:
+        ci = max(
+            range(len(cliques)),
+            key=lambda i: ((uncovered & covered[i]).bit_count(), -i),
+        )
+        best.append(ci)
+        uncovered &= ~covered[ci]
     max_clique_edges = max(len(c) * (len(c) - 1) // 2 for c in cliques)
 
-    def dfs(uncovered: frozenset[tuple[int, int]], chosen: list[int]):
+    def dfs(uncovered: int, chosen: list[int]):
         nonlocal best
         if not uncovered:
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        need = (len(uncovered) + max_clique_edges - 1) // max_clique_edges
+        need = (uncovered.bit_count() + max_clique_edges - 1) // max_clique_edges
         if len(chosen) + need >= len(best):
             return
-        target = min(uncovered, key=lambda e: (len(edge_in[e]), e))
-        for ci in edge_in[target]:
-            nxt = frozenset(
-                e for e in uncovered if not (e[0] in cliques[ci] and e[1] in cliques[ci])
-            )
+        # the edge in the fewest cliques, then the first in sorted order
+        target = min(_bits(uncovered), key=lambda e: (len(edge_in[e - 1]), e))
+        for ci in edge_in[target - 1]:
             chosen.append(ci)
-            dfs(nxt, chosen)
+            dfs(uncovered & ~covered[ci], chosen)
             chosen.pop()
 
-    dfs(frozenset(edges), [])
+    dfs(_full(len(edges)), [])
     cover = CliqueCover(tuple(cliques[i] for i in sorted(set(best))) + singletons)
-    return CoverResult(len(best) + len(singletons), cover, True)
+    return CoverResult(len(best) + len(singletons), cover)
 
 
 def find_two_clique_cover(
@@ -471,22 +470,20 @@ def find_two_clique_cover(
     Complete for the class of unions of at most two cliques: any such cover
     can be grown to maximal cliques without losing coverage.
     """
-    need = [tuple(_norm_edge(*e)) for e in need_edges]
+    need = [_mask(e) for e in need_edges]
     cliques = maximal_cliques(host)
-    all_vertices = set(host.vertices)
+    masks = [_mask(c) for c in cliques]
+    full = _full(host.n)
 
-    def ok(parts: tuple[frozenset[int], ...]) -> bool:
-        if set().union(*parts) != all_vertices:
-            return False
-        return all(any(i in c and j in c for c in parts) for i, j in need)
+    def ok(m1: int, m2: int = 0) -> bool:
+        return m1 | m2 == full and all(m1 & e == e or m2 & e == e for e in need)
 
-    for c in cliques:
-        if ok((c,)):
-            return (c,)
-    for ai, c1 in enumerate(cliques):
-        for c2 in cliques[ai + 1:]:
-            if ok((c1, c2)):
-                return (c1, c2)
+    for a in range(len(cliques)):
+        if ok(masks[a]):
+            return (cliques[a],)
+    for a, b in itertools.combinations(range(len(cliques)), 2):
+        if ok(masks[a], masks[b]):
+            return (cliques[a], cliques[b])
     return None
 
 
@@ -505,43 +502,46 @@ def chordal_sandwich(
     """
     if g_lo.n != g_hi.n:
         raise InvalidInput("sandwich endpoints need the same vertex count")
-    if not g_lo.edges <= g_hi.edges:
+    if any(lo & ~hi for lo, hi in zip(g_lo.nbrs, g_hi.nbrs)):
         raise InvalidInput("lower graph must be a subgraph of the upper graph")
     if is_chordal(g_lo).chordal:
         return g_lo
     if is_chordal(g_hi).chordal:
         return g_hi
-    free = g_hi.edges - g_lo.edges
-    if len(free) > budget:
+    free = sum((hi & ~lo).bit_count() for lo, hi in zip(g_lo.nbrs, g_hi.nbrs)) // 2
+    if free > budget:
         raise SearchBudgetExceeded(
-            f"sandwich search limited to {budget} free edges, got {len(free)}"
+            f"sandwich search limited to {budget} free edges, got {free}"
         )
-    seen: set[frozenset[tuple[int, int]]] = set()
+    seen: set[tuple[int, ...]] = set()
 
-    def search(edges: frozenset[tuple[int, int]]) -> Optional[frozenset]:
-        if edges in seen:
+    def search(nbrs: tuple[int, ...]) -> Optional[Graph]:
+        if nbrs in seen:
             return None
-        seen.add(edges)
-        res = is_chordal(Graph(g_lo.n, edges))
+        seen.add(nbrs)
+        g = Graph(g_lo.n, nbrs)
+        res = is_chordal(g)
         if res.chordal:
-            return edges
+            return g
         hole = res.hole
         k = len(hole)
         chords = sorted(
-            _norm_edge(hole[a], hole[b])
+            tuple(sorted((hole[a], hole[b])))
             for a in range(k)
             for b in range(a + 2, k)
             if not (a == 0 and b == k - 1)
         )
-        for e in chords:
-            if e in g_hi.edges and e not in edges:
-                found = search(edges | {e})
+        for i, j in chords:
+            if g_hi.has_edge(i, j) and not g.has_edge(i, j):
+                grown = list(nbrs)
+                grown[i - 1] |= 1 << (j - 1)
+                grown[j - 1] |= 1 << (i - 1)
+                found = search(tuple(grown))
                 if found is not None:
                     return found
         return None
 
-    result = search(g_lo.edges)
-    return Graph(g_lo.n, result) if result is not None else None
+    return search(g_lo.nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +573,11 @@ def eta_plus_bounds(g: Graph, budget: int = 40) -> EtaBounds:
 
 
 def _wl_colors(g: Graph) -> dict[int, int]:
-    adj = g.adjacency()
-    color = {v: len(adj[v]) for v in g.vertices}
+    color = {v: m.bit_count() for v, m in zip(g.vertices, g.nbrs)}
     for _ in range(g.n):
         sig = {
-            v: (color[v], tuple(sorted(color[w] for w in adj[v]))) for v in g.vertices
+            v: (color[v], tuple(sorted(color[w] for w in _bits(g.nbrs[v - 1]))))
+            for v in g.vertices
         }
         palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
         new = {v: palette[sig[v]] for v in g.vertices}
@@ -589,14 +589,11 @@ def _wl_colors(g: Graph) -> dict[int, int]:
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
     """Vertex bijection g -> h preserving adjacency, or None."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return None
-    if g.degree_sequence() != h.degree_sequence():
+    if g.n != h.n or g.degree_sequence() != h.degree_sequence():
         return None
     cg, ch = _wl_colors(g), _wl_colors(h)
     if sorted(cg.values()) != sorted(ch.values()):
         return None
-    adj_g, adj_h = g.adjacency(), h.adjacency()
     class_size = {c: sum(1 for v in cg.values() if v == c) for c in set(cg.values())}
     order = sorted(g.vertices, key=lambda v: (class_size[cg[v]], cg[v], v))
     mapping: dict[int, int] = {}
@@ -606,10 +603,10 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
         if i == len(order):
             return True
         v = order[i]
-        for w in sorted(h.vertices):
+        for w in h.vertices:
             if w in used or ch[w] != cg[v]:
                 continue
-            if any((u in adj_g[v]) != (mapping[u] in adj_h[w]) for u in mapping):
+            if any(g.has_edge(u, v) != h.has_edge(mapping[u], w) for u in mapping):
                 continue
             mapping[v] = w
             used.add(w)

@@ -112,30 +112,38 @@ def eigh_desc(m) -> tuple[np.ndarray, np.ndarray]:
 
 def least_squares_preimage(
     x: np.ndarray, v, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Solve X* phi = v / mu for a unit phi and scale mu > 0.
 
     The least-squares solution phi0 of X* phi = v is accepted when its
     residual is at most rank_tol * ||v||; then phi = phi0 / ||phi0|| and
     mu = ||phi0||, so X* phi = v / mu holds to the same accuracy.
+
+    A vector v gives (phi, mu). A matrix v is one right-hand side per
+    column, solved in one call: it gives the unit columns phi and the array
+    of their scales mu, and every column must pass both checks.
     """
     xm = as_matrix(x)
-    rhs = as_vector(v)
-    if rhs.shape[0] != xm.shape[1]:
+    rhs = np.asarray(v, dtype=complex)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != xm.shape[1]:
         raise DimensionMismatch("right-hand side length must match frame columns")
-    vnorm = float(np.linalg.norm(rhs))
-    if vnorm <= tol.zero_tol:
+    cols = rhs.reshape(rhs.shape[0], -1)
+    vnorm = np.linalg.norm(cols, axis=0)
+    if (vnorm <= tol.zero_tol).any():
         raise ZeroVector("preimage of the zero vector is undefined")
-    phi0, *_ = np.linalg.lstsq(xm.conj().T, rhs, rcond=None)
-    residual = float(np.linalg.norm(xm.conj().T @ phi0 - rhs))
-    if residual > tol.rank_tol * vnorm:
+    phi0, *_ = np.linalg.lstsq(xm.conj().T, cols, rcond=None)
+    residual = np.linalg.norm(xm.conj().T @ phi0 - cols, axis=0)
+    k = int(np.argmax(residual / vnorm))
+    if residual[k] > tol.rank_tol * vnorm[k]:
         raise NotInRange(
-            f"residual {residual:.3e} exceeds {tol.rank_tol:.1e} * ||v|| = "
-            f"{tol.rank_tol * vnorm:.3e}"
+            f"residual {residual[k]:.3e} exceeds {tol.rank_tol:.1e} * ||v|| = "
+            f"{tol.rank_tol * vnorm[k]:.3e}"
         )
-    mu = float(np.linalg.norm(phi0))
-    if mu <= tol.zero_tol:
+    mu = np.linalg.norm(phi0, axis=0)
+    if (mu <= tol.zero_tol).any():
         raise NotInRange("least-squares solution collapsed to zero")
+    if rhs.ndim == 1:
+        return phi0[:, 0] / mu[0], float(mu[0])
     return phi0 / mu, mu
 
 

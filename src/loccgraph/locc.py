@@ -148,13 +148,14 @@ def synthesize_protocol(
         raise InvalidInput(f"splitting over {dec.n} states, set has {states.n}")
     if not dec.terms:
         raise InvalidInput("empty splitting")
-    x = states.alice_frame()
+    phis, mus = least_squares_preimage(
+        states.alice_frame(), np.array([t.vector for t in dec.terms]).T, tol
+    )
     outcome_of: dict[frozenset[int], int] = {}
     elements: list[PovmElement] = []
-    for term in dec.terms:
+    for term, phi, mu in zip(dec.terms, phis.T, mus):
         k = outcome_of.setdefault(term.support, len(outcome_of) + 1)
-        phi, mu = least_squares_preimage(x, term.vector, tol)
-        elements.append(PovmElement(k, mu**2, phi, term.support))
+        elements.append(PovmElement(k, float(mu) ** 2, phi, term.support))
 
     povm = Povm(states.d_alice, tuple(elements))
     deficit = hermitize(np.eye(states.d_alice) - povm.total())

@@ -14,16 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .graphs import Graph
+from .graphs import Graph, adjacency_matrix
 from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, numeric_rank
-
-
-def _pattern_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    edge = np.zeros((g.n, g.n), dtype=bool)
-    for i, j in g.edges:
-        edge[i - 1, j - 1] = edge[j - 1, i - 1] = True
-    off = ~np.eye(g.n, dtype=bool)
-    return edge, off & ~edge
 
 
 def pattern_constrained_lowrank(
@@ -40,7 +32,8 @@ def pattern_constrained_lowrank(
     restart converges."""
     if rank < 1 or rank > g.n:
         raise InvalidInput(f"rank {rank} out of range for n={g.n}")
-    edge_mask, non_edge_mask = _pattern_masks(g)
+    edge_mask = adjacency_matrix(g)
+    non_edge_mask = ~edge_mask & ~np.eye(g.n, dtype=bool)
     for attempt in range(restarts):
         rng = np.random.default_rng(seed + attempt)
         x = rng.normal(size=(rank, g.n))

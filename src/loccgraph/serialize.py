@@ -19,31 +19,33 @@ from .locc import BobPlan, Povm, PovmElement, Protocol
 from .states import RESERVED_LABEL, ProductStateSet
 
 
-def _num(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _pairs(a) -> list:
+    """[re, im] pairs nested like the complex array a (one pair for a scalar)."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _vec(v: np.ndarray) -> list[list[float]]:
-    return [_num(z) for z in np.asarray(v).ravel()]
+    return _pairs(np.ravel(v))
 
 
-def _mat(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_num(z) for z in row] for row in np.asarray(m)]
-
-
-def _parse_num(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InvalidInput(f"expected [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def _parse_pairs(data, ndim: int) -> np.ndarray:
+    """Complex array of ndim axes from [re, im] pairs nested ndim deep."""
+    try:
+        a = np.array(data)
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "biuf" or a.shape[ndim:] != (2,):
+        raise InvalidInput(f"expected a {ndim}-d array of [re, im] number pairs")
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def _parse_vec(data) -> np.ndarray:
-    return np.array([_parse_num(p) for p in data], dtype=complex)
+    return _parse_pairs(data, 1)
 
 
 def _parse_mat(data) -> np.ndarray:
-    return np.array([[_parse_num(p) for p in row] for row in data], dtype=complex)
+    return _parse_pairs(data, 2)
 
 
 def _require(data: dict, key: str, context: str):
@@ -168,7 +170,7 @@ def protocol_to_json(protocol: Protocol) -> dict:
         "bob": [
             {
                 "outcome": plan.outcome,
-                "basis": _mat(plan.basis),
+                "basis": _pairs(plan.basis),
                 "labels": [
                     RESERVED_LABEL if l is None else l for l in plan.labels
                 ],
@@ -213,12 +215,12 @@ def jsonify(obj: Any) -> Any:
     if isinstance(obj, float):
         return float(obj)
     if isinstance(obj, complex):
-        return _num(obj)
+        return _pairs(obj)
     if isinstance(obj, np.generic):
         return jsonify(obj.item())
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return _vec(obj) if obj.ndim == 1 else _mat(obj)
+            return _pairs(obj)
         return obj.tolist()
     if isinstance(obj, Graph):
         return graph_to_json(obj)

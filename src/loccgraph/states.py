@@ -119,9 +119,6 @@ class ProductStateSet:
     def alice_frame(self) -> np.ndarray:
         return frame(list(self.alice))
 
-    def bob_frame(self) -> np.ndarray:
-        return frame(list(self.bob))
-
     def alice_gram(self) -> np.ndarray:
         return gram(list(self.alice))
 
@@ -132,12 +129,9 @@ class ProductStateSet:
         return hermitize(self.alice_gram() * self.bob_gram())
 
     def build_graphs(self, tol: Tolerance = DEFAULT_TOL) -> StateGraphs:
-        def overlaps(g: np.ndarray) -> Graph:
-            i, j = np.nonzero(np.triu(np.abs(g) > tol.zero_tol, k=1))
-            return Graph.from_edges(self.n, zip(i + 1, j + 1))
-
         return StateGraphs(
-            overlaps(gram(list(self.alice))), overlaps(gram(list(self.bob)))
+            Graph.from_matrix(np.abs(gram(list(self.alice))) > tol.zero_tol),
+            Graph.from_matrix(np.abs(gram(list(self.bob))) > tol.zero_tol),
         )
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:
@@ -147,11 +141,10 @@ class ProductStateSet:
             for i in range(self.n)
             if abs(g[i, i] - 1.0) > 10 * tol.zero_tol
         )
+        rows, cols = np.nonzero(np.triu(np.abs(g) > tol.zero_tol, k=1))
         pairs = tuple(
             (self.labels[i], self.labels[j], float(abs(g[i, j])))
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if abs(g[i, j]) > tol.zero_tol
+            for i, j in zip(rows.tolist(), cols.tolist())
         )
         return OrthonormalityReport(not units and not pairs, units, pairs)
 

@@ -160,3 +160,12 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert stdout == ""
     assert json.loads(target.read_text())["status"] == "Distinguishable"
+
+
+@pytest.mark.parametrize("entry", [[None, 0], [[1, 2], 0]])
+def test_malformed_numbers_exit_cleanly(tmp_path, capsys, entry):
+    doc = {"dA": 2, "dB": 1, "states": [{"A": [[1, 0], entry], "B": [[1, 0]]}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["decide", "--input", str(path)])
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err

@@ -18,6 +18,7 @@ from loccgraph.graphs import (
     maximal_cliques,
     path_graph,
 )
+from loccgraph.linalg import DEFAULT_TOL
 
 
 def _p3_psd() -> np.ndarray:
@@ -171,3 +172,37 @@ def test_feasibility_over_maximal_cliques_random():
         assert result is not None
         rep = verify_decomposition(m, result.decomposition, host=g, rel_bound=1e-5)
         assert rep.ok and rep.supports_ok
+
+
+def _reference_report_supports(m, dec, host, tol=DEFAULT_TOL):
+    """Term-by-term loops: clique test per term, then off-support entries."""
+    scale = max(1.0, float(np.linalg.norm(m)))
+    bad = [t.support for t in dec.terms if not is_clique(host, t.support)]
+    for t in dec.terms:
+        if any(
+            abs(t.vector[i]) > tol.zero_tol * scale and i + 1 not in t.support
+            for i in range(dec.n)
+        ):
+            bad.append(t.support)
+    return tuple(bad)
+
+
+def test_verify_decomposition_bad_supports_match_term_loop():
+    g = path_graph(4)
+    m = np.eye(4)
+    vec = np.array([1.0, 0.5, 0.0, 0.0])
+    terms = (
+        DecompositionTerm(frozenset({1, 2}), vec),
+        DecompositionTerm(frozenset({1, 3}), vec),        # not a clique, leaks at 2
+        DecompositionTerm(frozenset({1}), vec),           # leaks at 2
+        DecompositionTerm(frozenset({1, 3}), vec),        # repeated
+        DecompositionTerm(frozenset({0, 9}), np.zeros(4)),  # out of range
+    )
+    dec = Decomposition(4, terms, 0.0)
+    rep = verify_decomposition(m, dec, host=g)
+    assert rep.bad_supports == _reference_report_supports(m, dec, g)
+    assert rep.bad_supports == (
+        frozenset({1, 3}), frozenset({1, 3}), frozenset({0, 9}),
+        frozenset({1, 3}), frozenset({1}), frozenset({1, 3}),
+    )
+    assert not rep.supports_ok and not rep.ok

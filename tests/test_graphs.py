@@ -8,6 +8,7 @@ from loccgraph.errors import InvalidInput, SearchBudgetExceeded
 from loccgraph.graphs import (
     CliqueCover,
     Graph,
+    adjacency_matrix,
     chordal_sandwich,
     chromatic_number,
     complement,
@@ -21,6 +22,7 @@ from loccgraph.graphs import (
     independence_number,
     independent_set_of_size,
     is_chordal,
+    is_clique,
     is_perfect_elimination_ordering,
     lex_bfs_order,
     maximal_cliques,
@@ -244,3 +246,39 @@ def test_random_chordal_generator_is_chordal():
         g = brute.random_chordal(7, rng)
         assert brute.brute_is_chordal(g)
         assert is_chordal(g).chordal
+
+
+def test_neighbour_masks_define_the_graph():
+    g = Graph.from_edges(4, [(1, 2), (2, 3), (1, 4)])
+    assert g.nbrs == (0b1010, 0b0101, 0b0010, 0b0001)
+    assert g == Graph(4, g.nbrs) and hash(g) == hash(Graph(4, g.nbrs))
+    assert g.edge_list() == [(1, 2), (1, 4), (2, 3)]
+    assert g.adjacency() == {1: {2, 4}, 2: {1, 3}, 3: {2}, 4: {1}}
+    a = adjacency_matrix(g)
+    expected = np.array(
+        [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=bool
+    )
+    assert a.dtype == bool and np.array_equal(a, expected)
+    assert Graph.from_matrix(a) == g
+    assert not g.has_edge(1, 1) and not g.has_edge(0, 2) and not g.has_edge(1, 5)
+    with pytest.raises(InvalidInput):
+        Graph(3, (0b010, 0b000, 0b000))   # 1 ~ 2 but not 2 ~ 1
+    with pytest.raises(InvalidInput):
+        Graph(2, (0b01, 0b00))            # self-loop
+    with pytest.raises(InvalidInput):
+        Graph(2, (0b110, 0b000))          # bit beyond n
+    with pytest.raises(InvalidInput):
+        Graph(3, (0, 0))                  # one mask per vertex
+
+
+def test_maximal_cliques_match_brute_force():
+    for n in range(1, 6):
+        for g in brute.all_graphs(n):
+            expected = sorted(
+                sorted(c)
+                for size in range(1, n + 1)
+                for c in itertools.combinations(g.vertices, size)
+                if is_clique(g, c)
+                and not any(is_clique(g, c + (v,)) for v in g.vertices if v not in c)
+            )
+            assert [sorted(c) for c in maximal_cliques(g)] == expected

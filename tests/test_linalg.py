@@ -157,3 +157,22 @@ def test_complete_basis_keeps_columns_and_rejects_bad_input():
         complete_basis(np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         complete_basis(np.eye(2, 3))
+
+
+def test_least_squares_preimage_columns_match_vector_calls():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    rhs = x.conj().T @ (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+    phis, mus = least_squares_preimage(x, rhs)
+    assert phis.shape == (3, 4) and mus.shape == (4,)
+    for c in range(4):
+        phi, mu = least_squares_preimage(x, rhs[:, c])
+        assert np.allclose(phis[:, c], phi) and np.isclose(mus[c], mu)
+    # every column keeps its own residual and zero checks
+    x1 = np.array([[1.0, 1.0]], dtype=complex)
+    with pytest.raises(NotInRange):
+        least_squares_preimage(x1, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ZeroVector):
+        least_squares_preimage(x1, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        least_squares_preimage(x1, np.ones((3, 2)))

@@ -125,3 +125,12 @@ def test_dot_graph_format():
     assert '1 [label="a"];' in text
     assert "1 -- 2;" in text
     assert text.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("entry", [[None, 0], ["x", 0], [[1, 2], 0], [1], [1, 2, 3]])
+def test_states_from_json_rejects_malformed_numbers(entry):
+    doc = {"dA": 1, "dB": 1, "states": [{"A": [entry], "B": [[1, 0]]}]}
+    with pytest.raises(InvalidInput):
+        states_from_json(doc)
+    with pytest.raises(InvalidInput):
+        states_from_json({"dA": 1, "dB": 1, "states": [{"A": [[1, 0]], "B": entry}]})

@@ -75,6 +75,23 @@ def test_validate_orthonormal_flags_bad_pairs():
         s.require_orthonormal()
 
 
+def test_validate_orthonormal_pairs_in_row_order():
+    # all four states share their Bob part; Alice parts 1, 2 and 4 overlap
+    a = [E3[0], E3[0] + E3[1], E3[2], E3[1]]
+    b = [E2[0]] * 4
+    s = ProductStateSet.from_vectors(a, b)
+    g = s.product_gram()
+    expected = tuple(
+        (s.labels[i], s.labels[j], float(abs(g[i, j])))
+        for i in range(s.n)
+        for j in range(i + 1, s.n)
+        if abs(g[i, j]) > 1e-9
+    )
+    pairs = s.validate_orthonormal().nonorthogonal_pairs
+    assert pairs == expected
+    assert [(p[0], p[1]) for p in pairs] == [("1", "2"), ("2", "4")]
+
+
 def test_swapped_roundtrip():
     s = _example1()
     t = s.swapped()

@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="feasibility search iteration cap")
     common.add_argument("--sandwich-budget", type=int, default=25,
                         help="free-edge cap for the chordal sandwich search")
-    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="loccgraph",
@@ -66,6 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="emit a built-in family as a state-set file")
     gen.add_argument("family",
                      help="family spec, e.g. " + ", ".join(FAMILIES[:4]) + ", bullseye:4")
+    gen.add_argument("--seed", type=int, default=0,
+                     help="seed of the randomised families")
     sub.add_parser("export-dot", parents=[common],
                    help="overlap graphs in DOT format")
     return parser
@@ -145,8 +146,8 @@ def _cmd_decide(args) -> int:
 def _cmd_decompose(args) -> int:
     states = _load_states(args)
     work = states if _direction(args) == ALICE_FIRST else states.swapped()
-    work.require_orthonormal(_tolerance(args))
     tol = _tolerance(args)
+    work.require_orthonormal(tol)
     graphs = work.build_graphs(tol)
     m = work.alice_gram()
     if is_chordal(graphs.alice).chordal:

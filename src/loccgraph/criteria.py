@@ -66,6 +66,25 @@ KIND_UNKNOWN = "Unknown"
 
 _EXIT = {DISTINGUISHABLE: 0, INDISTINGUISHABLE: 10, UNKNOWN: 20}
 
+# the status each certificate kind proves; SingleQubitSandwich proves either,
+# as its "distinguishable" flag says
+_PROVES = {
+    KIND_CHORDAL_ALICE: DISTINGUISHABLE,
+    KIND_CHORDAL_HOST: DISTINGUISHABLE,
+    KIND_COVER_LE2: DISTINGUISHABLE,
+    KIND_SANDWICH: DISTINGUISHABLE,
+    KIND_FEASIBLE: DISTINGUISHABLE,
+    KIND_NO_SIMPLICIAL: INDISTINGUISHABLE,
+    KIND_ALPHA_CHI: INDISTINGUISHABLE,
+    KIND_NO_SANDWICH: INDISTINGUISHABLE,
+    KIND_SPANNING: INDISTINGUISHABLE,
+    KIND_UNKNOWN: UNKNOWN,
+}
+
+# the feasibility search stops once its gap is below this share of the
+# Gram matrix's norm (at least 1)
+FEASIBILITY_GAP_REL = 1e-11
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -95,7 +114,6 @@ class DecideOptions:
     max_iter: int = 60000
     sandwich_budget: int = 25
     search_budget: int = 40
-    feasibility_gap_rel: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -241,6 +259,8 @@ def decide(
         "d_eff": d_eff,
         "alice_edges": len(ga.edges),
         "bob_edges": len(gb.edges),
+        "search_budget": opt.search_budget,
+        "sandwich_budget": opt.sandwich_budget,
     }
 
     chord_a = is_chordal(ga)
@@ -371,7 +391,7 @@ def decide(
         )
 
     m = work.alice_gram()
-    gap_tol = opt.feasibility_gap_rel * max(1.0, float(np.linalg.norm(m)))
+    gap_tol = FEASIBILITY_GAP_REL * max(1.0, float(np.linalg.norm(m)))
     feas = feasibility_search(m, cliques, tol, opt.max_iter, gap_tol)
     if feas is not None and feas.converged:
         protocol = synthesize_protocol(work, feas.decomposition, tol)
@@ -507,11 +527,12 @@ def converse_theorem_checks(
     forced: list[tuple[frozenset[int], np.ndarray]] = []
     under: list[frozenset[int]] = []
     for c in maximal_cliques(host):
-        outside = [states.alice[i - 1] for i in range(1, states.n + 1) if i not in c]
-        if not outside:
+        outside = np.ones(states.n, dtype=bool)
+        outside[[i - 1 for i in c]] = False
+        if not outside.any():
             under.append(c)
             continue
-        rows = np.array([v.conj() for v in outside]) @ span
+        rows = states.alice[outside].conj() @ span
         _, sv, vh = np.linalg.svd(rows)
         corank = sum(1 for v in sv if v <= tol.rank_tol * sv[0]) + max(
             0, d_eff - len(sv)
@@ -582,12 +603,24 @@ def verify_certificate(
     tol: Tolerance = DEFAULT_TOL,
     success_tol: float = 1e-7,
 ) -> VerificationOutcome:
-    """Re-derive everything a verdict asserts, from the states alone."""
+    """Re-derive everything a verdict asserts, from the states alone.
+
+    The searches run with the budgets the verdict records (the defaults when
+    it records none); a search over its budget fails its check.
+    """
+    if verdict.direction not in (ALICE_FIRST, BOB_FIRST):
+        return VerificationOutcome(
+            False, (("direction known", False, repr(verdict.direction)),)
+        )
     work = states if verdict.direction == ALICE_FIRST else states.swapped()
     graphs = work.build_graphs(tol)
     ga, gb = graphs.alice, graphs.bob
     host = graphs.bob_orthogonality()
     d_eff = effective_dimension(work, tol)
+    search_budget = verdict.parameters.get("search_budget", DecideOptions.search_budget)
+    sandwich_budget = verdict.parameters.get(
+        "sandwich_budget", DecideOptions.sandwich_budget
+    )
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -595,6 +628,14 @@ def verify_certificate(
 
     kind = verdict.certificate.kind
     data = verdict.certificate.data
+    proves = _PROVES.get(kind)
+    if kind == KIND_QUBIT:
+        proves = DISTINGUISHABLE if data.get("distinguishable") else INDISTINGUISHABLE
+    check(
+        "certificate proves the status",
+        proves == verdict.status,
+        f"{kind} proves {proves}, verdict is {verdict.status}",
+    )
 
     if verdict.status == DISTINGUISHABLE:
         check("protocol present", verdict.protocol is not None)
@@ -673,15 +714,20 @@ def verify_certificate(
         if in_range:
             rank = numeric_rank(work.alice[[i - 1 for i in witness]], tol)
         check("witness spans effective space", rank == d_eff, f"rank {rank}")
-    elif kind == KIND_ALPHA_CHI:
-        alpha, _ = independence_number(host)
-        chi, _ = chromatic_number(gb)
-        check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
-        check("alpha below chi", alpha < chi, f"alpha {alpha}")
-    elif kind == KIND_NO_SANDWICH:
-        chi, _ = chromatic_number(gb)
-        check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
-        check("no chordal sandwich", chordal_sandwich(ga, host) is None)
+    elif kind in (KIND_ALPHA_CHI, KIND_NO_SANDWICH):
+        try:
+            chi, _ = chromatic_number(gb, search_budget)
+            check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
+            if kind == KIND_ALPHA_CHI:
+                alpha, _ = independence_number(host, search_budget)
+                check("alpha below chi", alpha < chi, f"alpha {alpha}")
+            else:
+                check(
+                    "no chordal sandwich",
+                    chordal_sandwich(ga, host, sandwich_budget) is None,
+                )
+        except SearchBudgetExceeded as exc:
+            check("search within budget", False, str(exc))
     elif kind == KIND_SPANNING:
         check(
             "obstruction reproducible",

@@ -165,6 +165,11 @@ def verify_decomposition(
     )
 
 
+# the feasibility search gives up after this many iterations without a new
+# best gap
+STALL_WINDOW = 3000
+
+
 @dataclass(frozen=True)
 class FeasibilityResult:
     decomposition: Decomposition
@@ -187,7 +192,6 @@ def feasibility_search(
     tol: Tolerance = DEFAULT_TOL,
     max_iter: int = 60000,
     gap_tol: Optional[float] = None,
-    stall_window: int = 3000,
 ) -> Optional[FeasibilityResult]:
     """Alternating projections for m = sum of PSD blocks on given supports.
 
@@ -240,7 +244,7 @@ def feasibility_search(
                 best, since_best = gap, 0
             else:
                 since_best += 1
-                if since_best > stall_window:
+                if since_best > STALL_WINDOW:
                     return gap, used
         return gap, used
 

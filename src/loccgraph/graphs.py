@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,7 @@ class Graph:
             raise InvalidInput("graph needs at least one vertex")
         if len(nbrs) != self.n or min(nbrs) < 0 or max(nbrs) >> self.n:
             raise InvalidInput(f"need {self.n} neighbour masks of {self.n} bits")
-        a = adjacency_matrix(self)
-        if a.diagonal().any() or not (a == a.T).all():
+        if not _symmetric_loopless(nbrs):
             raise InvalidInput("neighbour masks must be symmetric without self-loops")
 
     @classmethod
@@ -81,6 +80,46 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.nbrs))
+
+
+@cache
+def _mirror_steps(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The strict upper triangle of a width x width bit matrix held row-major
+    in one int, and the (shift, mask) steps of _symmetric_loopless; cached
+    once per width, a multiple of 8."""
+    diag = sum(1 << r * (width + 1) for r in range(width))
+    upper = sum(((1 << width) - (2 << r)) << r * width for r in range(width))
+    # step j's mask: where the entries d right of the diagonal, for each d
+    # with bit j set, sit after the steps for the lower bits of d
+    steps = tuple(
+        ((width - 1) << j, sum(
+            (diag << d & upper) << (d & ((1 << j) - 1)) * (width - 1)
+            for d in range(width) if d >> j & 1
+        ))
+        for j in range((width - 1).bit_length())
+    )
+    return upper, steps
+
+
+def _symmetric_loopless(nbrs: Sequence[int]) -> bool:
+    """Whether the masks are symmetric with a clear diagonal.
+
+    The rows go into one int, `width` bits apart. The entry d places right
+    of the diagonal in row r sits at bit r*width + r + d, and its mirror
+    image d*(width - 1) bits higher. Step j moves every upper entry whose d
+    has bit j set on by 2**j * (width - 1); no two entries meet on the way,
+    and after the last step each lies on its mirror image below the
+    diagonal. The masks pass when that equals the rest of the matrix.
+    """
+    size = (len(nbrs) + 7) // 8
+    upper, steps = _mirror_steps(8 * size)
+    x = int.from_bytes(b"".join([m.to_bytes(size, "little") for m in nbrs]), "little")
+    moved = x & upper
+    rest = x ^ moved
+    for shift, mask in steps:
+        step = moved & mask
+        moved ^= step ^ step << shift
+    return moved == rest
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

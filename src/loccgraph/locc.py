@@ -228,7 +228,6 @@ def povm_to_decomposition(
     into rank-one terms on the states the outcome can see."""
     x = states.alice_frame()
     scale = max(1.0, float(np.linalg.norm(x) ** 2))
-    m = x.conj().T @ x
     terms: list[DecompositionTerm] = []
     total = np.zeros((states.n, states.n), dtype=complex)
     for outcome in povm.outcome_ids():
@@ -242,7 +241,7 @@ def povm_to_decomposition(
             vec = np.where(inside, np.sqrt(w[c]) * v[:, c], 0.0)
             terms.append(DecompositionTerm(support, vec))
             total += np.outer(vec, vec.conj())
-    residual = float(np.linalg.norm(hermitize(m) - total))
+    residual = float(np.linalg.norm(states.alice_gram() - total))
     return Decomposition(states.n, tuple(terms), residual)
 
 

@@ -1,7 +1,8 @@
 """Bipartite product-state sets and their overlap graphs.
 
-A set of n product states a_i (x) b_i is stored as two stacked arrays of
-local vectors. The overlap graph on either side joins i and j when the
+A set of n product states a_i (x) b_i is stored as two stacked read-only
+arrays of local vectors, and each side's Gram matrix is computed once, when
+the set is built. The overlap graph on either side joins i and j when the
 local inner product is nonzero; for a mutually orthogonal product set every
 pair must be orthogonal on at least one side, so the two overlap graphs
 never share an edge.
@@ -9,14 +10,14 @@ never share an edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
 from .graphs import Graph, complement
-from .linalg import DEFAULT_TOL, Tolerance, frame, gram, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, hermitize
 
 RESERVED_LABEL = "inconclusive"
 
@@ -46,6 +47,8 @@ class ProductStateSet:
     alice: np.ndarray
     bob: np.ndarray
     labels: tuple[str, ...]
+    # Alice's and Bob's Gram matrices, conjugate-linear in the first slot
+    _grams: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.alice, dtype=complex))
@@ -65,17 +68,17 @@ class ProductStateSet:
             raise InvalidInput("state labels must be unique")
         if RESERVED_LABEL in labels:
             raise InvalidInput(f"label {RESERVED_LABEL!r} is reserved")
-        for k, row in enumerate(a):
-            if np.linalg.norm(row) == 0.0:
-                raise ZeroVector(f"Alice part of state {labels[k]} is zero")
-        for k, row in enumerate(b):
-            if np.linalg.norm(row) == 0.0:
-                raise ZeroVector(f"Bob part of state {labels[k]} is zero")
-        a.setflags(write=False)
-        b.setflags(write=False)
+        for side, x in (("Alice", a), ("Bob", b)):
+            zero = np.flatnonzero(np.linalg.norm(x, axis=1) == 0.0)
+            if zero.size:
+                raise ZeroVector(f"{side} part of state {labels[zero[0]]} is zero")
+        grams = (hermitize(a.conj() @ a.T), hermitize(b.conj() @ b.T))
+        for x in (a, b, *grams):
+            x.setflags(write=False)
         object.__setattr__(self, "alice", a)
         object.__setattr__(self, "bob", b)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_grams", grams)
 
     @classmethod
     def from_vectors(
@@ -117,21 +120,21 @@ class ProductStateSet:
             raise InvalidInput(f"no state labeled {label!r}") from None
 
     def alice_frame(self) -> np.ndarray:
-        return frame(list(self.alice))
+        """Alice's vectors as the columns of a read-only d x n view."""
+        return self.alice.T
 
     def alice_gram(self) -> np.ndarray:
-        return gram(list(self.alice))
+        return self._grams[0]
 
     def bob_gram(self) -> np.ndarray:
-        return gram(list(self.bob))
+        return self._grams[1]
 
     def product_gram(self) -> np.ndarray:
-        return hermitize(self.alice_gram() * self.bob_gram())
+        return self._grams[0] * self._grams[1]
 
     def build_graphs(self, tol: Tolerance = DEFAULT_TOL) -> StateGraphs:
         return StateGraphs(
-            Graph.from_matrix(np.abs(gram(list(self.alice))) > tol.zero_tol),
-            Graph.from_matrix(np.abs(gram(list(self.bob))) > tol.zero_tol),
+            *(Graph.from_matrix(np.abs(g) > tol.zero_tol) for g in self._grams)
         )
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:

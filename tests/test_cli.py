@@ -138,6 +138,16 @@ def test_generate_seed_determinism(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", ["decide", "analyze", "decompose", "protocol"])
+def test_seed_belongs_to_generate_only(tmp_path, capsys, command):
+    # only generate reads a seed; elsewhere the flag is an error, not ignored
+    ex1 = _write_states(tmp_path, "example1")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", ex1, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_tolerance_flags_reach_the_engine(tmp_path, capsys):
     ex1 = _write_states(tmp_path, "example1")
     # inconsistent thresholds are rejected before any work happens

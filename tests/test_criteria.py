@@ -334,3 +334,102 @@ def test_every_family_decides_and_verifies(direction):
                     == len(supports)
                 ), spec
 
+
+
+def _forge(verdict, status=None, certificate=None, direction=None, **params):
+    return Verdict(
+        status or verdict.status,
+        direction or verdict.direction,
+        certificate or verdict.certificate,
+        dict(verdict.parameters, **params),
+        verdict.protocol,
+        verdict.simulation,
+        verdict.decomposition,
+    )
+
+
+def _failed(outcome):
+    return {name for name, ok, _ in outcome.checks if not ok}
+
+
+def test_certificate_must_prove_the_stated_status():
+    s = generate("example1")
+    v = decide(s)
+    assert v.certificate.kind == "ChordalAliceGraph"
+    assert verify_certificate(s, v).ok
+    cases = [
+        _forge(v, status=INDISTINGUISHABLE),
+        _forge(v, status=INDISTINGUISHABLE, certificate=Certificate("Unknown", {})),
+        _forge(v, certificate=Certificate("Bogus", {})),
+    ]
+    for forged in cases:
+        outcome = verify_certificate(s, forged)
+        assert not outcome.ok
+        assert "certificate proves the status" in _failed(outcome)
+
+
+def test_qubit_certificate_proves_what_its_flag_says():
+    s = generate("example1")
+    v = decide(s)
+    for flag, status, proves in [
+        (False, INDISTINGUISHABLE, True),
+        (False, DISTINGUISHABLE, False),
+        (True, DISTINGUISHABLE, True),
+        (True, INDISTINGUISHABLE, False),
+    ]:
+        cert = Certificate(
+            "SingleQubitSandwich", {"distinguishable": flag, "cliques": [[1, 2, 3, 4]]}
+        )
+        outcome = verify_certificate(s, _forge(v, status=status, certificate=cert))
+        assert ("certificate proves the status" not in _failed(outcome)) == proves
+
+
+def test_unknown_direction_fails_verification():
+    s = generate("example1")
+    v = decide(s)
+    outcome = verify_certificate(s, _forge(v, direction="sideways"))
+    assert not outcome.ok
+    assert _failed(outcome) == {"direction known"}
+
+
+def test_decide_records_its_budgets():
+    v = decide(generate("tiles"), options=DecideOptions(search_budget=6, sandwich_budget=9))
+    assert v.parameters["search_budget"] == 6
+    assert v.parameters["sandwich_budget"] == 9
+
+
+def test_verification_uses_the_recorded_budgets(monkeypatch):
+    import loccgraph.criteria as criteria
+
+    s = generate("tiles")
+    v = decide(s, options=DecideOptions(search_budget=6))
+    assert v.certificate.kind == "AlphaLessThanChi"
+    budgets = []
+    for name in ("independence_number", "chromatic_number"):
+        original = getattr(criteria, name)
+
+        def spy(g, budget=40, _original=original):
+            budgets.append(budget)
+            return _original(g, budget)
+
+        monkeypatch.setattr(criteria, name, spy)
+    assert verify_certificate(s, v).ok
+    assert budgets == [6, 6]
+
+
+def test_verification_without_recorded_budgets_uses_the_defaults():
+    s = generate("tiles")
+    v = decide(s)
+    params = {k: x for k, x in v.parameters.items() if not k.endswith("_budget")}
+    bare = Verdict(v.status, v.direction, v.certificate, params)
+    assert verify_certificate(s, bare).ok
+
+
+@pytest.mark.parametrize("spec", ["tiles", "example2"])
+def test_exhausted_budget_fails_a_check_instead_of_raising(spec):
+    # tiles carries AlphaLessThanChi, example2 NonChordalSandwichAtMinDim
+    s = generate(spec)
+    v = decide(s)
+    outcome = verify_certificate(s, _forge(v, search_budget=2))
+    assert not outcome.ok
+    assert "search within budget" in _failed(outcome)

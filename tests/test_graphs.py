@@ -271,6 +271,31 @@ def test_neighbour_masks_define_the_graph():
         Graph(3, (0, 0))                  # one mask per vertex
 
 
+def test_mask_symmetry_check_matches_the_adjacency_matrix():
+    # random masks, some with one entry flipped or a self-loop, at sizes
+    # across several row widths of the packed bit matrix
+    rng = np.random.default_rng(41)
+    for trial in range(600):
+        n = int(rng.integers(1, 20)) if trial < 500 else int(rng.integers(20, 100))
+        upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+        a = upper | upper.T
+        damage = rng.random()
+        if damage < 0.3:
+            v, w = rng.integers(0, n, size=2)
+            a[v, w] = not a[v, w]
+        elif damage < 0.4:
+            v = rng.integers(0, n)
+            a[v, v] = True
+        nbrs = tuple(sum(1 << int(w) for w in np.flatnonzero(row)) for row in a)
+        valid = not a.diagonal().any() and bool((a == a.T).all())
+        if valid:
+            g = Graph(n, nbrs)
+            assert np.array_equal(adjacency_matrix(g), a)
+        else:
+            with pytest.raises(InvalidInput):
+                Graph(n, nbrs)
+
+
 def test_maximal_cliques_match_brute_force():
     for n in range(1, 6):
         for g in brute.all_graphs(n):

@@ -7,6 +7,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layertrace  # noqa: E402
+import pytest  # noqa: E402
+
+from loccgraph import criteria  # noqa: E402
+from loccgraph.families import generate  # noqa: E402
 
 
 def _bindings():
@@ -34,3 +38,31 @@ def test_layer_trace_installs_and_restores_every_name():
         tracer.uninstall()
     for owner, name, original in before.values():
         assert owner.__dict__[name] is original, (owner.__name__, name)
+
+
+@pytest.mark.parametrize("direction", [criteria.ALICE_FIRST, criteria.BOB_FIRST])
+def test_traced_decision_path_decides_and_verifies(direction):
+    # a wrapped name that stops being a plain function or classmethod
+    # passes the install test above but breaks a traced run
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install_decision_path()
+        for spec in ("example1", "example3", "bullseye:5"):
+            tracer.instance = spec
+            s = generate(spec)
+            # through the module, as the benchmark calls them
+            v = criteria.decide(s, direction)
+            outcome = criteria.verify_certificate(s, v)
+            assert outcome.ok, (spec, outcome.checks)
+    finally:
+        tracer.uninstall()
+    assert all(span is not None for span in tracer.spans)
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "criteria.decide",
+        "criteria.verify_certificate",
+        "states.build_graphs",
+        "states.alice_gram",   # example3 alice-first splits the Gram matrix
+    } <= names
+    if direction == criteria.BOB_FIRST:
+        assert "states.swapped" in names

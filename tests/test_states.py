@@ -151,3 +151,40 @@ def test_build_graphs_matches_pairwise_loop():
         graphs = s.build_graphs()
         assert graphs.alice.edges == _pairwise_edges(s.alice)
         assert graphs.bob.edges == _pairwise_edges(s.bob)
+
+
+def test_gram_matrices_are_computed_once_and_read_only():
+    import brute
+    from loccgraph.families import generate
+    from loccgraph.linalg import gram
+
+    sets = [
+        generate(spec) for specs in brute.SWEEP_SPECS.values() for spec in specs
+    ]
+    sets.append(_example1())
+    for s in sets:
+        for work in (s, s.swapped()):
+            for get, rows in ((work.alice_gram, work.alice), (work.bob_gram, work.bob)):
+                g = get()
+                assert get() is g
+                assert not g.flags.writeable
+                assert np.abs(g - gram(list(rows))).max() <= 1e-12
+            with pytest.raises(ValueError):
+                work.alice_gram()[0, 0] = 0.0
+            assert np.array_equal(work.product_gram(), work.alice_gram() * work.bob_gram())
+        assert np.array_equal(s.swapped().alice_gram(), s.bob_gram())
+        frame = s.alice_frame()
+        assert frame.shape == (s.d_alice, s.n)
+        assert np.shares_memory(frame, s.alice) and not frame.flags.writeable
+
+
+def test_zero_vector_names_the_first_zero_state():
+    from loccgraph.errors import ZeroVector
+
+    ones = np.ones((3, 2), dtype=complex)
+    holes = ones.copy()
+    holes[[1, 2]] = 0.0
+    with pytest.raises(ZeroVector, match="Alice part of state y is zero"):
+        ProductStateSet(holes, ones, ("x", "y", "z"))
+    with pytest.raises(ZeroVector, match="Bob part of state y is zero"):
+        ProductStateSet(ones, holes, ("x", "y", "z"))

@@ -27,6 +27,7 @@ from .families import FAMILIES, generate
 from .graphs import is_chordal, maximal_cliques
 from .linalg import DEFAULT_TOL, Tolerance
 
+_EXIT_INDISTINGUISHABLE = 10
 _EXIT_UNKNOWN = 20
 
 
@@ -158,7 +159,16 @@ def _cmd_decompose(args) -> int:
         supports = [frozenset(c) for c in maximal_cliques(host)]
         result = feasibility_search(m, supports, tol, max_iter=args.max_iter)
         if result is None:
-            _say("feasibility search did not converge; no decomposition found")
+            _say("the Gram matrix has weight outside every admissible support")
+            return _EXIT_UNKNOWN
+        if result.witness is not None:
+            _say(f"no admissible splitting: dual witness after "
+                 f"{result.iterations} iterations, shifted inner product "
+                 f"{result.witness.value:.3g}")
+            return _EXIT_INDISTINGUISHABLE
+        if not result.converged:
+            _say(f"iteration budget of {args.max_iter} exhausted, "
+                 f"gap {result.gap:.2e}; no decomposition found")
             return _EXIT_UNKNOWN
         dec = result.decomposition
         _say(f"feasible split over {len(supports)} admissible supports, "

@@ -18,6 +18,7 @@ import numpy as np
 from .decomposition import (
     Decomposition,
     chordal_decompose,
+    dual_witness,
     feasibility_search,
     verify_decomposition,
 )
@@ -62,6 +63,7 @@ KIND_NO_SIMPLICIAL = "MinDimNoSimplicial"
 KIND_ALPHA_CHI = "AlphaLessThanChi"
 KIND_NO_SANDWICH = "NonChordalSandwichAtMinDim"
 KIND_SPANNING = "SpanningObstruction"
+KIND_DUAL_WITNESS = "DualWitness"
 KIND_UNKNOWN = "Unknown"
 
 _EXIT = {DISTINGUISHABLE: 0, INDISTINGUISHABLE: 10, UNKNOWN: 20}
@@ -78,6 +80,7 @@ _PROVES = {
     KIND_ALPHA_CHI: INDISTINGUISHABLE,
     KIND_NO_SANDWICH: INDISTINGUISHABLE,
     KIND_SPANNING: INDISTINGUISHABLE,
+    KIND_DUAL_WITNESS: INDISTINGUISHABLE,
     KIND_UNKNOWN: UNKNOWN,
 }
 
@@ -404,11 +407,33 @@ def decide(
             },
             params, notes, feas.decomposition, protocol, tol,
         )
-    notes.append("feasibility search did not converge")
-
+    if feas is not None and feas.witness is not None:
+        # every one-way protocol pushes forward to a splitting, and none exists
+        return Verdict(
+            INDISTINGUISHABLE, direction,
+            Certificate(
+                KIND_DUAL_WITNESS,
+                {
+                    "witness": feas.witness.matrix,
+                    "shift": feas.witness.shift,
+                    "shifted_inner_product": feas.witness.value,
+                    "iterations": feas.iterations,
+                },
+            ),
+            params, notes=tuple(notes),
+        )
+    if feas is None:
+        # only when overlaps on both sides sit within tolerance of zero
+        data = {"reason": "Gram matrix has weight outside every admissible support"}
+    else:
+        data = {"reason": "iteration budget exhausted",
+                "gap": feas.gap, "iterations": feas.iterations}
+        notes.append(
+            f"feasibility search ran out of its iteration budget "
+            f"({opt.max_iter}) at gap {feas.gap:.3g}"
+        )
     return Verdict(
-        UNKNOWN, direction,
-        Certificate(KIND_UNKNOWN, {"reason": "no certificate reached"}),
+        UNKNOWN, direction, Certificate(KIND_UNKNOWN, data),
         params, notes=tuple(notes),
     )
 
@@ -734,6 +759,21 @@ def verify_certificate(
             spanning_obstruction(work, maximal_cliques(host), tol, d_eff)
             is not None,
         )
+    elif kind == KIND_DUAL_WITNESS:
+        try:
+            y = np.asarray(data.get("witness"), dtype=complex)
+        except (TypeError, ValueError):
+            y = np.zeros(0)
+        well_formed = y.shape == (work.n, work.n) and bool(np.isfinite(y).all())
+        check("witness is an n x n matrix", well_formed, f"shape {y.shape}")
+        if well_formed:
+            w = dual_witness(work.alice_gram(), y, maximal_cliques(host), tol)
+            check(
+                "witness excludes every splitting",
+                w.holds,
+                f"shift {w.shift:.3g}, shifted inner product {w.value:.3g}, "
+                f"margin {w.margin:.3g}",
+            )
     elif kind == KIND_UNKNOWN:
         check("nothing to verify", True)
 

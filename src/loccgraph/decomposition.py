@@ -3,10 +3,14 @@
 Two routes produce splittings. The chordal route peels rank-one terms off
 along a perfect elimination ordering, so each support is a clique of the
 pattern graph; it is exact up to roundoff whenever the pattern graph is
-chordal and the matrix respects the pattern. The feasibility route runs
-alternating projections between the per-support PSD cones and the affine
-constraint that the pieces sum to the target; it covers patterns the
-chordal route cannot, at the price of iterative accuracy.
+chordal and the matrix respects the pattern. The feasibility route covers
+patterns the chordal route cannot: accelerated projected gradient on the
+squared distance from the target to sums of PSD pieces on the supports. It
+ends with a splitting, at the price of iterative accuracy, or with a dual
+witness, a Hermitian Y whose shift Y + eps*I is PSD on every support and
+has negative inner product with the target, which proves that no splitting
+exists (theorem of alternatives for generalized inequalities, Boyd &
+Vandenberghe, Convex Optimization, section 5.9).
 """
 
 from __future__ import annotations
@@ -165,24 +169,74 @@ def verify_decomposition(
     )
 
 
-# the feasibility search gives up after this many iterations without a new
-# best gap
-STALL_WINDOW = 3000
+@dataclass(frozen=True)
+class DualWitness:
+    """Proof that no splitting exists: Y + shift*I is PSD on every support
+    and its inner product with m is value < 0 (by more than margin).
+
+    Any splitting m = sum of PSD B_S on the supports would give
+    <Y + shift*I, m> = sum of <(Y + shift*I)|_S, B_S> >= 0, since the inner
+    product of two PSD matrices is nonnegative.
+    """
+
+    matrix: np.ndarray
+    shift: float
+    value: float
+    margin: float
+
+    @property
+    def holds(self) -> bool:
+        return self.value < -self.margin
+
+
+def _witness(
+    m: np.ndarray, y: np.ndarray, cells: Sequence, tol: Tolerance
+) -> DualWitness:
+    lowest = min(float(np.linalg.eigvalsh(y[c])[0]) for c in cells)
+    shift = max(0.0, -lowest)
+    trace = float(np.trace(m).real)
+    value = float(np.vdot(y, m).real) + shift * trace
+    # roundoff in the block eigenvalues and the inner product stays far
+    # below this, so a witness that holds is not an artefact of rounding
+    margin = tol.psd_tol * float(np.linalg.norm(y)) * trace
+    return DualWitness(y, shift, value, margin)
+
+
+def dual_witness(
+    m: np.ndarray,
+    y: np.ndarray,
+    supports: Sequence[frozenset[int]],
+    tol: Tolerance = DEFAULT_TOL,
+) -> DualWitness:
+    """Shift and shifted inner product of a candidate witness y against m.
+
+    The shift is the smallest eigenvalue of y on any support, negated, or 0
+    when every block is PSD already. Only y, m and the supports are read.
+    """
+    m = hermitize(np.asarray(m, dtype=complex))
+    y = hermitize(np.asarray(y, dtype=complex))
+    cells = [np.ix_(ix, ix) for ix in (np.array(sorted(s)) - 1 for s in supports)]
+    return _witness(m, y, cells, tol)
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    decomposition: Decomposition
+    """A converged search carries a decomposition, an infeasible one a
+    witness; neither means the iteration budget ran out."""
+
+    decomposition: Optional[Decomposition]
     supports: tuple[frozenset[int], ...]
     blocks: tuple[np.ndarray, ...]
     gap: float
     iterations: int
     converged: bool
+    witness: Optional[DualWitness] = None
 
 
-def _clip_psd(block: np.ndarray) -> np.ndarray:
+def _clip_psd(block: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """block with its eigenvalues below floor set to zero."""
     w, v = np.linalg.eigh(hermitize(block))
-    w = w.clip(min=0.0)
+    w[w < floor] = 0.0
     return (v * w) @ v.conj().T
 
 
@@ -193,12 +247,24 @@ def feasibility_search(
     max_iter: int = 60000,
     gap_tol: Optional[float] = None,
 ) -> Optional[FeasibilityResult]:
-    """Alternating projections for m = sum of PSD blocks on given supports.
+    """Split m into PSD blocks on the given supports, or prove none exists.
 
-    Projection one: clip each block to the PSD cone on its support.
-    Projection two: distribute the remaining gap across the blocks covering
-    each entry. Returns None when the gap stalls above gap_tol, which is
-    evidence (not proof) of infeasibility.
+    Minimises 1/2 ||m - sum_S E_S(B_S)||^2 over PSD blocks B_S. The first
+    iterate is the averaged split clip(m|_S / counts), where counts[i, j]
+    is the number of supports holding both i and j; later iterates are
+    accelerated projected gradient steps (FISTA, Beck & Teboulle 2009) of
+    length 1 / max(counts). The search stops at the first of:
+
+    - gap ||r|| <= gap_tol, r the residual: converged. Eigenvalue dust is
+      trimmed and one averaged step re-balances the blocks (kept when the
+      gap stays within gap_tol); the result carries the decomposition;
+    - Y = -r / ||r|| is a dual witness (see DualWitness). At the optimum
+      -r is PSD on every support and <-r, m> = -||r||^2, so the test holds
+      once the iterates are close to an optimum with a nonzero residual.
+      The result carries the witness;
+    - max_iter iterates: neither.
+
+    Returns None when m has weight on an entry no support covers.
     """
     m = hermitize(np.asarray(m, dtype=complex))
     n = m.shape[0]
@@ -209,70 +275,69 @@ def feasibility_search(
         if not s or min(s) < 1 or max(s) > n:
             raise InvalidCover(f"support {sorted(s)} out of range")
     idx = [np.array(sorted(s)) - 1 for s in supports]
+    cells = [np.ix_(ix, ix) for ix in idx]
     scale = max(1.0, float(np.linalg.norm(m)))
     if gap_tol is None:
         gap_tol = 1e-7 * scale
 
     counts = np.zeros((n, n))
-    for ix in idx:
-        counts[np.ix_(ix, ix)] += 1.0
+    for c in cells:
+        counts[c] += 1.0
     uncovered = counts == 0
     if np.abs(m[uncovered]).max(initial=0.0) > tol.zero_tol * scale:
         return None
 
-    blocks = [np.zeros((len(ix), len(ix)), dtype=complex) for ix in idx]
+    def residual(blocks: Sequence[np.ndarray]) -> np.ndarray:
+        total = np.zeros((n, n), dtype=complex)
+        for b, c in zip(blocks, cells):
+            total[c] += b
+        return m - total
 
-    def run(iters_left: int) -> tuple[float, int]:
-        best, since_best, used = np.inf, 0, 0
-        gap = np.inf
-        while used < iters_left:
-            used += 1
-            total = np.zeros((n, n), dtype=complex)
-            for b, ix in zip(blocks, idx):
-                total[np.ix_(ix, ix)] += b
-            r = m - total
-            for k, ix in enumerate(idx):
-                blocks[k] = blocks[k] + r[np.ix_(ix, ix)] / counts[np.ix_(ix, ix)]
-                blocks[k] = _clip_psd(blocks[k])
-            total[:] = 0.0
-            for b, ix in zip(blocks, idx):
-                total[np.ix_(ix, ix)] += b
-            gap = float(np.linalg.norm(m - total))
-            if gap <= gap_tol:
-                return gap, used
-            if gap < best * (1 - 1e-6):
-                best, since_best = gap, 0
-            else:
-                since_best += 1
-                if since_best > STALL_WINDOW:
-                    return gap, used
-        return gap, used
+    def averaged_step(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        r = residual(blocks)
+        return [_clip_psd(b + r[c] / counts[c]) for b, c in zip(blocks, cells)]
 
-    gap, used = run(max_iter)
-    converged = gap <= gap_tol
-    if converged:
-        # drop near-null eigenvalue dust so the terms come out clean, then
-        # let the projections re-balance what the truncation disturbed
-        for k in range(len(blocks)):
-            w, v = np.linalg.eigh(hermitize(blocks[k]))
-            w[w < max(tol.psd_tol, 10 * gap)] = 0.0
-            blocks[k] = (v * w) @ v.conj().T
-        gap2, used2 = run(max(2000, max_iter - used))
-        used += used2
-        if gap2 <= gap_tol:
-            gap = gap2
-        else:
-            total = np.zeros((n, n), dtype=complex)
-            for b, ix in zip(blocks, idx):
-                total[np.ix_(ix, ix)] += b
-            gap = float(np.linalg.norm(m - total))
-            converged = gap <= gap_tol
-    if not converged:
-        return None
+    blocks = averaged_step([np.zeros((len(ix), len(ix)), dtype=complex) for ix in idx])
+    r = residual(blocks)
+    gap = float(np.linalg.norm(r))
+    iterations = 1
+    step = 1.0 / counts.max()
+    ahead, momentum = blocks, 1.0
+    witness = None
+    while gap > gap_tol:
+        candidate = _witness(m, -r / gap, cells, tol)
+        if candidate.holds:
+            witness = candidate
+            break
+        if iterations >= max_iter:
+            break
+        r_ahead = residual(ahead)
+        new = [_clip_psd(b + step * r_ahead[c]) for b, c in zip(ahead, cells)]
+        following = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
+        beta = (momentum - 1.0) / following
+        ahead = [a + beta * (a - b) for a, b in zip(new, blocks)]
+        blocks, momentum = new, following
+        r = residual(blocks)
+        gap = float(np.linalg.norm(r))
+        iterations += 1
+
+    if gap > gap_tol:
+        return FeasibilityResult(
+            None, supports, tuple(blocks), gap, iterations, False, witness
+        )
+
+    # drop near-null eigenvalue dust so the terms come out clean, then let
+    # one averaged step re-balance what the truncation disturbed
+    floor = max(tol.psd_tol, 10 * gap)
+    polished = averaged_step([_clip_psd(b, floor) for b in blocks])
+    iterations += 1
+    polished_gap = float(np.linalg.norm(residual(polished)))
+    if polished_gap <= gap_tol:
+        blocks, gap = polished, polished_gap
 
     terms: list[DecompositionTerm] = []
     term_floor = max(10 * gap, 1e-12 * scale)
-    for s, b, ix in zip(supports, blocks, idx):
+    for b, ix in zip(blocks, idx):
         w, v = eigh_desc(hermitize(b))
         for col in range(len(w)):
             if w[col] <= term_floor:
@@ -284,4 +349,4 @@ def feasibility_search(
             )
             terms.append(DecompositionTerm(sup or frozenset({int(ix[0]) + 1}), vec))
     dec = Decomposition(n, tuple(terms), gap)
-    return FeasibilityResult(dec, supports, tuple(blocks), gap, used, True)
+    return FeasibilityResult(dec, supports, tuple(blocks), gap, iterations, True)

@@ -161,11 +161,32 @@ class ProductStateSet:
         if report.nonorthogonal_pairs:
             raise NotMutuallyOrthogonal(report.nonorthogonal_pairs)
 
+    @classmethod
+    def _from_parts(cls, alice, bob, labels, grams) -> "ProductStateSet":
+        """A set from parts taken out of a validated one: no checks, no Grams
+        recomputed."""
+        out = object.__new__(cls)
+        for x in (alice, bob, *grams):
+            x.setflags(write=False)
+        for name, value in (("alice", alice), ("bob", bob), ("labels", labels),
+                            ("_grams", tuple(grams))):
+            object.__setattr__(out, name, value)
+        return out
+
     def swapped(self) -> "ProductStateSet":
-        return ProductStateSet(self.bob, self.alice, self.labels)
+        """The parties exchanged; shares this set's arrays and Grams."""
+        return self._from_parts(self.bob, self.alice, self.labels, self._grams[::-1])
 
     def subset(self, labels: Iterable[str]) -> "ProductStateSet":
+        """The named states in the given order; Grams sliced from this set's."""
         idx = [self.index_of(l) - 1 for l in labels]
-        return ProductStateSet(
-            self.alice[idx, :], self.bob[idx, :], tuple(self.labels[i] for i in idx)
+        if not idx:
+            raise InvalidInput("need at least one state")
+        if len(set(idx)) != len(idx):
+            raise InvalidInput("state labels must be unique")
+        block = np.ix_(idx, idx)
+        return self._from_parts(
+            self.alice[idx, :], self.bob[idx, :],
+            tuple(self.labels[i] for i in idx),
+            [g[block] for g in self._grams],
         )

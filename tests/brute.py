@@ -7,7 +7,9 @@ branch and bound. Slow on purpose; only used at tiny sizes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Iterator, Optional
 
 import numpy as np
@@ -28,11 +30,6 @@ def _adj_masks(g: Graph) -> list[int]:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return adj
-
-
-def _is_clique_mask(mask: int, adj: list[int], n: int) -> bool:
-    members = [v for v in range(1, n + 1) if mask >> v & 1]
-    return all(adj[u] >> v & 1 for u, v in itertools.combinations(members, 2))
 
 
 def brute_is_chordal(g: Graph) -> bool:
@@ -103,33 +100,34 @@ def brute_edge_clique_cover(g: Graph) -> int:
     """Smallest set of cliques covering every vertex and every edge."""
     adj = _adj_masks(g)
     n = g.n
+    # clique[mask]: the vertices of mask (bit v - 1 for vertex v) are
+    # pairwise adjacent, i.e. the lowest one is adjacent to all the others
+    # and the others form a clique
+    clique = [True] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        clique[mask] = clique[rest] and rest << 1 & ~adj[low.bit_length()] == 0
+    # each maximal clique as one mask: a bit per vertex it holds, then a bit
+    # per edge it holds, so a set of cliques covers when the OR is all ones
+    edge_pairs = sorted(g.edges)
     maximal = []
     for mask in range(1, 1 << n):
-        bits = mask << 1  # shift to 1-based vertex bits
-        if not _is_clique_mask(bits, adj, n):
+        if not clique[mask] or any(
+            not mask >> k & 1 and clique[mask | 1 << k] for k in range(n)
+        ):
             continue
-        grown = any(
-            v for v in range(1, n + 1)
-            if not bits >> v & 1 and _is_clique_mask(bits | 1 << v, adj, n)
+        edges = sum(
+            1 << k for k, (i, j) in enumerate(edge_pairs)
+            if mask >> (i - 1) & 1 and mask >> (j - 1) & 1
         )
-        if not grown:
-            maximal.append(mask)
-    all_vertices = (1 << n) - 1
-    edge_pairs = sorted(g.edges)
+        maximal.append(mask | edges << n)
+    everything = (1 << (n + len(edge_pairs))) - 1
     # ecc can exceed n (complete bipartite), but never the number of
     # maximal cliques: taking all of them is always a cover
     for count in range(1, len(maximal) + 1):
         for combo in itertools.combinations(maximal, count):
-            covered = 0
-            for m in combo:
-                covered |= m
-            if covered != all_vertices:
-                continue
-            ok = all(
-                any(m >> (i - 1) & 1 and m >> (j - 1) & 1 for m in combo)
-                for i, j in edge_pairs
-            )
-            if ok:
+            if functools.reduce(operator.or_, combo) == everything:
                 return count
     return len(maximal)
 
@@ -205,6 +203,41 @@ def random_conforming_psd(g: Graph, rng: np.random.Generator,
     return m
 
 
+def _product_set(g: Graph, m: np.ndarray):
+    """Orthonormal product set whose measuring side has Gram matrix m, scaled
+    to unit diagonal, and whose listening side overlaps exactly on the
+    complement of g; None when m is too close to singular or to g's pattern
+    losing an edge."""
+    from loccgraph import ProductStateSet, complement
+    from loccgraph.minrank import vectors_from_gram
+
+    n = g.n
+    d = np.sqrt(np.real(np.diag(m)))
+    if d.min() < 1e-3:
+        return None
+    m = m / np.outer(d, d)
+    np.fill_diagonal(m, 1.0)
+    edge_mags = [abs(m[i - 1, j - 1]) for i, j in g.edges]
+    if edge_mags and min(edge_mags) < 1e-4:
+        return None
+    if np.linalg.eigvalsh(m)[0] < 1e-6:
+        return None
+    x = vectors_from_gram(m)
+    gbar = complement(g)
+    adj = np.zeros((n, n))
+    for i, j in gbar.edges:
+        adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1.0
+    degmax = adj.sum(axis=1).max()
+    t = 0.9 / max(1.0, degmax)
+    w, v = np.linalg.eigh(np.eye(n) + t * adj)
+    bob = (v * np.sqrt(w)) @ v.T
+    states = ProductStateSet.from_vectors(list(x.T), list(bob.T))
+    graphs = states.build_graphs()
+    if graphs.alice == g and graphs.bob == gbar:
+        return states
+    return None
+
+
 def random_product_instance(n: int, rng: np.random.Generator):
     """Orthonormal product set whose measuring-side overlap graph is a random
     chordal graph of full rank; returns (states, graph).
@@ -212,36 +245,40 @@ def random_product_instance(n: int, rng: np.random.Generator):
     The listening side realizes exactly the complementary overlaps, so the
     admissible supports are precisely the cliques of the returned graph.
     """
-    from loccgraph import ProductStateSet, complement
-    from loccgraph.minrank import vectors_from_gram
-
     for _ in range(60):
         g = random_chordal(n, rng)
-        m = random_conforming_psd(g, rng)
-        d = np.sqrt(np.real(np.diag(m)))
-        if d.min() < 1e-3:
-            continue
-        m = m / np.outer(d, d)
-        np.fill_diagonal(m, 1.0)
-        edge_mags = [abs(m[i - 1, j - 1]) for i, j in g.edges]
-        if edge_mags and min(edge_mags) < 1e-4:
-            continue
-        if np.linalg.eigvalsh(m)[0] < 1e-6:
-            continue
-        x = vectors_from_gram(m)
-        gbar = complement(g)
-        adj = np.zeros((n, n))
-        for i, j in gbar.edges:
-            adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1.0
-        degmax = adj.sum(axis=1).max()
-        t = 0.9 / max(1.0, degmax)
-        w, v = np.linalg.eigh(np.eye(n) + t * adj)
-        bob = (v * np.sqrt(w)) @ v.T
-        states = ProductStateSet.from_vectors(list(x.T), list(bob.T))
-        graphs = states.build_graphs()
-        if graphs.alice == g and graphs.bob == gbar:
+        states = _product_set(g, random_conforming_psd(g, rng))
+        if states is not None:
             return states, g
     raise RuntimeError(f"no usable random instance at n={n}")
+
+
+def random_nonchordal_instance(n: int, rng: np.random.Generator):
+    """Like random_product_instance, on a random non-chordal graph g.
+
+    For half the draws, at random, the Gram matrix comes from
+    random_conforming_psd, so it splits over the cliques of g. The others
+    are I plus a random Hermitian matrix on the edges of g, scaled so that
+    the smallest eigenvalue is between 0.001 and 0.05; many of those split
+    over no set of cliques of g.
+    """
+    for _ in range(200):
+        g = random_graph(n, float(rng.uniform(0.3, 0.7)), rng)
+        if brute_is_chordal(g):
+            continue
+        if rng.random() < 0.5:
+            m = random_conforming_psd(g, rng)
+        else:
+            h = np.zeros((n, n), dtype=complex)
+            for i, j in g.edges:
+                h[i - 1, j - 1] = rng.normal() + 1j * rng.normal()
+            h = h + h.conj().T
+            lowest = np.linalg.eigvalsh(h)[0]  # negative: h has zero trace
+            m = np.eye(n) + h * (1 - float(rng.uniform(1e-3, 0.05))) / -lowest
+        states = _product_set(g, m)
+        if states is not None:
+            return states, g
+    raise RuntimeError(f"no usable non-chordal instance at n={n}")
 
 
 # every built-in family at the sizes the soundness sweep decides in both

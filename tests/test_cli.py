@@ -88,6 +88,15 @@ def test_decompose(tmp_path, capsys):
     assert json.loads(stdout)["terms"]
 
 
+def test_decompose_reports_a_dual_witness(tmp_path, capsys):
+    pentagon = _write_states(tmp_path, "pentagon-path")
+    code, stdout, err = _run(
+        capsys, ["decompose", "--input", pentagon, "--direction", "bob-first"]
+    )
+    assert code == 10 and not stdout
+    assert "dual witness" in err
+
+
 def test_analyze(tmp_path, capsys):
     ben = _write_states(tmp_path, "bennett")
     code, stdout, err = _run(capsys, ["analyze", "--input", ben])

@@ -20,7 +20,7 @@ from loccgraph.criteria import (
 )
 from loccgraph.errors import LoccGraphError
 from loccgraph.families import FAMILIES, generate
-from loccgraph.graphs import independence_number
+from loccgraph.graphs import independence_number, maximal_cliques
 from loccgraph.linalg import DEFAULT_TOL
 
 
@@ -433,3 +433,74 @@ def test_exhausted_budget_fails_a_check_instead_of_raising(spec):
     outcome = verify_certificate(s, _forge(v, search_budget=2))
     assert not outcome.ok
     assert "search within budget" in _failed(outcome)
+
+
+def _with_witness(verdict, y):
+    data = dict(verdict.certificate.data, witness=y)
+    return _forge(verdict, certificate=Certificate("DualWitness", data))
+
+
+def test_pentagon_path_bob_first_has_a_dual_witness():
+    s = generate("pentagon-path")
+    v = decide(s, BOB_FIRST)
+    assert v.status == INDISTINGUISHABLE
+    assert v.certificate.kind == "DualWitness"
+    assert v.certificate.data["shifted_inner_product"] < 0
+    outcome = verify_certificate(s, v)
+    assert outcome.ok, outcome.checks
+
+
+def test_tampered_dual_witness_fails_verification():
+    s = generate("pentagon-path")
+    v = decide(s, BOB_FIRST)
+    y = np.asarray(v.certificate.data["witness"])
+    host = s.swapped().build_graphs().bob_orthogonality()
+    clique = [i - 1 for i in sorted(maximal_cliques(host)[0])]
+    negative_block = y.copy()
+    negative_block[np.ix_(clique, clique)] = -np.eye(len(clique))
+    for forged in (-y, negative_block, np.eye(s.n)):
+        outcome = verify_certificate(s, _with_witness(v, forged))
+        assert _failed(outcome) == {"witness excludes every splitting"}
+    for malformed in (y[:3, :3], np.full((s.n, s.n), np.nan), "no matrix"):
+        outcome = verify_certificate(s, _with_witness(v, malformed))
+        assert _failed(outcome) == {"witness is an n x n matrix"}
+
+
+def test_forged_dual_witness_fails_where_a_splitting_exists():
+    s = generate("example3")
+    v = decide(s)
+    assert v.certificate.kind == "FeasibleDecomposition"
+    m = s.alice_gram()
+    rng = np.random.default_rng(3)
+    candidates = [-m, -np.eye(s.n), m - 2 * np.eye(s.n)]
+    for _ in range(20):
+        x = rng.normal(size=(s.n, s.n)) + 1j * rng.normal(size=(s.n, s.n))
+        candidates.append(x + x.conj().T)
+    for y in candidates:
+        forged = _with_witness(_forge(v, status=INDISTINGUISHABLE), y)
+        outcome = verify_certificate(s, forged)
+        assert "witness excludes every splitting" in _failed(outcome)
+
+
+def test_unknown_records_the_exhausted_budget():
+    s = generate("pentagon-path")
+    v = decide(s, BOB_FIRST, DecideOptions(max_iter=1))
+    assert v.status == UNKNOWN
+    data = v.certificate.data
+    assert data["reason"] == "iteration budget exhausted"
+    assert data["iterations"] == 1 and data["gap"] > 0
+    assert any("ran out of its iteration budget" in note for note in v.notes)
+    assert verify_certificate(s, v).ok
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_random_nonchordal_sets_decide_and_verify(direction):
+    # half of these Gram matrices split over cliques by construction; the
+    # rest are near-singular and often split over none
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        states, _ = brute.random_nonchordal_instance(int(rng.integers(5, 9)), rng)
+        v = decide(states, direction)
+        assert v.status != UNKNOWN
+        outcome = verify_certificate(states, v)
+        assert outcome.ok, outcome.checks

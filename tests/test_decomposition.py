@@ -6,6 +6,7 @@ from loccgraph.decomposition import (
     Decomposition,
     DecompositionTerm,
     chordal_decompose,
+    dual_witness,
     feasibility_search,
     verify_decomposition,
 )
@@ -143,7 +144,54 @@ def test_feasibility_infeasible_instance_returns_none():
     m = np.ones((3, 3))
     supports = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
     result = feasibility_search(m, supports, max_iter=4000)
-    assert result is None
+    assert result.decomposition is None and not result.converged
+    # the verifier's check, recomputed from the matrix alone
+    assert dual_witness(m, result.witness.matrix, supports).holds
+
+
+def test_dual_witness_fails_when_tampered():
+    m = np.ones((3, 3))
+    supports = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
+    y = feasibility_search(m, supports).witness.matrix
+    assert dual_witness(m, y, supports).holds
+    block = y.copy()
+    block[:2, :2] = -np.eye(2)  # the {1, 2} block negative definite
+    for forged in (-y, block, np.eye(3)):
+        assert not dual_witness(m, forged, supports).holds
+
+
+def test_dual_witness_never_holds_against_a_splittable_matrix():
+    # the C_4 matrix of test_feasibility_search_c4_splits splits over its
+    # edges, so no Y whatsoever can certify the opposite
+    c4 = [frozenset(e) for e in [(1, 2), (1, 3), (2, 4), (3, 4)]]
+    m = np.eye(4) + 0.5 * np.array([
+        [0, 1, 1, 0],
+        [1, 0, 0, 1],
+        [1, 0, 0, 1],
+        [0, 1, 1, 0],
+    ])
+    rng = np.random.default_rng(5)
+    candidates = [-m, -np.eye(4), m - 2 * np.eye(4)]
+    for _ in range(200):
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        candidates.append(x + x.conj().T)
+    for y in candidates:
+        assert not dual_witness(m, y, c4).holds
+
+
+def test_feasibility_search_stops_at_its_iteration_budget():
+    # a random chordal case the averaged split does not solve outright
+    rng = np.random.default_rng(11)
+    for _ in range(2):  # the second case of the random test above
+        g = brute.random_chordal(6, rng)
+        m = brute.random_conforming_psd(g, rng)
+    supports = [frozenset(c) for c in maximal_cliques(g)]
+    full = feasibility_search(m, supports)
+    assert full.converged and full.iterations > 3
+    result = feasibility_search(m, supports, max_iter=3)
+    assert result.iterations == 3 and result.gap > 0
+    assert not result.converged
+    assert result.decomposition is None and result.witness is None
 
 
 def test_random_chordal_roundtrips():

@@ -188,3 +188,30 @@ def test_zero_vector_names_the_first_zero_state():
         ProductStateSet(holes, ones, ("x", "y", "z"))
     with pytest.raises(ZeroVector, match="Bob part of state y is zero"):
         ProductStateSet(ones, holes, ("x", "y", "z"))
+
+
+def test_swapped_shares_arrays_and_grams():
+    s = _example1()
+    t = s.swapped()
+    assert t.alice is s.bob and t.bob is s.alice and t.labels is s.labels
+    assert t.alice_gram() is s.bob_gram() and t.bob_gram() is s.alice_gram()
+    back = t.swapped()
+    assert back.alice is s.alice and back.bob is s.bob
+    assert back.alice_gram() is s.alice_gram() and back.bob_gram() is s.bob_gram()
+
+
+def test_subset_grams_are_sub_blocks():
+    from loccgraph.families import generate
+
+    s = generate("bennett")
+    labels = ("9", "2", "5", "4")
+    t = s.subset(labels)
+    idx = [s.index_of(l) - 1 for l in labels]
+    for sub, full in ((t.alice_gram(), s.alice_gram()), (t.bob_gram(), s.bob_gram())):
+        assert np.array_equal(sub, full[np.ix_(idx, idx)])
+        assert not sub.flags.writeable
+    assert not t.alice.flags.writeable and not t.bob.flags.writeable
+    assert np.array_equal(t.alice, s.alice[idx]) and t.labels == labels
+    for bad in ((), ("2", "2")):
+        with pytest.raises(InvalidInput):
+            s.subset(bad)

@@ -18,6 +18,9 @@ import numpy as np
 from .decomposition import (
     Decomposition,
     chordal_decompose,
+    dominance_scaling,
+    dominance_slack,
+    dominance_split,
     dual_witness,
     feasibility_search,
     verify_decomposition,
@@ -34,6 +37,7 @@ from .graphs import (  # noqa: F401
     edge_clique_cover_number,
     eta_plus_bounds,
     find_two_clique_cover,
+    greedy_clique_cover,
     independence_number,
     independent_set_of_size,
     is_chordal,
@@ -58,6 +62,7 @@ KIND_CHORDAL_HOST = "ChordalBobComplement"
 KIND_COVER_LE2 = "EdgeCliqueCoverLE2"
 KIND_QUBIT = "SingleQubitSandwich"
 KIND_SANDWICH = "ChordalSandwich"
+KIND_SCALED_DD = "ScaledDiagonalDominance"
 KIND_FEASIBLE = "FeasibleDecomposition"
 KIND_NO_SIMPLICIAL = "MinDimNoSimplicial"
 KIND_ALPHA_CHI = "AlphaLessThanChi"
@@ -75,6 +80,7 @@ _PROVES = {
     KIND_CHORDAL_HOST: DISTINGUISHABLE,
     KIND_COVER_LE2: DISTINGUISHABLE,
     KIND_SANDWICH: DISTINGUISHABLE,
+    KIND_SCALED_DD: DISTINGUISHABLE,
     KIND_FEASIBLE: DISTINGUISHABLE,
     KIND_NO_SIMPLICIAL: INDISTINGUISHABLE,
     KIND_ALPHA_CHI: INDISTINGUISHABLE,
@@ -377,6 +383,21 @@ def decide(
             if verdict is not None:
                 return verdict
 
+    m = work.alice_gram()
+    # every overlap edge is a host edge for an orthogonal product set, so a
+    # clique of ga is an admissible support; the inclusion is checked, since
+    # overlaps near zero on both sides can break it
+    x = dominance_scaling(m, ga, tol) if ga.edges <= host.edges else None
+    if x is not None:
+        groups = greedy_clique_cover(ga)
+        dec = dominance_split(m, ga, x, groups)
+        protocol = synthesize_protocol(work, dec, tol)
+        return _distinguishable(
+            work, direction, KIND_SCALED_DD,
+            {"scaling": x.tolist(), "supports": [sorted(s) for s in groups]},
+            params, notes, dec, protocol, tol,
+        )
+
     cliques = maximal_cliques(host)
     obstruction = spanning_obstruction(work, cliques, tol, d_eff)
     if obstruction is not None:
@@ -393,7 +414,6 @@ def decide(
             params, notes=tuple(notes),
         )
 
-    m = work.alice_gram()
     gap_tol = FEASIBILITY_GAP_REL * max(1.0, float(np.linalg.norm(m)))
     feas = feasibility_search(m, cliques, tol, opt.max_iter, gap_tol)
     if feas is not None and feas.converged:
@@ -719,6 +739,33 @@ def verify_certificate(
                 rep.ok,
                 f"relative residual {rep.rel_residual:.3g}",
             )
+    elif kind == KIND_SCALED_DD:
+        try:
+            x = np.asarray(data.get("scaling"), dtype=float)
+        except (TypeError, ValueError):
+            x = np.zeros(0)
+        well_formed = x.shape == (work.n,) and bool(np.isfinite(x).all())
+        check("scaling has one entry per state", well_formed, f"shape {x.shape}")
+        positive = well_formed and bool((x > 0).all())
+        if well_formed:
+            check("scaling positive", positive, f"min {x.min():.3g}")
+        if positive:
+            slack = dominance_slack(work.alice_gram(), ga, x, tol)
+            check(
+                "scaled rows dominant",
+                bool((slack > 0).all()),
+                f"least slack {slack.min():.3g}",
+            )
+        check("overlaps admissible", ga.edges <= host.edges)
+        supports = [list(s) for s in data.get("supports", ())]
+        in_range = all(
+            s and all(isinstance(i, int) and 1 <= i <= work.n for i in s)
+            for s in supports
+        )
+        check(
+            "supports are host cliques",
+            in_range and all(is_clique(host, s) for s in supports),
+        )
     elif kind == KIND_NO_SIMPLICIAL:
         # an independent host set of size d_eff attains the bound
         # alpha(host) <= d_eff, so no exact search is needed

@@ -501,6 +501,38 @@ def edge_clique_cover_number(g: Graph, exact_bound: int = 12) -> CoverResult:
     return CoverResult(len(best) + len(singletons), cover)
 
 
+def greedy_clique_cover(g: Graph) -> tuple[frozenset[int], ...]:
+    """Cliques covering every edge and every vertex of g, without clique
+    enumeration.
+
+    From the lowest vertex with an uncovered edge, a clique grows along that
+    edge, then by the common neighbour closing the most uncovered edges
+    (lowest first) while some closes one. An isolated vertex is a singleton.
+    """
+    left = list(g.nbrs)  # bit w-1 of left[v-1]: edge vw not yet covered
+    cover: list[frozenset[int]] = []
+    for v in g.vertices:
+        if not g.nbrs[v - 1]:
+            cover.append(frozenset({v}))
+        while left[v - 1]:
+            w = (left[v - 1] & -left[v - 1]).bit_length()
+            clique = 1 << (v - 1) | 1 << (w - 1)
+            common = g.nbrs[v - 1] & g.nbrs[w - 1]
+            while common:
+                u = max(
+                    _bits(common),
+                    key=lambda u: ((left[u - 1] & clique).bit_count(), -u),
+                )
+                if not left[u - 1] & clique:
+                    break
+                clique |= 1 << (u - 1)
+                common &= g.nbrs[u - 1]
+            for u in _bits(clique):
+                left[u - 1] &= ~clique
+            cover.append(frozenset(_bits(clique)))
+    return tuple(cover)
+
+
 def find_two_clique_cover(
     host: Graph, need_edges: Iterable[tuple[int, int]]
 ) -> Optional[tuple[frozenset[int], ...]]:

@@ -24,81 +24,87 @@ def all_graphs(n: int) -> Iterator[Graph]:
         yield Graph.from_edges(n, edges)
 
 
-def _adj_masks(g: Graph) -> list[int]:
-    adj = [0] * (g.n + 1)
+def _neighbour_masks(g: Graph) -> list[int]:
+    """nbr[v]: bit u set when u ~ v, vertices 0-based, from the edge list."""
+    nbr = [0] * g.n
     for i, j in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
+        nbr[i - 1] |= 1 << (j - 1)
+        nbr[j - 1] |= 1 << (i - 1)
+    return nbr
+
+
+def _independent_table(nbr: list[int]) -> list[bool]:
+    """ind[mask]: no two vertices of mask adjacent, i.e. the lowest one has
+    no neighbour in mask and the others are independent."""
+    ind = [True] * (1 << len(nbr))
+    for mask in range(1, len(ind)):
+        low = mask & -mask
+        rest = mask ^ low
+        ind[mask] = ind[rest] and not nbr[low.bit_length() - 1] & rest
+    return ind
+
+
+@functools.cache
+def _large_subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every subset of n vertices with at least 4 members, as its mask and
+    its members (0-based)."""
+    return tuple(
+        (mask, tuple(v for v in range(n) if mask >> v & 1))
+        for mask in range(1 << n) if mask.bit_count() >= 4
+    )
 
 
 def brute_is_chordal(g: Graph) -> bool:
-    """No induced cycle on 4 or more vertices, checked subset by subset."""
-    adj = _adj_masks(g)
-    verts = list(range(1, g.n + 1))
-    for size in range(4, g.n + 1):
-        for subset in itertools.combinations(verts, size):
-            inside = set(subset)
-            degs = [sum(1 for u in subset if adj[v] >> u & 1) for v in subset]
-            if any(d != 2 for d in degs):
-                continue
-            # 2-regular induced subgraph; connected means a single cycle
-            seen = {subset[0]}
-            frontier = [subset[0]]
-            while frontier:
-                v = frontier.pop()
-                for u in subset:
-                    if u not in seen and adj[v] >> u & 1:
-                        seen.add(u)
-                        frontier.append(u)
-            if len(seen) == size:
-                return False
+    """No induced cycle on 4 or more vertices, checked subset by subset: a
+    subset is one when each member has exactly two neighbours in it and it
+    is connected."""
+    nbr = _neighbour_masks(g)
+    for mask, members in _large_subsets(g.n):
+        if any((nbr[v] & mask).bit_count() != 2 for v in members):
+            continue
+        # 2-regular induced subgraph; connected means a single cycle
+        seen, frontier = 0, mask & -mask
+        while frontier:
+            seen |= frontier
+            step = 0
+            for v in members:
+                if frontier >> v & 1:
+                    step |= nbr[v]
+            frontier = step & mask & ~seen
+        if seen == mask:
+            return False
     return True
 
 
 def brute_alpha(g: Graph) -> int:
-    adj = _adj_masks(g)
-    best = 0
-    for mask in range(1 << g.n):
-        members = [v for v in range(1, g.n + 1) if mask >> (v - 1) & 1]
-        if len(members) <= best:
-            continue
-        if all(not (adj[u] >> v & 1) for u, v in itertools.combinations(members, 2)):
-            best = len(members)
-    return best
+    ind = _independent_table(_neighbour_masks(g))
+    return max(mask.bit_count() for mask in range(len(ind)) if ind[mask])
 
 
 def brute_chromatic(g: Graph) -> int:
-    if not g.edges:
-        return 1 if g.n else 0
-    adj = _adj_masks(g)
-
-    def colorable(k: int) -> bool:
-        color = [0] * (g.n + 1)
-
-        def go(v: int) -> bool:
-            if v > g.n:
-                return True
-            for c in range(1, k + 1):
-                if any(adj[v] >> u & 1 and color[u] == c for u in range(1, v)):
-                    continue
-                color[v] = c
-                if go(v + 1):
-                    return True
-                color[v] = 0
-            return False
-
-        return go(1)
-
-    for k in range(2, g.n + 1):
-        if colorable(k):
+    """Fewest independent sets whose union is every vertex; enough to try
+    unions of maximal ones, since colour classes can be enlarged."""
+    nbr = _neighbour_masks(g)
+    ind = _independent_table(nbr)
+    # closed[mask]: mask and its neighbours; an independent set is maximal
+    # when that is every vertex
+    closed = [0] * len(ind)
+    for mask in range(1, len(ind)):
+        low = mask & -mask
+        closed[mask] = closed[mask ^ low] | low | nbr[low.bit_length() - 1]
+    full = len(ind) - 1
+    maximal = [m for m in range(1, len(ind)) if ind[m] and closed[m] == full]
+    reach = {0}
+    for k in range(1, g.n + 1):
+        reach = {r | s for r in reach for s in maximal}
+        if full in reach:
             return k
     return g.n
 
 
 def brute_edge_clique_cover(g: Graph) -> int:
     """Smallest set of cliques covering every vertex and every edge."""
-    adj = _adj_masks(g)
+    nbr = _neighbour_masks(g)
     n = g.n
     # clique[mask]: the vertices of mask (bit v - 1 for vertex v) are
     # pairwise adjacent, i.e. the lowest one is adjacent to all the others
@@ -107,7 +113,7 @@ def brute_edge_clique_cover(g: Graph) -> int:
     for mask in range(1, 1 << n):
         low = mask & -mask
         rest = mask ^ low
-        clique[mask] = clique[rest] and rest << 1 & ~adj[low.bit_length()] == 0
+        clique[mask] = clique[rest] and rest & ~nbr[low.bit_length() - 1] == 0
     # each maximal clique as one mask: a bit per vertex it holds, then a bit
     # per edge it holds, so a set of cliques covers when the OR is all ones
     edge_pairs = sorted(g.edges)
@@ -279,6 +285,26 @@ def random_nonchordal_instance(n: int, rng: np.random.Generator):
         if states is not None:
             return states, g
     raise RuntimeError(f"no usable non-chordal instance at n={n}")
+
+
+def random_dominant_instance(n: int, rng: np.random.Generator):
+    """Like random_nonchordal_instance, with a Gram matrix I + h that is
+    strictly diagonally dominant: h is a random Hermitian matrix on the
+    edges of g, scaled so that its largest absolute row sum is between 0.2
+    and 0.9."""
+    for _ in range(200):
+        g = random_graph(n, float(rng.uniform(0.3, 0.7)), rng)
+        if brute_is_chordal(g):
+            continue
+        h = np.zeros((n, n), dtype=complex)
+        for i, j in g.edges:
+            h[i - 1, j - 1] = rng.normal() + 1j * rng.normal()
+        h = h + h.conj().T
+        m = np.eye(n) + h * float(rng.uniform(0.2, 0.9)) / np.abs(h).sum(axis=1).max()
+        states = _product_set(g, m)
+        if states is not None:
+            return states, g
+    raise RuntimeError(f"no usable diagonally dominant instance at n={n}")
 
 
 # every built-in family at the sizes the soundness sweep decides in both

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from loccgraph.criteria import (
@@ -504,3 +506,73 @@ def test_random_nonchordal_sets_decide_and_verify(direction):
         assert v.status != UNKNOWN
         outcome = verify_certificate(states, v)
         assert outcome.ok, outcome.checks
+
+
+def _with_dominance(verdict, **fields):
+    data = dict(verdict.certificate.data, **fields)
+    return _forge(verdict, certificate=Certificate("ScaledDiagonalDominance", data))
+
+
+def test_tampered_dominance_certificate_fails_its_check():
+    s = generate("path-rep:20")
+    v = decide(s, BOB_FIRST)
+    assert v.certificate.kind == "ScaledDiagonalDominance"
+    assert verify_certificate(s, v).ok
+    # the listed supports are the protocol's outcomes
+    listed = {frozenset(c) for c in v.certificate.data["supports"]}
+    assert {t.support for t in v.decomposition.terms} == listed
+    assert len(v.protocol.alice.outcome_ids()) == len(listed)
+    x = list(v.certificate.data["scaling"])
+    # the Gram matrix is dominant at x = 1 already (every off-diagonal row
+    # sum is below 0.95), so break dominance by shrinking one entry of x
+    assert verify_certificate(s, _with_dominance(v, scaling=[1.0] * s.n)).ok
+    host = s.swapped().build_graphs().bob_orthogonality()
+    i, j = next(
+        (i, j) for i in host.vertices for j in host.vertices
+        if i < j and not host.has_edge(i, j)
+    )
+    supports = v.certificate.data["supports"] + [[i, j]]
+    for forged, check in [
+        (_with_dominance(v, scaling=[-x[0]] + x[1:]), "scaling positive"),
+        (_with_dominance(v, scaling=[0.0] + x[1:]), "scaling positive"),
+        (_with_dominance(v, scaling=[x[0] / 100] + x[1:]), "scaled rows dominant"),
+        (_with_dominance(v, scaling=x[1:]), "scaling has one entry per state"),
+        (_with_dominance(v, scaling="none"), "scaling has one entry per state"),
+        (_with_dominance(v, supports=supports), "supports are host cliques"),
+    ]:
+        outcome = verify_certificate(s, forged)
+        assert _failed(outcome) == {check}
+
+
+def test_singular_comparison_matrix_falls_through_to_the_convex_search():
+    from loccgraph.decomposition import comparison_matrix, dominance_scaling
+
+    s = generate("example3")
+    ga = s.build_graphs().alice
+    assert abs(np.linalg.eigvalsh(comparison_matrix(s.alice_gram(), ga))[0]) < 1e-12
+    assert dominance_scaling(s.alice_gram(), ga) is None
+    v = decide(s, ALICE_FIRST)
+    assert v.certificate.kind == "FeasibleDecomposition"
+    assert verify_certificate(s, v).ok
+
+
+def test_no_dominance_scaling_falls_through_to_a_dual_witness():
+    from loccgraph.decomposition import dominance_scaling
+
+    s = generate("pentagon-path")
+    work = s.swapped()
+    assert dominance_scaling(work.alice_gram(), work.build_graphs().alice) is None
+    v = decide(s, BOB_FIRST)
+    assert v.certificate.kind == "DualWitness"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 8))
+def test_diagonally_dominant_grams_fire_the_dominance_rung(seed, n):
+    states, _ = brute.random_dominant_instance(n, np.random.default_rng(seed))
+    v = decide(states)
+    assert v.status == DISTINGUISHABLE
+    assert v.certificate.kind == "ScaledDiagonalDominance"
+    assert v.simulation.min_success >= 1 - 1e-9
+    outcome = verify_certificate(states, v)
+    assert outcome.ok, outcome.checks

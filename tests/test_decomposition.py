@@ -6,6 +6,9 @@ from loccgraph.decomposition import (
     Decomposition,
     DecompositionTerm,
     chordal_decompose,
+    comparison_matrix,
+    dominance_scaling,
+    dominance_split,
     dual_witness,
     feasibility_search,
     verify_decomposition,
@@ -15,6 +18,7 @@ from loccgraph.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    greedy_clique_cover,
     is_clique,
     maximal_cliques,
     path_graph,
@@ -254,3 +258,34 @@ def test_verify_decomposition_bad_supports_match_term_loop():
         frozenset({1, 3}), frozenset({1}), frozenset({1, 3}),
     )
     assert not rep.supports_ok and not rep.ok
+
+
+def test_dominance_split_rebuilds_an_h_matrix():
+    # a 5-cycle with a complex phase: not chordal, and dominant only after
+    # scaling, since row 1 carries more off-diagonal weight than its diagonal
+    g = cycle_graph(5)
+    m = np.eye(5, dtype=complex)
+    weights = [0.6j, 0.3, 0.3, 0.3, 0.6]
+    for (i, j), w in zip([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], weights):
+        m[i - 1, j - 1], m[j - 1, i - 1] = w, np.conj(w)
+    c = comparison_matrix(m, g)
+    assert (c @ np.ones(5))[0] < 0
+    x = dominance_scaling(m, g)
+    assert x is not None and (x > 0).all()
+    groups = greedy_clique_cover(g)
+    dec = dominance_split(m, g, x, groups)
+    assert {t.support for t in dec.terms} == set(groups)
+    rep = verify_decomposition(m, dec, host=g)
+    assert rep.ok and rep.rel_residual < 1e-14
+
+
+def test_dominance_scaling_refuses_a_non_h_matrix():
+    # a PSD matrix on the 4-cycle whose comparison matrix is singular
+    g = cycle_graph(4)
+    m = np.eye(4) + 0.5 * np.array(
+        [[0, 1, 0, -1], [1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, 1, 0]]
+    )
+    assert np.linalg.eigvalsh(m)[0] >= -1e-12
+    assert dominance_scaling(m, g) is None
+    # and one whose comparison matrix has a negative eigenvalue
+    assert dominance_scaling(np.eye(4) + 0.6 * (m - np.eye(4)) / 0.5, g) is None

@@ -19,6 +19,7 @@ from loccgraph.graphs import (
     eta_plus_bounds,
     find_isomorphism,
     find_two_clique_cover,
+    greedy_clique_cover,
     independence_number,
     independent_set_of_size,
     is_chordal,
@@ -238,6 +239,18 @@ def test_oracles_random_n5():
         assert independence_number(g)[0] == brute.brute_alpha(g)
         assert chromatic_number(g)[0] == brute.brute_chromatic(g)
         assert edge_clique_cover_number(g).count == brute.brute_edge_clique_cover(g)
+
+
+def test_greedy_clique_cover_covers_every_edge_and_vertex():
+    rng = np.random.default_rng(29)
+    graphs = [cycle_graph(5), complete_graph(4), empty_graph(3), path_graph(6)]
+    graphs += [brute.random_graph(9, float(rng.uniform(0.1, 0.9)), rng) for _ in range(60)]
+    for g in graphs:
+        cover = greedy_clique_cover(g)
+        assert CliqueCover(cover).covers(g)
+        assert len(set(cover)) == len(cover)
+    assert greedy_clique_cover(complete_graph(4)) == (frozenset({1, 2, 3, 4}),)
+    assert greedy_clique_cover(empty_graph(2)) == (frozenset({1}), frozenset({2}))
 
 
 def test_random_chordal_generator_is_chordal():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from loccgraph.criteria import decide
+from loccgraph.criteria import BOB_FIRST, Certificate, Verdict, decide, verify_certificate
 from loccgraph.decomposition import chordal_decompose, verify_decomposition
 from loccgraph.errors import InvalidInput
 from loccgraph.families import generate
@@ -101,6 +101,26 @@ def test_verdict_json_shape():
     assert data2["exit_code"] == 0
     assert data2["protocol"]["alice"]["elements"]
     assert data2["simulation"]["min_success"] >= 1 - 1e-9
+
+
+def test_dominance_verdict_roundtrip_verifies():
+    s = generate("path-rep:20")
+    v = decide(s, BOB_FIRST)
+    assert v.certificate.kind == "ScaledDiagonalDominance"
+    data = _roundtrip(verdict_to_json(v))
+    cert = dict(data["certificate"])
+    kind = cert.pop("kind")
+    back = Verdict(
+        data["status"], data["direction"], Certificate(kind, cert),
+        data["parameters"],
+        protocol_from_json(data["protocol"]),
+        decomposition=decomposition_from_json(data["decomposition"]),
+    )
+    assert cert["scaling"] == v.certificate.data["scaling"]
+    assert cert["supports"] == v.certificate.data["supports"]
+    outcome = verify_certificate(s, back)
+    assert outcome.ok, outcome.checks
+    assert verify_decomposition(s.swapped().alice_gram(), back.decomposition).ok
 
 
 def test_jsonify_handles_numpy_and_sets():

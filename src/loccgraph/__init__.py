@@ -58,7 +58,6 @@ from .locc import (
     povm_to_decomposition,
     simulate,
     synthesize_protocol,
-    two_clique_protocol,
     validate_povm,
 )
 from .states import ProductStateSet, StateGraphs
@@ -114,7 +113,6 @@ __all__ = [
     "simulate",
     "spanning_obstruction",
     "synthesize_protocol",
-    "two_clique_protocol",
     "validate_povm",
     "verify_certificate",
     "verify_decomposition",

@@ -17,17 +17,15 @@ from .criteria import (
     ALICE_FIRST,
     BOB_FIRST,
     DISTINGUISHABLE,
+    KIND_DUAL_WITNESS,
     DecideOptions,
     analyze,
     decide,
 )
-from .decomposition import chordal_decompose, feasibility_search
 from .errors import LoccGraphError, SearchBudgetExceeded
 from .families import FAMILIES, generate
-from .graphs import is_chordal, maximal_cliques
 from .linalg import DEFAULT_TOL, Tolerance
 
-_EXIT_INDISTINGUISHABLE = 10
 _EXIT_UNKNOWN = 20
 
 
@@ -59,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("decide", parents=[common],
                    help="full verdict with certificate")
     sub.add_parser("decompose", parents=[common],
-                   help="clique-supported PSD splitting of the measuring side's Gram matrix")
+                   help="the admissible PSD splitting of the measuring side's Gram "
+                        "matrix that decide's verdict carries")
     sub.add_parser("protocol", parents=[common],
                    help="synthesize and simulate a measurement protocol")
     gen = sub.add_parser("generate", parents=[common],
@@ -146,35 +145,22 @@ def _cmd_decide(args) -> int:
 
 def _cmd_decompose(args) -> int:
     states = _load_states(args)
-    work = states if _direction(args) == ALICE_FIRST else states.swapped()
-    tol = _tolerance(args)
-    work.require_orthonormal(tol)
-    graphs = work.build_graphs(tol)
-    m = work.alice_gram()
-    if is_chordal(graphs.alice).chordal:
-        dec = chordal_decompose(m, graphs.alice, tol)
-        _say(f"peeled {len(dec.terms)} rank-one terms along an elimination order")
+    verdict = decide(states, _direction(args), _options(args))
+    kind = verdict.certificate.kind
+    if verdict.status == DISTINGUISHABLE:
+        dec = verdict.decomposition
+        _emit_json(args, serialize.decomposition_to_json(dec))
+        _say(f"{len(dec.terms)} rank-one terms on "
+             f"{len({t.support for t in dec.terms})} admissible supports via {kind}")
+        return 0
+    if kind == KIND_DUAL_WITNESS:
+        data = verdict.certificate.data
+        _say(f"no admissible splitting: dual witness after "
+             f"{data['iterations']} iterations, shifted inner product "
+             f"{data['shifted_inner_product']:.3g}")
     else:
-        host = graphs.bob_orthogonality()
-        supports = [frozenset(c) for c in maximal_cliques(host)]
-        result = feasibility_search(m, supports, tol, max_iter=args.max_iter)
-        if result is None:
-            _say("the Gram matrix has weight outside every admissible support")
-            return _EXIT_UNKNOWN
-        if result.witness is not None:
-            _say(f"no admissible splitting: dual witness after "
-                 f"{result.iterations} iterations, shifted inner product "
-                 f"{result.witness.value:.3g}")
-            return _EXIT_INDISTINGUISHABLE
-        if not result.converged:
-            _say(f"iteration budget of {args.max_iter} exhausted, "
-                 f"gap {result.gap:.2e}; no decomposition found")
-            return _EXIT_UNKNOWN
-        dec = result.decomposition
-        _say(f"feasible split over {len(supports)} admissible supports, "
-             f"gap {result.gap:.2e} after {result.iterations} iterations")
-    _emit_json(args, serialize.decomposition_to_json(dec))
-    return 0
+        _say(f"no splitting: verdict is {verdict.status} via {kind}")
+    return verdict.exit_code
 
 
 def _cmd_protocol(args) -> int:
@@ -183,7 +169,7 @@ def _cmd_protocol(args) -> int:
     if verdict.protocol is None:
         _say(f"no protocol: verdict is {verdict.status} "
              f"via {verdict.certificate.kind}")
-        return verdict.exit_code if verdict.status != DISTINGUISHABLE else 1
+        return verdict.exit_code
     payload = {
         "protocol": serialize.protocol_to_json(verdict.protocol),
         "simulation": serialize.jsonify(verdict.simulation),

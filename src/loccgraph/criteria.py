@@ -30,7 +30,6 @@ from .errors import LoccGraphError, SearchBudgetExceeded
 # bound because perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
-    EtaBounds,
     Graph,
     chordal_sandwich,
     chromatic_number,
@@ -47,7 +46,7 @@ from .graphs import (  # noqa: F401
     simplicial_vertices,
 )
 from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank  # noqa: F401
-from .locc import Protocol, ProtocolReport, matches_projective_basis, simulate, synthesize_protocol, two_clique_protocol, validate_povm
+from .locc import Protocol, ProtocolReport, matches_projective_basis, simulate, synthesize_protocol, validate_povm
 from .states import ProductStateSet, StateGraphs
 
 DISTINGUISHABLE = "Distinguishable"
@@ -59,7 +58,6 @@ BOB_FIRST = "bob-first"
 
 KIND_CHORDAL_ALICE = "ChordalAliceGraph"
 KIND_CHORDAL_HOST = "ChordalBobComplement"
-KIND_COVER_LE2 = "EdgeCliqueCoverLE2"
 KIND_QUBIT = "SingleQubitSandwich"
 KIND_SANDWICH = "ChordalSandwich"
 KIND_SCALED_DD = "ScaledDiagonalDominance"
@@ -78,7 +76,6 @@ _EXIT = {DISTINGUISHABLE: 0, INDISTINGUISHABLE: 10, UNKNOWN: 20}
 _PROVES = {
     KIND_CHORDAL_ALICE: DISTINGUISHABLE,
     KIND_CHORDAL_HOST: DISTINGUISHABLE,
-    KIND_COVER_LE2: DISTINGUISHABLE,
     KIND_SANDWICH: DISTINGUISHABLE,
     KIND_SCALED_DD: DISTINGUISHABLE,
     KIND_FEASIBLE: DISTINGUISHABLE,
@@ -171,10 +168,12 @@ def _distinguishable(
     data: dict,
     params: dict,
     notes: list[str],
-    dec: Optional[Decomposition],
-    protocol: Protocol,
+    dec: Decomposition,
     tol: Tolerance,
 ) -> Verdict:
+    """Every Distinguishable verdict: the Gram splitting, the protocol it
+    lifts to and that protocol's simulation."""
+    protocol = synthesize_protocol(work, dec, tol)
     sim = simulate(work, protocol, tol)
     params = dict(params)
     params["min_success"] = sim.min_success
@@ -187,24 +186,6 @@ def _distinguishable(
         sim,
         dec,
         tuple(notes),
-    )
-
-
-def _peel_and_wrap(
-    work: ProductStateSet,
-    direction: str,
-    graph: Graph,
-    kind: str,
-    data: dict,
-    params: dict,
-    notes: list[str],
-    tol: Tolerance,
-) -> Verdict:
-    m = work.alice_gram()
-    dec = chordal_decompose(m, graph, tol)
-    protocol = synthesize_protocol(work, dec, tol)
-    return _distinguishable(
-        work, direction, kind, data, params, notes, dec, protocol, tol
     )
 
 
@@ -233,13 +214,14 @@ def _sandwich_verdict(
             params, notes=tuple(notes),
         )
     chord_s = is_chordal(sandwich)
-    return _peel_and_wrap(
-        work, direction, sandwich, KIND_SANDWICH,
+    return _distinguishable(
+        work, direction, KIND_SANDWICH,
         {
             "sandwich_edges": [list(e) for e in sandwich.edge_list()],
             "ordering": list(chord_s.ordering),
         },
-        params, notes, opt.tol,
+        params, notes, chordal_decompose(work.alice_gram(), sandwich, opt.tol),
+        opt.tol,
     )
 
 
@@ -278,24 +260,31 @@ def decide(
     params["host_chordal"] = chord_h.chordal
 
     if chord_a.chordal:
-        return _peel_and_wrap(
-            work, direction, ga, KIND_CHORDAL_ALICE,
-            {"ordering": list(chord_a.ordering)}, params, notes, tol,
+        return _distinguishable(
+            work, direction, KIND_CHORDAL_ALICE,
+            {"ordering": list(chord_a.ordering)}, params, notes,
+            chordal_decompose(work.alice_gram(), ga, tol), tol,
         )
     if chord_h.chordal:
-        return _peel_and_wrap(
-            work, direction, host, KIND_CHORDAL_HOST,
-            {"ordering": list(chord_h.ordering)}, params, notes, tol,
+        return _distinguishable(
+            work, direction, KIND_CHORDAL_HOST,
+            {"ordering": list(chord_h.ordering)}, params, notes,
+            chordal_decompose(work.alice_gram(), host, tol), tol,
         )
 
     if d_eff == 2:
         pair = find_two_clique_cover(host, ga.edges)
         if pair is not None:
-            protocol = two_clique_protocol(work, pair, tol)
+            # the union of the two cliques is chordal and lies between ga
+            # and the host, so its peel is an admissible splitting
+            union = Graph.from_edges(work.n, itertools.chain.from_iterable(
+                itertools.combinations(sorted(c), 2) for c in pair
+            ))
             return _distinguishable(
                 work, direction, KIND_QUBIT,
                 {"distinguishable": True, "cliques": [sorted(c) for c in pair]},
-                params, notes, None, protocol, tol,
+                params, notes, chordal_decompose(work.alice_gram(), union, tol),
+                tol,
             )
         # no two-part cover: already indistinguishable for a qubit side; at
         # minimum dimension the sandwich certificate is the sharper one
@@ -323,8 +312,10 @@ def decide(
     else:
         alpha = chi = None
         try:
-            alpha, alpha_wit = independence_number(host, opt.search_budget)
-            chi, colouring = chromatic_number(gb, opt.search_budget)
+            # the host's complement is Bob's overlap graph, so the host's
+            # minimum-rank bounds are alpha(host) with its witness and chi(bob)
+            eta = eta_plus_bounds(host, opt.search_budget)
+            alpha, alpha_wit, chi = eta.lower, eta.lower_witness, eta.upper
             params["alpha_host"] = alpha
             params["chi_bob"] = chi
         except SearchBudgetExceeded as exc:
@@ -337,11 +328,7 @@ def decide(
         # size d_eff therefore proves alpha(host) = d_eff, exact search or not.
         witness = None
         if chi is not None:
-            # the far side's overlap graph is the host's complement, so these
-            # are the host's minimum-rank bounds
-            params["eta_host"] = EtaBounds(
-                alpha, alpha_wit, chi, colouring, alpha == chi
-            )
+            params["eta_host"] = eta
             if d_eff == chi and alpha < chi:
                 return Verdict(
                     INDISTINGUISHABLE, direction,
@@ -390,12 +377,10 @@ def decide(
     x = dominance_scaling(m, ga, tol) if ga.edges <= host.edges else None
     if x is not None:
         groups = greedy_clique_cover(ga)
-        dec = dominance_split(m, ga, x, groups)
-        protocol = synthesize_protocol(work, dec, tol)
         return _distinguishable(
             work, direction, KIND_SCALED_DD,
             {"scaling": x.tolist(), "supports": [sorted(s) for s in groups]},
-            params, notes, dec, protocol, tol,
+            params, notes, dominance_split(m, ga, x, groups), tol,
         )
 
     cliques = maximal_cliques(host)
@@ -417,7 +402,6 @@ def decide(
     gap_tol = FEASIBILITY_GAP_REL * max(1.0, float(np.linalg.norm(m)))
     feas = feasibility_search(m, cliques, tol, opt.max_iter, gap_tol)
     if feas is not None and feas.converged:
-        protocol = synthesize_protocol(work, feas.decomposition, tol)
         return _distinguishable(
             work, direction, KIND_FEASIBLE,
             {
@@ -425,7 +409,7 @@ def decide(
                 "gap": feas.gap,
                 "iterations": feas.iterations,
             },
-            params, notes, feas.decomposition, protocol, tol,
+            params, notes, feas.decomposition, tol,
         )
     if feas is not None and feas.witness is not None:
         # every one-way protocol pushes forward to a splitting, and none exists
@@ -683,9 +667,23 @@ def verify_certificate(
     )
 
     if verdict.status == DISTINGUISHABLE:
-        check("protocol present", verdict.protocol is not None)
-        if verdict.protocol is not None:
-            report = validate_povm(verdict.protocol.alice, work, tol)
+        protocol = verdict.protocol
+        check("protocol present", protocol is not None)
+        fits = False
+        if protocol is not None:
+            # a protocol built for the other side cannot act on these states
+            bob_rows = sorted({p.basis.shape[0] for p in protocol.bob})
+            fits = protocol.alice.dim == work.d_alice and all(
+                r == work.d_bob for r in bob_rows
+            )
+            check(
+                "protocol dimension",
+                fits,
+                f"POVM on C^{protocol.alice.dim}, Bob bases of {bob_rows} rows, "
+                f"states in C^{work.d_alice} x C^{work.d_bob}",
+            )
+        if fits:
+            report = validate_povm(protocol.alice, work, tol)
             check(
                 "povm complete",
                 report.completeness_deviation <= 10 * tol.psd_tol,
@@ -696,7 +694,7 @@ def verify_certificate(
                 report.max_support_leakage <= 10 * tol.psd_tol,
                 f"leakage {report.max_support_leakage:.3g}",
             )
-            sim = simulate(work, verdict.protocol, tol)
+            sim = simulate(work, protocol, tol)
             check(
                 "protocol succeeds",
                 sim.min_success >= 1 - success_tol,
@@ -708,7 +706,7 @@ def verify_certificate(
         check("graph chordal", is_chordal(g).chordal)
         order = tuple(data.get("ordering", ()))
         check("ordering valid", is_perfect_elimination_ordering(g, order))
-    elif kind == KIND_COVER_LE2 or (kind == KIND_QUBIT and data.get("distinguishable")):
+    elif kind == KIND_QUBIT and data.get("distinguishable"):
         cliques = [frozenset(c) for c in data["cliques"]]
         check("parts are admissible", all(is_clique(host, c) for c in cliques))
         covered = set().union(*cliques) == set(range(1, work.n + 1))
@@ -716,8 +714,7 @@ def verify_certificate(
             any(i in c and j in c for c in cliques) for i, j in ga.edges
         )
         check("parts cover states and overlaps", covered and edges_ok)
-        if kind == KIND_QUBIT:
-            check("qubit side", d_eff == 2, f"d_eff {d_eff}")
+        check("qubit side", d_eff == 2, f"d_eff {d_eff}")
     elif kind == KIND_QUBIT:
         check("qubit side", d_eff == 2, f"d_eff {d_eff}")
         check(

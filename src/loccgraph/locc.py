@@ -11,19 +11,14 @@ simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .decomposition import Decomposition, DecompositionTerm
-from .errors import (
-    InvalidCover,
-    InvalidInput,
-    NonOrthogonalBobClique,
-    NotPSD,
-)
-# numeric_rank is not called here; it stays bound because
-# perfbench/layertrace.py wraps the names this module binds
+from .errors import InvalidInput, NonOrthogonalBobClique, NotPSD
+# numeric_rank and orthonormal_columns are not called here; they stay bound
+# because perfbench/layertrace.py wraps the names this module binds
 from .linalg import (  # noqa: F401
     DEFAULT_TOL,
     Tolerance,
@@ -171,54 +166,6 @@ def synthesize_protocol(
         _bob_plan(states, k, support, tol) for support, k in outcome_of.items()
     )
     return Protocol(Povm(states.d_alice, tuple(elements)), plans)
-
-
-def two_clique_protocol(
-    states: ProductStateSet,
-    cover: Sequence[frozenset[int]],
-    tol: Tolerance = DEFAULT_TOL,
-) -> Protocol:
-    """Projective two-outcome protocol from a cover by one or two cliques.
-
-    Requirements on the cover (not re-derived here, validated numerically
-    downstream): the parts jointly contain every state, every pair of states
-    with overlapping Alice parts lies inside a single part, and each part is
-    Bob-orthogonal. Alice projects onto the span of the states exclusive to
-    the first part; the complement reports the second.
-    """
-    cover = [frozenset(c) for c in cover]
-    if not 1 <= len(cover) <= 2:
-        raise InvalidCover(f"need one or two parts, got {len(cover)}")
-    everything = set(range(1, states.n + 1))
-    if set().union(*cover) != everything:
-        raise InvalidCover("cover misses some states")
-    if len(cover) == 1:
-        dim = states.d_alice
-        eye = np.eye(dim)
-        elements = tuple(
-            PovmElement(1, 1.0, eye[:, c], frozenset(cover[0])) for c in range(dim)
-        )
-        return Protocol(
-            Povm(dim, elements), (_bob_plan(states, 1, cover[0], tol),)
-        )
-
-    v1, v2 = cover
-    only1 = sorted(v1 - v2)
-    span1 = orthonormal_columns(
-        [states.alice[i - 1] for i in only1], states.d_alice, tol
-    )
-    full = complete_basis(span1, tol)
-    rest = full[:, span1.shape[1]:]
-    elements = [
-        PovmElement(1, 1.0, span1[:, c], frozenset(v1)) for c in range(span1.shape[1])
-    ] + [
-        PovmElement(2, 1.0, rest[:, c], frozenset(v2)) for c in range(rest.shape[1])
-    ]
-    povm = Povm(states.d_alice, tuple(elements))
-    plans = tuple(
-        _bob_plan(states, k, cover[k - 1], tol) for k in povm.outcome_ids()
-    )
-    return Protocol(povm, plans)
 
 
 def povm_to_decomposition(

@@ -138,6 +138,19 @@ def brute_edge_clique_cover(g: Graph) -> int:
     return len(maximal)
 
 
+def brute_chordal_sandwich(lo: Graph, hi: Graph) -> Optional[Graph]:
+    """A chordal graph between lo and hi, by adding every set of the free
+    edges (those of hi missing from lo) in turn, fewest first; None when no
+    such graph is chordal. For n <= 7 and a handful of free edges."""
+    free = sorted(hi.edges - lo.edges)
+    for k in range(len(free) + 1):
+        for extra in itertools.combinations(free, k):
+            g = Graph.from_edges(lo.n, sorted(lo.edges) + list(extra))
+            if brute_is_chordal(g):
+                return g
+    return None
+
+
 def two_clique_unions(n: int) -> Iterator[Graph]:
     """Every graph that is a union of at most two cliques covering n vertices."""
     verts = list(range(1, n + 1))

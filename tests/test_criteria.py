@@ -24,6 +24,8 @@ from loccgraph.errors import LoccGraphError
 from loccgraph.families import FAMILIES, generate
 from loccgraph.graphs import independence_number, maximal_cliques
 from loccgraph.linalg import DEFAULT_TOL
+from loccgraph.locc import as_projective_basis
+from loccgraph.states import ProductStateSet
 
 
 def test_effective_dimension_uses_span_not_ambient():
@@ -576,3 +578,72 @@ def test_diagonally_dominant_grams_fire_the_dominance_rung(seed, n):
     assert v.simulation.min_success >= 1 - 1e-9
     outcome = verify_certificate(states, v)
     assert outcome.ok, outcome.checks
+
+
+@pytest.mark.parametrize("spec,direction", [
+    ("example1", ALICE_FIRST),
+    ("path-rep:8", BOB_FIRST),
+])
+def test_protocol_for_the_other_side_fails_a_check(spec, direction):
+    # the verdict is relabelled with the other direction, so its protocol
+    # acts on the wrong spaces; verification must say so, not raise
+    s = generate(spec)
+    v = decide(s, direction)
+    other = BOB_FIRST if direction == ALICE_FIRST else ALICE_FIRST
+    outcome = verify_certificate(s, _forge(v, direction=other))
+    assert "protocol dimension" in _failed(outcome)
+    ran = {name for name, _, _ in outcome.checks}
+    assert not ran & {"povm complete", "supports respected", "protocol succeeds"}
+
+
+_S2 = np.sqrt(2)
+_K0, _K1 = np.eye(2)
+_PLUS, _MINUS = (_K0 + _K1) / _S2, (_K0 - _K1) / _S2
+_E = np.eye(4)
+_QUBIT_COVER = (
+    [_K0, _PLUS, _K1, _MINUS, _PLUS, _MINUS],
+    [_E[0], _E[2], _E[1], _E[3], _E[3], _E[2]],
+)
+
+
+@pytest.mark.parametrize("alice,bob,options,status,kind,data", [
+    pytest.param(
+        [_K0, _PLUS, _MINUS, _K1], list(_E), None,
+        DISTINGUISHABLE, "ChordalBobComplement", {}, id="chordal-host",
+    ),
+    pytest.param(
+        *_QUBIT_COVER, None, DISTINGUISHABLE, "SingleQubitSandwich",
+        {"distinguishable": True, "cliques": [[1, 2, 3, 5], [1, 3, 4, 6]]},
+        id="qubit-cover",
+    ),
+    pytest.param(
+        [_MINUS, (_K0 - 1j * _K1) / _S2, (_K0 + 1j * _K1) / _S2, _PLUS, _MINUS],
+        [(_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2, (_E[1] - _E[2]) / _S2,
+         _E[0], (_E[0] + _E[3]) / _S2],
+        DecideOptions(sandwich_budget=0),
+        INDISTINGUISHABLE, "SingleQubitSandwich", {"distinguishable": False},
+        id="qubit-no-cover",
+    ),
+])
+def test_rungs_no_family_reaches(alice, bob, options, status, kind, data):
+    s = ProductStateSet.from_vectors(alice, bob)
+    v = decide(s, ALICE_FIRST, options)
+    assert (v.status, v.certificate.kind) == (status, kind)
+    assert {k: v.certificate.data[k] for k in data} == data
+    outcome = verify_certificate(s, v)
+    assert outcome.ok, outcome.checks
+    if status == DISTINGUISHABLE:
+        assert v.decomposition is not None
+        assert v.simulation.min_success >= 1 - 1e-9
+
+
+def test_qubit_cover_peels_to_a_projective_measurement():
+    # the peel of the union of the two cliques: each term sits inside one
+    # clique, one outcome per clique, and Alice measures a basis
+    s = ProductStateSet.from_vectors(*_QUBIT_COVER)
+    v = decide(s)
+    cliques = [frozenset(c) for c in v.certificate.data["cliques"]]
+    supports = {t.support for t in v.decomposition.terms}
+    assert all(any(t <= c for c in cliques) for t in supports)
+    assert len(v.protocol.alice.outcome_ids()) == len(supports) == 2
+    assert as_projective_basis(v.protocol.alice) is not None

@@ -206,6 +206,28 @@ def test_chordal_sandwich_budget():
         chordal_sandwich(g_lo, g_hi, budget=20)
 
 
+def test_chordal_sandwich_matches_brute_force():
+    # both bounds non-chordal, so the branch and bound on hole chords runs
+    rng = np.random.default_rng(41)
+    searched = found = 0
+    while searched < 60:
+        n = int(rng.integers(4, 8))
+        lo = brute.random_graph(n, float(rng.uniform(0.2, 0.6)), rng)
+        missing = sorted(complement(lo).edges)
+        picks = rng.permutation(len(missing))[: int(rng.integers(1, 9))]
+        hi = Graph.from_edges(n, sorted(lo.edges) + [missing[k] for k in picks])
+        if is_chordal(lo).chordal or is_chordal(hi).chordal:
+            continue
+        searched += 1
+        got = chordal_sandwich(lo, hi)
+        assert (got is None) == (brute.brute_chordal_sandwich(lo, hi) is None)
+        if got is not None:
+            found += 1
+            assert is_chordal(got).chordal
+            assert lo.edges <= got.edges <= hi.edges
+    assert 0 < found < searched
+
+
 def test_eta_bounds_on_cycles():
     b = eta_plus_bounds(cycle_graph(5))
     assert b.lower == 2 and b.upper == 3 and not b.certified

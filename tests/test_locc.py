@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import brute
-from loccgraph.decomposition import chordal_decompose, verify_decomposition
-from loccgraph.errors import InvalidCover, NonOrthogonalBobClique
+from loccgraph.decomposition import (
+    Decomposition,
+    DecompositionTerm,
+    chordal_decompose,
+    verify_decomposition,
+)
+from loccgraph.errors import NonOrthogonalBobClique
 from loccgraph.families import generate
 from loccgraph.graphs import maximal_cliques
 from loccgraph.locc import (
@@ -12,7 +17,6 @@ from loccgraph.locc import (
     povm_to_decomposition,
     simulate,
     synthesize_protocol,
-    two_clique_protocol,
     validate_povm,
 )
 
@@ -64,34 +68,13 @@ def test_bob_plans_resolve_labels():
         )
 
 
-def test_two_clique_protocol_example1():
-    states = generate("example1")
-    cover = (frozenset({1, 2, 4}), frozenset({1, 3, 4}))
-    protocol = two_clique_protocol(states, cover)
-    sim = simulate(states, protocol)
-    assert sim.min_success >= 1 - 1e-9
-    assert matches_projective_basis(protocol.alice, HADAMARD)
-
-
-def test_two_clique_protocol_rejects_bad_cover():
-    states = generate("example1")
-    with pytest.raises(InvalidCover):
-        two_clique_protocol(states, (frozenset({1, 2}), frozenset({1, 4})))
-    # a cover that misses the overlap edge (2, 4) builds, but the leak shows
-    # up in simulation: state 4 can trigger outcome 1 while sitting outside it
-    protocol = two_clique_protocol(
-        states, (frozenset({1, 2}), frozenset({1, 3, 4}))
-    )
-    sim = simulate(states, protocol)
-    assert sim.max_support_leakage > 1e-3
-
-
 def test_bob_orthogonality_enforced():
     states = generate("example1")
-    # states 2 and 3 share the same Bob vector, so one outcome covering
-    # everything cannot give Bob an orthogonal basis
+    # states 2 and 3 share the same Bob vector, so an outcome whose support
+    # holds both cannot give Bob an orthogonal basis
+    term = DecompositionTerm(frozenset({2, 3}), 0.5 * states.alice_gram()[:, 1])
     with pytest.raises(NonOrthogonalBobClique):
-        two_clique_protocol(states, (frozenset({1, 2, 3, 4}),))
+        synthesize_protocol(states, Decomposition(states.n, (term,), 0.0))
 
 
 def test_povm_to_decomposition_roundtrip():
@@ -141,8 +124,6 @@ def test_random_roundtrips_both_directions():
 def test_one_outcome_per_support():
     # splitting every term in two halves keeps the supports, so the outcome
     # and plan counts stay those of the distinct supports
-    from loccgraph.decomposition import Decomposition, DecompositionTerm
-
     rng = np.random.default_rng(9)
     states, g = brute.random_product_instance(6, rng)
     dec = chordal_decompose(states.alice_gram(), g)
@@ -166,13 +147,19 @@ def test_one_outcome_per_support():
 
 
 def test_simulate_matches_operator_reference():
-    # the leaky cover of test_two_clique_protocol_rejects_bad_cover, checked
-    # against outcome operators built state by state
+    # Alice measures |+> (outcome 1) or |-> (outcome 2), the Gram matrix
+    # split accordingly; outcome 1 declares {1, 2} but state 4 = |+> also
+    # triggers it, a leak checked against outcome operators built state by
+    # state
     states = generate("example1")
-    protocol = two_clique_protocol(
-        states, (frozenset({1, 2}), frozenset({1, 3, 4}))
-    )
+    frame = states.alice_frame()
+    split = Decomposition(states.n, tuple(
+        DecompositionTerm(frozenset(support), frame.conj().T @ a)
+        for support, a in (({1, 2}, HADAMARD[:, 0]), ({1, 3, 4}, HADAMARD[:, 1]))
+    ), 0.0)
+    protocol = synthesize_protocol(states, split)
     povm = protocol.alice
+    assert matches_projective_basis(povm, HADAMARD)
     success, leakage = [], 0.0
     for i in range(1, states.n + 1):
         a, b = states.alice[i - 1], states.bob[i - 1]
@@ -190,6 +177,7 @@ def test_simulate_matches_operator_reference():
             total += p * abs(np.vdot(plan.basis[:, col], b)) ** 2
         success.append(total)
     sim = simulate(states, protocol)
+    assert leakage > 1e-3
     assert np.allclose([p for _, p in sim.per_state], success, atol=1e-12)
     assert sim.max_support_leakage == pytest.approx(leakage, abs=1e-12)
     assert validate_povm(povm, states).max_support_leakage == pytest.approx(

@@ -535,12 +535,13 @@ def converse_theorem_checks(
     d_eff = effective_dimension(states, tol)
     notes: list[str] = []
     try:
-        chi = chromatic_number(graphs.bob, budget)[0]
-        alpha = independence_number(host, budget)[0]
+        # eta's bounds are alpha(host) and chi(complement(host)) = chi(bob)
+        eta = eta_plus_bounds(host, budget)
     except SearchBudgetExceeded as exc:
         return ConverseReport(
             False, d_eff, None, None, None, (), (), 0, False, notes=(str(exc),)
         )
+    alpha, chi = eta.lower, eta.upper
     applies = d_eff == chi
     if not applies:
         return ConverseReport(

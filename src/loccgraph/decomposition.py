@@ -417,7 +417,7 @@ def feasibility_search(
         blocks, gap = polished, polished_gap
 
     terms: list[DecompositionTerm] = []
-    term_floor = max(10 * gap, 1e-12 * scale)
+    term_floor = max(10 * gap, tol.psd_tol * scale)
     for b, ix in zip(blocks, idx):
         w, v = eigh_desc(hermitize(b))
         for col in range(len(w)):

@@ -222,22 +222,16 @@ def _min_subset_margin(x: np.ndarray, n: int) -> float:
     return float(worst)
 
 
-def _cycle_rep(n: int, seed: int) -> ProductStateSet:
+def _cycle_rep(n: int) -> ProductStateSet:
     if n < 4:
         raise InvalidSpec("cycle representation needs n >= 4")
     cn = cycle_graph(n)
-    for attempt in range(30):
-        m = pattern_constrained_lowrank(
-            cn, n - 2, edge_floor=1e-3, seed=seed + 1000 * attempt, restarts=10
-        )
-        if m is None:
-            continue
-        x = vectors_from_gram(m, rank=n - 2)
-        if _min_subset_margin(x, n) < _ARC_MARGIN:
-            continue
-        bob = _sqrt_overlap_side(complement(cn), 1.0 / (n - 2))
-        return ProductStateSet.from_vectors(list(x.T), list(bob.T))
-    raise AssertionFailure(f"no rank-{n-2} cycle representation found for n={n}")
+    m = pattern_constrained_lowrank(cn, n - 2)
+    if m is None:
+        raise AssertionFailure(f"no rank-{n-2} cycle representation for n={n}")
+    x = vectors_from_gram(m, rank=n - 2)
+    bob = _sqrt_overlap_side(complement(cn), 1.0 / (n - 2))
+    return ProductStateSet.from_vectors(list(x.T), list(bob.T))
 
 
 def _path_rep(n: int) -> ProductStateSet:
@@ -313,7 +307,7 @@ def generate(spec: Union[str, tuple[str, dict]], seed: int = 0) -> ProductStateS
     if name == "bullseye-recursive":
         return _bullseye_recursive(params["d"], seed)
     if name == "cycle-rep":
-        return _cycle_rep(params["n"], seed)
+        return _cycle_rep(params["n"])
     if name == "path-rep":
         return _path_rep(params["n"])
     raise InvalidSpec(f"unhandled family {name!r}")

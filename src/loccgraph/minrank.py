@@ -1,10 +1,14 @@
 """Low-rank PSD matrices with unit diagonal and a prescribed zero pattern.
 
 Used to build concrete vector representations whose overlap graph equals a
-target graph: entries on non-edges are forced to zero, entries on edges are
-kept away from zero, and the rank is capped. The search is alternating
-projection between the pattern constraints and the rank-r PSD cone; it is
-heuristic, so callers get None when no attempt converges.
+target graph: entries on non-edges are exactly zero, entries on edges are
+bounded away from zero, and the rank is capped. The construction is the
+smallest-eigenvalue shift M = I + S/|lambda_min(S)| of a signed adjacency
+matrix S of the graph, which is PSD with unit diagonal and has rank n minus
+the multiplicity of lambda_min(S). For the cycle C_n it reaches the minimum
+semidefinite rank n - 2: the plain cycle (odd n) and the cycle with one
+negative edge (even n) both have -2cos(pi/n) as a double smallest
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -18,56 +22,25 @@ from .graphs import Graph, adjacency_matrix
 from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, numeric_rank
 
 
-def pattern_constrained_lowrank(
-    g: Graph,
-    rank: int,
-    edge_floor: Optional[float] = 1e-3,
-    seed: int = 0,
-    restarts: int = 20,
-    iters: int = 4000,
-    feas_tol: float = 1e-10,
-) -> Optional[np.ndarray]:
+def pattern_constrained_lowrank(g: Graph, rank: int) -> Optional[np.ndarray]:
     """Real PSD matrix of rank <= rank, unit diagonal, zeros exactly off the
-    edge pattern of g, and |entry| >= edge_floor on every edge. None when no
-    restart converges."""
+    edge pattern of g, and |entry| >= 1/maxdegree on every edge. Tries the
+    adjacency matrix of g and the same with one edge's sign flipped; None
+    when neither shift reaches the rank."""
     if rank < 1 or rank > g.n:
         raise InvalidInput(f"rank {rank} out of range for n={g.n}")
-    edge_mask = adjacency_matrix(g)
-    non_edge_mask = ~edge_mask & ~np.eye(g.n, dtype=bool)
-    for attempt in range(restarts):
-        rng = np.random.default_rng(seed + attempt)
-        x = rng.normal(size=(rank, g.n))
-        m = x.T @ x
-        best = np.inf
-        since_best = 0
-        for _ in range(iters):
-            p = m.copy()
-            p[non_edge_mask] = 0.0
-            np.fill_diagonal(p, 1.0)
-            if edge_floor is not None:
-                small = edge_mask & (np.abs(p) < edge_floor)
-                signs = np.where(p >= 0, 1.0, -1.0)
-                p[small] = signs[small] * edge_floor
-            p = (p + p.T) / 2
-            w, v = np.linalg.eigh(p)
-            keep = w[-rank:].clip(min=0.0)
-            m = (v[:, -rank:] * keep) @ v[:, -rank:].T
-            viol = max(
-                np.abs(np.diagonal(m) - 1.0).max(),
-                np.abs(m[non_edge_mask]).max() if non_edge_mask.any() else 0.0,
-                (edge_floor - np.abs(m[edge_mask])).max() if edge_floor else 0.0,
-            )
-            if viol < feas_tol:
-                out = m.copy()
-                out[non_edge_mask] = 0.0
-                np.fill_diagonal(out, 1.0)
-                return (out + out.T) / 2
-            if viol < best * (1 - 1e-6):
-                best, since_best = viol, 0
-            else:
-                since_best += 1
-                if since_best > 400:
-                    break
+    a = adjacency_matrix(g).astype(float)
+    signings = [a]
+    if g.edges:
+        i, j = g.edge_list()[0]
+        flipped = a.copy()
+        flipped[i - 1, j - 1] = flipped[j - 1, i - 1] = -1.0
+        signings.append(flipped)
+    for s in signings:
+        lam = np.linalg.eigvalsh(s)[0]
+        m = np.eye(g.n) - s / lam if lam < 0 else np.eye(g.n)
+        if numeric_rank(m) <= rank:
+            return m
     return None
 
 

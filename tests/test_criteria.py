@@ -510,6 +510,27 @@ def test_random_nonchordal_sets_decide_and_verify(direction):
         assert outcome.ok, outcome.checks
 
 
+# alice-first, the convex search converges with a term of weight ~4e-10
+# outside the range of Alice's frame; lifting it to the protocol raised
+_DUST_TERM_SET = (
+    [[1, -1, 0], [1, 0, 1], [1, 1, 0], [0, 1, 0], [1, -1, -1]],
+    [[0, 1, 0], [1, 0, 1], [1, 0, -1], [1, 0, 1], [1, 0, -1]],
+)
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_splitting_dust_outside_the_frame_is_dropped(direction):
+    alice, bob = (
+        [np.array(v, dtype=float) / np.linalg.norm(v) for v in side]
+        for side in _DUST_TERM_SET
+    )
+    s = ProductStateSet.from_vectors(alice, bob)
+    v = decide(s, direction)
+    assert v.status == DISTINGUISHABLE
+    outcome = verify_certificate(s, v)
+    assert outcome.ok, outcome.checks
+
+
 def _with_dominance(verdict, **fields):
     data = dict(verdict.certificate.data, **fields)
     return _forge(verdict, certificate=Certificate("ScaledDiagonalDominance", data))

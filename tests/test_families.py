@@ -104,12 +104,16 @@ def test_bullseye_recursive_is_seeded():
     assert not np.allclose(a.alice, c.alice)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", range(4, 25))
 def test_cycle_rep_structure(n):
     s = generate(f"cycle-rep:{n}")
     assert (s.n, s.d_alice) == (n, n - 2)
     rep = family_invariant_report(f"cycle-rep:{n}", s)
     assert rep.ok
+    # the construction is closed form: the seed does not reach it
+    other = generate(f"cycle-rep:{n}", seed=7)
+    assert np.array_equal(s.alice, other.alice)
+    assert np.array_equal(s.bob, other.bob)
 
 
 def test_path_rep_structure():

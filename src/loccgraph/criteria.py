@@ -26,8 +26,8 @@ from .decomposition import (
     verify_decomposition,
 )
 from .errors import LoccGraphError, SearchBudgetExceeded
-# edge_clique_cover_number and frame are no longer called here; they stay
-# bound because perfbench/layertrace.py wraps the names this module binds
+# edge_clique_cover_number, frame and validate_povm are no longer called here;
+# they stay bound because perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
     Graph,
@@ -46,7 +46,10 @@ from .graphs import (  # noqa: F401
     simplicial_vertices,
 )
 from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank  # noqa: F401
-from .locc import Protocol, ProtocolReport, matches_projective_basis, simulate, synthesize_protocol, validate_povm
+from .locc import (  # noqa: F401
+    BobPlan, Protocol, ProtocolReport, matches_projective_basis, simulate,
+    synthesize_protocol, validate_povm,
+)
 from .states import ProductStateSet, StateGraphs
 
 DISTINGUISHABLE = "Distinguishable"
@@ -621,6 +624,13 @@ def converse_theorem_checks(
 # certificate re-verification
 
 
+def _is_measurement(plan: BobPlan, labels: set[str], tol: Tolerance) -> bool:
+    """Orthonormal columns, each labelled with a different one of the states."""
+    k = len(plan.labels)
+    overlap = np.abs(plan.basis.conj().T @ plan.basis - np.eye(k)).max(initial=0.0)
+    return len(set(plan.labels) & labels) == k and overlap <= 10 * tol.rank_tol
+
+
 @dataclass(frozen=True)
 class VerificationOutcome:
     ok: bool
@@ -670,37 +680,39 @@ def verify_certificate(
     if verdict.status == DISTINGUISHABLE:
         protocol = verdict.protocol
         check("protocol present", protocol is not None)
-        fits = False
+        fits = measures = False
         if protocol is not None:
-            # a protocol built for the other side cannot act on these states
-            bob_rows = sorted({p.basis.shape[0] for p in protocol.bob})
-            fits = protocol.alice.dim == work.d_alice and all(
-                r == work.d_bob for r in bob_rows
+            # a protocol built for the other side, or of the wrong shape,
+            # cannot act on these states
+            dirs = {np.shape(e.direction) for e in protocol.alice.elements}
+            plans = {(np.shape(p.basis), len(p.labels)) for p in protocol.bob}
+            fits = (
+                protocol.alice.dim == work.d_alice and dirs <= {(work.d_alice,)}
+                and all(shape == (work.d_bob, k) for shape, k in plans)
             )
             check(
                 "protocol dimension",
                 fits,
-                f"POVM on C^{protocol.alice.dim}, Bob bases of {bob_rows} rows, "
+                f"POVM on C^{protocol.alice.dim}, directions {sorted(dirs)}, "
+                f"Bob (basis, labels) {sorted(plans)}, "
                 f"states in C^{work.d_alice} x C^{work.d_bob}",
             )
         if fits:
-            report = validate_povm(protocol.alice, work, tol)
-            check(
-                "povm complete",
-                report.completeness_deviation <= 10 * tol.psd_tol,
-                f"deviation {report.completeness_deviation:.3g}",
-            )
-            check(
-                "supports respected",
-                report.max_support_leakage <= 10 * tol.psd_tol,
-                f"leakage {report.max_support_leakage:.3g}",
-            )
+            least = min((e.weight for e in protocol.alice.elements), default=0.0)
+            check("povm elements positive", least >= -tol.psd_tol,
+                  f"least weight {least:.3g}")
+            known = set(work.labels)
+            bad = [p.outcome for p in protocol.bob if not _is_measurement(p, known, tol)]
+            measures = not bad
+            check("bob plans are measurements", measures, f"outcomes {bad}")
+        if measures:
             sim = simulate(work, protocol, tol)
-            check(
-                "protocol succeeds",
-                sim.min_success >= 1 - success_tol,
-                f"min success {sim.min_success:.12f}",
-            )
+            check("povm complete", sim.completeness_deviation <= 10 * tol.psd_tol,
+                  f"deviation {sim.completeness_deviation:.3g}")
+            check("supports respected", sim.max_support_leakage <= 10 * tol.psd_tol,
+                  f"leakage {sim.max_support_leakage:.3g}")
+            check("protocol succeeds", sim.min_success >= 1 - success_tol,
+                  f"min success {sim.min_success:.12f}")
 
     if kind in (KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST):
         g = ga if kind == KIND_CHORDAL_ALICE else host

@@ -27,10 +27,6 @@ class PatternViolation(LoccGraphError):
     """Matrix entry is nonzero outside the allowed support pattern."""
 
 
-class InvalidOrdering(LoccGraphError):
-    """Ordering is not a perfect elimination ordering for the pattern graph."""
-
-
 class NegativePivot(LoccGraphError):
     pass
 

@@ -1,11 +1,11 @@
 """Measure-and-tell protocols: Alice measures, Bob finishes.
 
 A protocol is an Alice POVM whose outcome operators only respond to states
-in their declared support, plus one Bob plan per outcome: an orthonormal
-basis that isolates each surviving state. Protocols are synthesized from
-Gram splittings, one outcome per distinct support (each rank-one piece lifts
-to a POVM element through a least-squares preimage), and checked by exact
-simulation.
+in their declared support, plus one Bob plan per outcome: the orthonormal
+Bob vectors of the states that outcome leaves, the rest of Bob's space
+giving up. Protocols are synthesized from Gram splittings, one outcome per
+distinct support (each rank-one piece lifts to a POVM element through a
+least-squares preimage), and checked by exact simulation.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .decomposition import Decomposition, DecompositionTerm
 from .errors import InvalidInput, NonOrthogonalBobClique, NotPSD
-# numeric_rank and orthonormal_columns are not called here; they stay bound
-# because perfbench/layertrace.py wraps the names this module binds
+# complete_basis, numeric_rank and orthonormal_columns are not called here;
+# they stay bound because perfbench/layertrace.py wraps the names this module binds
 from .linalg import (  # noqa: F401
     DEFAULT_TOL,
     Tolerance,
@@ -67,12 +67,13 @@ class Povm:
 
 @dataclass(frozen=True)
 class BobPlan:
-    """Basis Bob measures for one Alice outcome; labels[j] names the state
-    column j detects, None marks padding directions no state should hit."""
+    """Bob's reply to one Alice outcome: orthonormal columns, column j the
+    normalised Bob vector of the state labels[j] names. The rest of Bob's
+    space gives up; complete_basis(basis) extends it to a full unitary."""
 
     outcome: int
     basis: np.ndarray
-    labels: tuple[Optional[str], ...]
+    labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ class ProtocolReport:
 def _bob_plan(
     states: ProductStateSet, outcome: int, support: frozenset[int], tol: Tolerance
 ) -> BobPlan:
-    """Column j is member j's normalised Bob vector, so labels line up; the
-    rest of the basis pads it out."""
+    """Column j is member j's normalised Bob vector, so labels line up."""
     members = sorted(support)
     cols = states.bob[[i - 1 for i in members]].T
     partial = cols / np.linalg.norm(cols, axis=0)
@@ -119,10 +119,7 @@ def _bob_plan(
             f"{states.labels[members[k] - 1]} overlap ({overlap[j, k]:.3g}) "
             f"on Bob's side within outcome {outcome}"
         )
-    basis = complete_basis(partial, tol)
-    labels: list[Optional[str]] = [states.labels[i - 1] for i in members]
-    labels += [None] * (basis.shape[1] - len(members))
-    return BobPlan(outcome, basis, tuple(labels))
+    return BobPlan(outcome, partial, tuple(states.labels[i - 1] for i in members))
 
 
 def synthesize_protocol(
@@ -244,7 +241,8 @@ def simulate(
 ) -> ProtocolReport:
     """Exact outcome statistics of the two-round protocol on each state:
     Alice's element probabilities summed per outcome, times the weight of
-    each state on Bob's columns labelled with it."""
+    each state on Bob's column labelled with it. Every plan label must name
+    a state; an outcome without a plan gives up."""
     povm = protocol.alice
     outcomes = povm.outcome_ids()
     row_of = {outcome: k for k, outcome in enumerate(outcomes)}
@@ -256,16 +254,14 @@ def simulate(
     np.logical_or.at(seen, rows, inside)
 
     index = {lbl: i for i, lbl in enumerate(states.labels)}
+    plans = {p.outcome: p for p in protocol.bob}
     p_bob = np.zeros_like(p_alice)
     for k, outcome in enumerate(outcomes):
-        if not seen[k].any():
+        plan = plans.get(outcome)
+        if plan is None or not seen[k].any():
             continue
-        plan = protocol.plan_for(outcome)
-        cols = [j for j, lbl in enumerate(plan.labels) if lbl in index]
-        owners = [index[plan.labels[j]] for j in cols]
-        hits = np.einsum(
-            "dj,jd->j", plan.basis[:, cols].conj(), states.bob[owners]
-        )
+        owners = [index[lbl] for lbl in plan.labels]
+        hits = np.einsum("dj,jd->j", plan.basis.conj(), states.bob[owners])
         np.add.at(p_bob[k], owners, np.abs(hits) ** 2)
 
     success = (p_alice * p_bob * seen).sum(axis=0)
@@ -274,7 +270,7 @@ def simulate(
         per_state,
         float(success.min()),
         _completeness_deviation(povm),
-        float(p_alice[~seen].max(initial=0.0)),
+        float(probs[~inside].max(initial=0.0)),
     )
 
 

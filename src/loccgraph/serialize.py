@@ -16,7 +16,7 @@ from .decomposition import Decomposition, DecompositionTerm
 from .errors import InvalidInput
 from .graphs import Graph
 from .locc import BobPlan, Povm, PovmElement, Protocol
-from .states import RESERVED_LABEL, ProductStateSet
+from .states import ProductStateSet
 
 
 def _pairs(a) -> list:
@@ -171,9 +171,7 @@ def protocol_to_json(protocol: Protocol) -> dict:
             {
                 "outcome": plan.outcome,
                 "basis": _pairs(plan.basis),
-                "labels": [
-                    RESERVED_LABEL if l is None else l for l in plan.labels
-                ],
+                "labels": list(plan.labels),
             }
             for plan in protocol.bob
         ],
@@ -193,14 +191,10 @@ def protocol_from_json(data: dict) -> Protocol:
         ))
     plans = []
     for k, p in enumerate(_require(data, "bob", "protocol")):
-        labels = tuple(
-            None if l == RESERVED_LABEL else str(l)
-            for l in _require(p, "labels", f"plan {k}")
-        )
         plans.append(BobPlan(
             int(_require(p, "outcome", f"plan {k}")),
             _parse_mat(_require(p, "basis", f"plan {k}")),
-            labels,
+            tuple(str(l) for l in _require(p, "labels", f"plan {k}")),
         ))
     return Protocol(Povm(dim, tuple(elements)), tuple(plans))
 

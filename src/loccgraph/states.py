@@ -19,8 +19,6 @@ from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, Zero
 from .graphs import Graph, complement
 from .linalg import DEFAULT_TOL, Tolerance, hermitize
 
-RESERVED_LABEL = "inconclusive"
-
 
 @dataclass(frozen=True)
 class StateGraphs:
@@ -66,8 +64,6 @@ class ProductStateSet:
             raise InvalidInput(f"{len(labels)} labels for {a.shape[0]} states")
         if len(set(labels)) != len(labels):
             raise InvalidInput("state labels must be unique")
-        if RESERVED_LABEL in labels:
-            raise InvalidInput(f"label {RESERVED_LABEL!r} is reserved")
         for side, x in (("Alice", a), ("Bob", b)):
             zero = np.flatnonzero(np.linalg.norm(x, axis=1) == 0.0)
             if zero.size:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from loccgraph.errors import LoccGraphError
 from loccgraph.families import FAMILIES, generate
 from loccgraph.graphs import independence_number, maximal_cliques
 from loccgraph.linalg import DEFAULT_TOL
-from loccgraph.locc import as_projective_basis
+from loccgraph.locc import BobPlan, Povm, PovmElement, as_projective_basis
 from loccgraph.states import ProductStateSet
 
 
@@ -615,6 +617,69 @@ def test_protocol_for_the_other_side_fails_a_check(spec, direction):
     assert "protocol dimension" in _failed(outcome)
     ran = {name for name, _, _ in outcome.checks}
     assert not ran & {"povm complete", "supports respected", "protocol succeeds"}
+
+
+def _with_protocol(verdict, **parts):
+    protocol = dataclasses.replace(verdict.protocol, **parts)
+    return dataclasses.replace(verdict, protocol=protocol)
+
+
+def test_forged_protocols_fail_their_checks():
+    s = generate("example1")
+    v = decide(s)
+    assert verify_certificate(s, v).ok
+    everyone = frozenset(range(1, s.n + 1))
+    # Alice does nothing and Bob "measures" the four Bob vectors of C^3,
+    # two of them equal
+    idle = Povm(s.d_alice, tuple(
+        PovmElement(1, 1.0, e, everyone) for e in np.eye(s.d_alice, dtype=complex)
+    ))
+    vectors = BobPlan(1, s.bob.T.copy(), s.labels)
+    # every plan counts its first state twice
+    doubled = tuple(
+        dataclasses.replace(
+            p, basis=np.column_stack([p.basis, p.basis[:, 0]]),
+            labels=p.labels + p.labels[:1],
+        )
+        for p in v.protocol.bob
+    )
+    # a +0.5/-0.5 pair cancels out of every figure but positivity
+    first = v.protocol.alice.elements[0]
+    signed = Povm(s.d_alice, v.protocol.alice.elements + tuple(
+        PovmElement(first.outcome, w, first.direction, everyone) for w in (0.5, -0.5)
+    ))
+    for forged, failed in [
+        (_with_protocol(v, alice=idle, bob=(vectors,)), "bob plans are measurements"),
+        (_with_protocol(v, bob=doubled), "bob plans are measurements"),
+        (_with_protocol(v, alice=signed), "povm elements positive"),
+    ]:
+        assert _failed(verify_certificate(s, forged)) == {failed}
+
+
+def test_malformed_protocols_fail_the_dimension_check():
+    # each of these raised inside the simulation instead of failing a check
+    s = generate("example1")
+    v = decide(s, ALICE_FIRST)
+    plan, *plans = v.protocol.bob
+    extra_label = dataclasses.replace(plan, labels=plan.labels + ("4",))
+    e, *elements = v.protocol.alice.elements
+    short = dataclasses.replace(e, direction=e.direction[:1])
+    for malformed in (
+        _with_protocol(v, bob=(extra_label, *plans)),
+        _with_protocol(v, alice=Povm(s.d_alice, (short, *elements))),
+    ):
+        outcome = verify_certificate(s, malformed)
+        assert _failed(outcome) == {"protocol dimension"}
+        ran = {name for name, _, _ in outcome.checks}
+        assert "protocol succeeds" not in ran
+
+
+def test_outcome_without_a_bob_plan_gives_up():
+    # a missing plan raised InvalidInput from Protocol.plan_for
+    s = generate("example1")
+    v = decide(s)
+    outcome = verify_certificate(s, _with_protocol(v, bob=v.protocol.bob[1:]))
+    assert _failed(outcome) == {"protocol succeeds"}
 
 
 _S2 = np.sqrt(2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import brute
+from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
 from loccgraph.decomposition import (
     Decomposition,
     DecompositionTerm,
@@ -61,10 +62,10 @@ def test_bob_plans_resolve_labels():
         label: pytest.approx(1.0) for label in states.labels
     }
     for plan in protocol.bob:
-        d = plan.basis.shape[0]
-        assert plan.basis.shape == (d, d)
+        k = len(plan.labels)
+        assert plan.basis.shape == (states.d_bob, k)
         assert np.allclose(
-            plan.basis.conj().T @ plan.basis, np.eye(d), atol=1e-10
+            plan.basis.conj().T @ plan.basis, np.eye(k), atol=1e-10
         )
 
 
@@ -144,6 +145,28 @@ def test_one_outcome_per_support():
         members = [states.labels[i - 1] for i in sorted(support_of[plan.outcome])]
         assert list(plan.labels[: len(members)]) == members
     assert simulate(states, protocol).min_success >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_sweep_plans_are_their_supports_columns(direction, monkeypatch):
+    # a plan is its outcome's member columns and nothing else: no basis
+    # completion (no QR) runs while a protocol is synthesized
+    sets = [generate(spec) for specs in brute.SWEEP_SPECS.values() for spec in specs]
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("QR called during a decision")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for states in sets:
+        v = decide(states, direction)
+        if v.protocol is None:
+            continue
+        work = states if direction == ALICE_FIRST else states.swapped()
+        support_of = {e.outcome: e.support for e in v.protocol.alice.elements}
+        for plan in v.protocol.bob:
+            members = sorted(support_of[plan.outcome])
+            assert plan.labels == tuple(work.labels[i - 1] for i in members)
+            assert plan.basis.shape == (work.d_bob, len(members))
 
 
 def test_simulate_matches_operator_reference():

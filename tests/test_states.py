@@ -1,8 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+from loccgraph.criteria import decide
 from loccgraph.errors import InvalidInput, NotMutuallyOrthogonal
 from loccgraph.graphs import complement
+from loccgraph.locc import simulate
+from loccgraph.serialize import (
+    protocol_from_json,
+    protocol_to_json,
+    states_from_json,
+    states_to_json,
+)
 from loccgraph.states import ProductStateSet
 
 E2 = np.eye(2, dtype=complex)
@@ -30,9 +40,16 @@ def test_normalization():
     assert np.allclose(norms, 1.0)
 
 
-def test_reserved_label_rejected():
-    with pytest.raises(InvalidInput):
-        ProductStateSet.from_vectors([E2[0]], [E2[0]], labels=("inconclusive",))
+def test_inconclusive_is_an_ordinary_label():
+    # Bob plans hold only labelled columns, so no label is reserved
+    base = _example1()
+    s = ProductStateSet(base.alice, base.bob, ("inconclusive", "2", "3", "4"))
+    back = states_from_json(json.loads(json.dumps(states_to_json(s))))
+    assert back.labels == s.labels
+    v = decide(back)
+    protocol = protocol_from_json(json.loads(json.dumps(protocol_to_json(v.protocol))))
+    assert "inconclusive" in {l for plan in protocol.bob for l in plan.labels}
+    assert dict(simulate(back, protocol).per_state)["inconclusive"] >= 1 - 1e-9
 
 
 def test_duplicate_labels_rejected():

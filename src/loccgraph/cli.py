@@ -3,6 +3,9 @@
 Machine-readable output (JSON, DOT) goes to stdout or --output; progress and
 summaries go to stderr. Exit codes: 0 distinguishable or plain success,
 10 indistinguishable, 20 undecided or budget exhausted, 1 usage/parse error.
+`verify` re-checks a verdict file written by `decide` against its states: it
+exits 0 when every check passes and 1 when one fails (each failed check is
+printed on stderr) or the file is not a verdict.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .criteria import (
     DecideOptions,
     analyze,
     decide,
+    verify_certificate,
 )
 from .errors import LoccGraphError, SearchBudgetExceeded
 from .families import FAMILIES, generate
@@ -30,7 +34,11 @@ _EXIT_UNKNOWN = 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--zero-tol", type=float, default=DEFAULT_TOL.zero_tol)
+    tolerances.add_argument("--psd-tol", type=float, default=DEFAULT_TOL.psd_tol)
+    tolerances.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol)
+    common = argparse.ArgumentParser(add_help=False, parents=[tolerances])
     common.add_argument("--input", help="input JSON file (state set or graph)")
     common.add_argument("--output", help="write machine output here instead of stdout")
     common.add_argument(
@@ -39,9 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="alice-first",
         help="who measures first",
     )
-    common.add_argument("--zero-tol", type=float, default=DEFAULT_TOL.zero_tol)
-    common.add_argument("--psd-tol", type=float, default=DEFAULT_TOL.psd_tol)
-    common.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol)
     common.add_argument("--max-iter", type=int, default=60000,
                         help="feasibility search iteration cap")
     common.add_argument("--sandwich-budget", type=int, default=25,
@@ -69,6 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="seed of the randomised families")
     sub.add_parser("export-dot", parents=[common],
                    help="overlap graphs in DOT format")
+    ver = sub.add_parser("verify", parents=[tolerances],
+                         help="re-check a verdict file against its state set")
+    ver.add_argument("--input", help="state-set JSON file")
+    ver.add_argument("--verdict", required=True,
+                     help="verdict JSON file written by decide")
     return parser
 
 
@@ -77,16 +87,20 @@ def _tolerance(args) -> Tolerance:
                      rank_tol=args.rank_tol)
 
 
+def _read_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise LoccGraphError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise LoccGraphError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _read_input(args) -> dict:
     if not args.input:
         raise LoccGraphError("this command needs --input")
-    try:
-        with open(args.input) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise LoccGraphError(f"cannot read {args.input}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise LoccGraphError(f"{args.input} is not valid JSON: {exc}") from None
+    return _read_json(args.input)
 
 
 def _load_states(args):
@@ -203,6 +217,19 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+def _cmd_verify(args) -> int:
+    states = _load_states(args)
+    tol = _tolerance(args)
+    verdict = serialize.verdict_from_json(_read_json(args.verdict), states, tol)
+    outcome = verify_certificate(states, verdict, tol)
+    for name, ok, detail in outcome.checks:
+        if not ok:
+            _say(f"failed: {name}" + (f" ({detail})" if detail else ""))
+    _say(f"{verdict.status} via {verdict.certificate.kind}: "
+         f"{'verified' if outcome.ok else 'does not verify'}")
+    return 0 if outcome.ok else 1
+
+
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "decide": _cmd_decide,
@@ -210,6 +237,7 @@ _COMMANDS = {
     "protocol": _cmd_protocol,
     "generate": _cmd_generate,
     "export-dot": _cmd_export_dot,
+    "verify": _cmd_verify,
 }
 
 

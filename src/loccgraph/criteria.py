@@ -25,7 +25,7 @@ from .decomposition import (
     feasibility_search,
     verify_decomposition,
 )
-from .errors import LoccGraphError, SearchBudgetExceeded
+from .errors import InvalidInput, LoccGraphError, SearchBudgetExceeded
 # edge_clique_cover_number, frame and validate_povm are no longer called here;
 # they stay bound because perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
@@ -73,6 +73,7 @@ KIND_DUAL_WITNESS = "DualWitness"
 KIND_UNKNOWN = "Unknown"
 
 _EXIT = {DISTINGUISHABLE: 0, INDISTINGUISHABLE: 10, UNKNOWN: 20}
+STATUSES = tuple(_EXIT)
 
 # the status each certificate kind proves; SingleQubitSandwich proves either,
 # as its "distinguishable" flag says
@@ -89,6 +90,14 @@ _PROVES = {
     KIND_DUAL_WITNESS: INDISTINGUISHABLE,
     KIND_UNKNOWN: UNKNOWN,
 }
+
+KINDS = (*_PROVES, KIND_QUBIT)
+
+# the Distinguishable kinds whose certificate fixes the splitting (see
+# certificate_splitting); a verdict file holds their certificate alone
+SPLITTING_FROM_CERTIFICATE = frozenset(
+    {KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST, KIND_QUBIT, KIND_SANDWICH, KIND_SCALED_DD}
+)
 
 # the feasibility search stops once its gap is below this share of the
 # Gram matrix's norm (at least 1)
@@ -164,18 +173,70 @@ def spanning_obstruction(
     return SpanningObstructionReport(d_eff, tuple(entries))
 
 
-def _distinguishable(
+def certificate_splitting(
+    work: ProductStateSet,
+    certificate: Certificate,
+    ga: Graph,
+    host: Graph,
+    tol: Tolerance = DEFAULT_TOL,
+) -> Decomposition:
+    """The Gram splitting a Distinguishable certificate fixes, given the
+    measuring side's overlap graph ga and the admissible host:
+
+    - ChordalAliceGraph, ChordalBobComplement: the peel of ga, or of the
+      host, along the recorded ordering;
+    - ChordalSandwich: the peel of the recorded sandwich along its ordering;
+    - SingleQubitSandwich: the peel of the union of its two cliques;
+    - ScaledDiagonalDominance: dominance_split by the recorded scaling, each
+      piece filed under the first recorded support holding it.
+
+    decide builds these verdicts' splittings here and verdict files are read
+    back through here, so a written protocol and a re-derived one agree.
+    A certificate that fixes no splitting raises a LoccGraphError.
+    """
+    kind = certificate.kind
+
+    def field(key: str):
+        if key not in certificate.data:
+            raise InvalidInput(f"{kind} certificate lacks {key!r}")
+        return certificate.data[key]
+
+    m = work.alice_gram()
+    if kind in (KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST):
+        g = ga if kind == KIND_CHORDAL_ALICE else host
+        return chordal_decompose(m, g, tol, ordering=field("ordering"))
+    if kind == KIND_SANDWICH:
+        g = Graph.from_edges(work.n, field("sandwich_edges"))
+        return chordal_decompose(m, g, tol, ordering=field("ordering"))
+    if kind == KIND_QUBIT and certificate.data.get("distinguishable"):
+        # the union of the two cliques is chordal and lies between ga and
+        # the host, so its peel is an admissible splitting
+        union = Graph.from_edges(work.n, itertools.chain.from_iterable(
+            itertools.combinations(sorted(c), 2) for c in field("cliques")
+        ))
+        return chordal_decompose(m, union, tol)
+    if kind == KIND_SCALED_DD:
+        groups = [frozenset(s) for s in field("supports")]
+        return dominance_split(m, ga, np.asarray(field("scaling"), dtype=float), groups)
+    raise InvalidInput(f"a {kind} certificate fixes no splitting")
+
+
+def distinguishable_verdict(
     work: ProductStateSet,
     direction: str,
-    kind: str,
-    data: dict,
+    certificate: Certificate,
     params: dict,
-    notes: list[str],
-    dec: Decomposition,
-    tol: Tolerance,
+    notes: Sequence[str],
+    ga: Graph,
+    host: Graph,
+    tol: Tolerance = DEFAULT_TOL,
+    dec: Optional[Decomposition] = None,
 ) -> Verdict:
-    """Every Distinguishable verdict: the Gram splitting, the protocol it
-    lifts to and that protocol's simulation."""
+    """Every Distinguishable verdict: the Gram splitting (the certificate's
+    own unless dec is given), the protocol it lifts to and that protocol's
+    simulation."""
+    if dec is None:
+        dec = certificate_splitting(work, certificate, ga, host, tol)
     protocol = synthesize_protocol(work, dec, tol)
     sim = simulate(work, protocol, tol)
     params = dict(params)
@@ -183,7 +244,7 @@ def _distinguishable(
     return Verdict(
         DISTINGUISHABLE,
         direction,
-        Certificate(kind, data),
+        certificate,
         params,
         protocol,
         sim,
@@ -216,15 +277,12 @@ def _sandwich_verdict(
             Certificate(KIND_NO_SANDWICH, {"chi": chi}),
             params, notes=tuple(notes),
         )
-    chord_s = is_chordal(sandwich)
-    return _distinguishable(
-        work, direction, KIND_SANDWICH,
-        {
-            "sandwich_edges": [list(e) for e in sandwich.edge_list()],
-            "ordering": list(chord_s.ordering),
-        },
-        params, notes, chordal_decompose(work.alice_gram(), sandwich, opt.tol),
-        opt.tol,
+    certificate = Certificate(KIND_SANDWICH, {
+        "sandwich_edges": [list(e) for e in sandwich.edge_list()],
+        "ordering": list(is_chordal(sandwich).ordering),
+    })
+    return distinguishable_verdict(
+        work, direction, certificate, params, notes, ga, host, opt.tol
     )
 
 
@@ -263,31 +321,26 @@ def decide(
     params["host_chordal"] = chord_h.chordal
 
     if chord_a.chordal:
-        return _distinguishable(
-            work, direction, KIND_CHORDAL_ALICE,
-            {"ordering": list(chord_a.ordering)}, params, notes,
-            chordal_decompose(work.alice_gram(), ga, tol), tol,
+        return distinguishable_verdict(
+            work, direction,
+            Certificate(KIND_CHORDAL_ALICE, {"ordering": list(chord_a.ordering)}),
+            params, notes, ga, host, tol,
         )
     if chord_h.chordal:
-        return _distinguishable(
-            work, direction, KIND_CHORDAL_HOST,
-            {"ordering": list(chord_h.ordering)}, params, notes,
-            chordal_decompose(work.alice_gram(), host, tol), tol,
+        return distinguishable_verdict(
+            work, direction,
+            Certificate(KIND_CHORDAL_HOST, {"ordering": list(chord_h.ordering)}),
+            params, notes, ga, host, tol,
         )
 
     if d_eff == 2:
         pair = find_two_clique_cover(host, ga.edges)
         if pair is not None:
-            # the union of the two cliques is chordal and lies between ga
-            # and the host, so its peel is an admissible splitting
-            union = Graph.from_edges(work.n, itertools.chain.from_iterable(
-                itertools.combinations(sorted(c), 2) for c in pair
-            ))
-            return _distinguishable(
-                work, direction, KIND_QUBIT,
-                {"distinguishable": True, "cliques": [sorted(c) for c in pair]},
-                params, notes, chordal_decompose(work.alice_gram(), union, tol),
-                tol,
+            return distinguishable_verdict(
+                work, direction,
+                Certificate(KIND_QUBIT, {"distinguishable": True,
+                                         "cliques": [sorted(c) for c in pair]}),
+                params, notes, ga, host, tol,
             )
         # no two-part cover: already indistinguishable for a qubit side; at
         # minimum dimension the sandwich certificate is the sharper one
@@ -379,11 +432,13 @@ def decide(
     # overlaps near zero on both sides can break it
     x = dominance_scaling(m, ga, tol) if ga.edges <= host.edges else None
     if x is not None:
-        groups = greedy_clique_cover(ga)
-        return _distinguishable(
-            work, direction, KIND_SCALED_DD,
-            {"scaling": x.tolist(), "supports": [sorted(s) for s in groups]},
-            params, notes, dominance_split(m, ga, x, groups), tol,
+        return distinguishable_verdict(
+            work, direction,
+            Certificate(KIND_SCALED_DD, {
+                "scaling": x.tolist(),
+                "supports": [sorted(s) for s in greedy_clique_cover(ga)],
+            }),
+            params, notes, ga, host, tol,
         )
 
     cliques = maximal_cliques(host)
@@ -405,14 +460,14 @@ def decide(
     gap_tol = FEASIBILITY_GAP_REL * max(1.0, float(np.linalg.norm(m)))
     feas = feasibility_search(m, cliques, tol, opt.max_iter, gap_tol)
     if feas is not None and feas.converged:
-        return _distinguishable(
-            work, direction, KIND_FEASIBLE,
-            {
+        return distinguishable_verdict(
+            work, direction,
+            Certificate(KIND_FEASIBLE, {
                 "supports": [sorted(s) for s in feas.supports],
                 "gap": feas.gap,
                 "iterations": feas.iterations,
-            },
-            params, notes, feas.decomposition, tol,
+            }),
+            params, notes, ga, host, tol, feas.decomposition,
         )
     if feas is not None and feas.witness is not None:
         # every one-way protocol pushes forward to a splitting, and none exists
@@ -720,7 +775,7 @@ def verify_certificate(
         order = tuple(data.get("ordering", ()))
         check("ordering valid", is_perfect_elimination_ordering(g, order))
     elif kind == KIND_QUBIT and data.get("distinguishable"):
-        cliques = [frozenset(c) for c in data["cliques"]]
+        cliques = [frozenset(c) for c in data.get("cliques", ())]
         check("parts are admissible", all(is_clique(host, c) for c in cliques))
         covered = set().union(*cliques) == set(range(1, work.n + 1))
         edges_ok = all(
@@ -735,7 +790,7 @@ def verify_certificate(
             find_two_clique_cover(host, ga.edges) is None,
         )
     elif kind == KIND_SANDWICH:
-        g = Graph.from_edges(work.n, data["sandwich_edges"])
+        g = Graph.from_edges(work.n, data.get("sandwich_edges", ()))
         check("between bounds", ga.edges <= g.edges <= host.edges)
         check("sandwich chordal", is_chordal(g).chordal)
     elif kind == KIND_FEASIBLE:

@@ -26,7 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidCover, NegativePivot, NotPSD, PatternViolation
-from .graphs import Graph, adjacency_matrix, is_chordal, is_clique
+from .graphs import (
+    Graph, adjacency_matrix, is_chordal, is_clique, is_perfect_elimination_ordering,
+)
 from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, psd_check
 
 
@@ -73,14 +75,16 @@ def chordal_decompose(
     g: Graph,
     tol: Tolerance = DEFAULT_TOL,
     track_steps: bool = False,
+    ordering: Optional[Sequence[int]] = None,
 ) -> Decomposition:
     """Peel m into rank-one terms supported on cliques of chordal g.
 
     Eliminating vertex v subtracts the rank-one piece built from column v of
     the running residual; within a perfect elimination ordering that column
     lives on v plus its not-yet-eliminated neighbours, which form a clique.
-    step_min_eigs records the smallest residual eigenvalue after each peel
-    when track_steps is set.
+    The peel follows the given ordering, which must be a perfect elimination
+    ordering of g, or else the one is_chordal finds. step_min_eigs records
+    the smallest residual eigenvalue after each peel when track_steps is set.
     """
     m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (g.n, g.n):
@@ -92,16 +96,20 @@ def chordal_decompose(
     ok, min_eig = psd_check(m, tol)
     if not ok:
         raise NotPSD(f"matrix has eigenvalue {min_eig:.3g}")
-    chord = is_chordal(g)
-    if not chord.chordal:
-        raise PatternViolation(f"pattern graph has a chordless cycle {chord.hole}")
+    if ordering is None:
+        chord = is_chordal(g)
+        if not chord.chordal:
+            raise PatternViolation(f"pattern graph has a chordless cycle {chord.hole}")
+        ordering = chord.ordering
+    elif not is_perfect_elimination_ordering(g, ordering):
+        raise PatternViolation(f"{list(ordering)} is no perfect elimination ordering")
 
     adj = adjacency_matrix(g)
     later = np.ones(g.n, dtype=bool)
     r = m.copy()
     terms: list[DecompositionTerm] = []
     steps: list[float] = []
-    for v in chord.ordering:
+    for v in ordering:
         vi = v - 1
         later[vi] = False
         pivot = float(r[vi, vi].real)
@@ -185,12 +193,18 @@ def dominance_split(
     rest of m_ii. Each piece takes as support the first group holding its
     edge or vertex, so groups, cliques of g covering its edges and vertices,
     set the outcomes. Entries of m off g are left out, and show in the
-    residual.
+    residual. A scaling that is not positive, or groups that miss an edge or
+    a vertex, raise InvalidCover.
     """
     m = np.asarray(m, dtype=complex)
     n = g.n
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,) or not (np.isfinite(x).all() and (x > 0).all()):
+        raise InvalidCover(f"scaling needs {n} positive entries")
     member = np.zeros((len(groups), n), dtype=bool)
     for k, s in enumerate(groups):
+        if not s or min(s) < 1 or max(s) > n:
+            raise InvalidCover(f"support {sorted(s)} out of range")
         member[k, [i - 1 for i in s]] = True
     i, j = np.array(g.edge_list(), dtype=int).reshape(-1, 2).T - 1
     rows = len(i)
@@ -201,10 +215,12 @@ def dominance_split(
     vectors[np.arange(rows), j] = m[i, j].conj() / head
     rest = comparison_matrix(m, g) @ x / x
     vectors[rows + np.arange(n), np.arange(n)] = np.sqrt(np.maximum(rest, 0.0))
-    owner = np.concatenate([
-        np.argmax(member[:, i] & member[:, j], axis=0),
-        np.argmax(member, axis=0),
-    ])
+    if not np.isfinite(vectors).all():
+        raise InvalidCover("scaling overflows the split")
+    holds = np.concatenate([member[:, i] & member[:, j], member], axis=1)
+    if not holds.any(axis=0).all():
+        raise InvalidCover("supports miss an edge or a vertex")
+    owner = np.argmax(holds, axis=0)
     terms = tuple(
         DecompositionTerm(groups[k], vec) for k, vec in zip(owner.tolist(), vectors)
     )

@@ -2,6 +2,10 @@
 
 Complex numbers are encoded as [re, im] pairs throughout. Vertex indices
 and supports are 1-based in files, matching the in-memory convention.
+
+A verdict file holds the certificate, not the protocol: verdict_from_json
+re-derives the splitting, protocol and simulation from the certificate and
+the states, through the same code decide ran.
 """
 
 from __future__ import annotations
@@ -11,10 +15,21 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .criteria import Verdict
+from .criteria import (
+    ALICE_FIRST,
+    BOB_FIRST,
+    DISTINGUISHABLE,
+    KINDS,
+    SPLITTING_FROM_CERTIFICATE,
+    STATUSES,
+    Certificate,
+    Verdict,
+    distinguishable_verdict,
+)
 from .decomposition import Decomposition, DecompositionTerm
-from .errors import InvalidInput
+from .errors import InvalidInput, LoccGraphError
 from .graphs import Graph
+from .linalg import DEFAULT_TOL, Tolerance
 from .locc import BobPlan, Povm, PovmElement, Protocol
 from .states import ProductStateSet
 
@@ -154,6 +169,8 @@ def decomposition_from_json(data: dict) -> Decomposition:
 # protocols
 
 def protocol_to_json(protocol: Protocol) -> dict:
+    elements = protocol.alice.elements
+    directions = _pairs([np.ravel(e.direction) for e in elements])
     return {
         "alice": {
             "dim": protocol.alice.dim,
@@ -161,10 +178,10 @@ def protocol_to_json(protocol: Protocol) -> dict:
                 {
                     "outcome": e.outcome,
                     "weight": float(e.weight),
-                    "direction": _vec(e.direction),
+                    "direction": direction,
                     "support": sorted(e.support),
                 }
-                for e in protocol.alice.elements
+                for e, direction in zip(elements, directions)
             ],
         },
         "bob": [
@@ -237,6 +254,9 @@ def jsonify(obj: Any) -> Any:
 
 
 def verdict_to_json(verdict: Verdict) -> dict:
+    """The verdict without its protocol and simulation, which
+    verdict_from_json re-derives; the splitting is written only when the
+    certificate does not fix it (FeasibleDecomposition)."""
     out = {
         "status": verdict.status,
         "direction": verdict.direction,
@@ -248,10 +268,108 @@ def verdict_to_json(verdict: Verdict) -> dict:
         "notes": list(verdict.notes),
         "exit_code": verdict.exit_code,
     }
-    if verdict.protocol is not None:
-        out["protocol"] = protocol_to_json(verdict.protocol)
-    if verdict.simulation is not None:
-        out["simulation"] = jsonify(verdict.simulation)
-    if verdict.decomposition is not None:
+    kind = verdict.certificate.kind
+    if verdict.decomposition is not None and kind not in SPLITTING_FROM_CERTIFICATE:
         out["decomposition"] = decomposition_to_json(verdict.decomposition)
     return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _indices(value, n: int) -> list[int]:
+    if not isinstance(value, list) or not all(
+        _is_int(i) and 1 <= i <= n for i in value
+    ):
+        raise InvalidInput(f"expected a list of state indices in 1..{n}")
+    return value
+
+
+def _index_lists(value, n: int) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise InvalidInput("expected a list of index lists")
+    return [_indices(v, n) for v in value]
+
+
+def _edges(value, n: int) -> list[list[int]]:
+    edges = _index_lists(value, n)
+    if not all(len(e) == 2 and e[0] != e[1] for e in edges):
+        raise InvalidInput("expected edges of two distinct state indices")
+    return edges
+
+
+def _numbers(value, n: int) -> list[float]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    ):
+        raise InvalidInput("expected a list of numbers")
+    return value
+
+
+# how certificate fields that name states or hold numbers are read back; a
+# field missing here is kept as the file has it
+_CERTIFICATE_FIELDS = {
+    "ordering": _indices,
+    "alpha_witness": _indices,
+    "cliques": _index_lists,
+    "supports": _index_lists,
+    "sandwich_edges": _edges,
+    "scaling": _numbers,
+    "witness": lambda value, n: _parse_mat(value),
+}
+
+
+def verdict_from_json(
+    data: dict, states: ProductStateSet, tol: Tolerance = DEFAULT_TOL
+) -> Verdict:
+    """The full in-memory verdict a verdict file describes for these states.
+
+    A Distinguishable verdict gets its splitting from the certificate (or,
+    for FeasibleDecomposition, from the file), then the protocol it lifts to
+    and that protocol's simulation, as decide built them. When that fails,
+    as it does for a forged certificate, the verdict carries no protocol,
+    which verify_certificate reports. A file that is not a verdict raises
+    InvalidInput.
+    """
+    status = _require(data, "status", "verdict")
+    direction = _require(data, "direction", "verdict")
+    if status not in STATUSES:
+        raise InvalidInput(f"unknown verdict status {status!r}")
+    if direction not in (ALICE_FIRST, BOB_FIRST):
+        raise InvalidInput(f"unknown direction {direction!r}")
+    cert = _require(data, "certificate", "verdict")
+    kind = _require(cert, "kind", "certificate")
+    if kind not in KINDS:
+        raise InvalidInput(f"unknown certificate kind {kind!r}")
+    fields = {
+        key: _CERTIFICATE_FIELDS.get(key, lambda value, n: value)(value, states.n)
+        for key, value in cert.items() if key != "kind"
+    }
+    params = data.get("parameters", {})
+    notes = data.get("notes", [])
+    if not isinstance(params, dict) or not all(
+        _is_int(params[key]) for key in ("search_budget", "sandwich_budget")
+        if key in params
+    ):
+        raise InvalidInput("verdict parameters need integer search budgets")
+    if not isinstance(notes, list) or not all(isinstance(x, str) for x in notes):
+        raise InvalidInput("verdict notes must be a list of strings")
+    dec = None
+    if "decomposition" in data and kind not in SPLITTING_FROM_CERTIFICATE:
+        dec = decomposition_from_json(data["decomposition"])
+        if dec.n != states.n:
+            raise InvalidInput(f"splitting over {dec.n} states, set has {states.n}")
+    verdict = Verdict(status, direction, Certificate(kind, fields), params,
+                      decomposition=dec, notes=tuple(notes))
+    if status != DISTINGUISHABLE:
+        return verdict
+    work = states if direction == ALICE_FIRST else states.swapped()
+    graphs = work.build_graphs(tol)
+    try:
+        return distinguishable_verdict(
+            work, direction, verdict.certificate, params, notes,
+            graphs.alice, graphs.bob_orthogonality(), tol, dec,
+        )
+    except LoccGraphError:
+        return verdict

@@ -336,3 +336,73 @@ SWEEP_SPECS = {
     "cycle-rep": ["cycle-rep:6", "cycle-rep:8"],
     "path-rep": ["path-rep:8", "path-rep:14", "path-rep:20"],
 }
+
+
+def greedy_integer_set(d: int, n: int, rng: np.random.Generator,
+                       draws: int = 2000):
+    """Orthogonal product set in C^d x C^d with {0, +1, -1} vectors, built
+    greedily: each draw takes a random pair of nonzero vectors from the pool
+    and keeps it when, against every kept state, it is orthogonal on at
+    least one side. Returns the normalised set of the first n kept states,
+    or None when the draws run out first.
+
+    Unlike the sets above, its measuring side is often rank-deficient
+    (n > d) and its Gram entries are small integers over norms, so it
+    reaches rungs that the full-rank generators miss.
+    """
+    from loccgraph import ProductStateSet
+
+    pool = np.array(
+        [v for v in itertools.product((0, 1, -1), repeat=d) if any(v)], dtype=float
+    )
+    alice: list[np.ndarray] = []
+    bob: list[np.ndarray] = []
+    for _ in range(draws):
+        a, b = pool[rng.integers(len(pool), size=2)]
+        if all(a @ x == 0 or b @ y == 0 for x, y in zip(alice, bob)):
+            alice.append(a)
+            bob.append(b)
+            if len(alice) == n:
+                return ProductStateSet.from_vectors(alice, bob)
+    return None
+
+
+# sets of greedy_integer_set's kind that reach rungs no family reaches, as
+# {name: (direction, kind, alice vectors, bob vectors)}; from_vectors
+# normalises them
+PINNED_SETS = {
+    "sandwich": (
+        "alice-first", "ChordalSandwich",
+        [(1, 1, 0, 0), (1, -1, 1, 1), (1, -1, -1, -1), (0, 0, -1, 1), (-1, -1, -1, 1),
+         (-1, 1, -1, -1), (-1, -1, 1, -1), (1, -1, -1, -1), (1, -1, -1, -1)],
+        [(1, -1, 1, 1), (1, 1, 0, 1), (-1, 0, 1, -1), (1, -1, 1, 1), (1, 0, -1, 0),
+         (0, 1, 1, -1), (0, 1, 0, 1), (1, -1, 0, -1), (1, 1, 1, 0)],
+    ),
+    "alpha-chi": (
+        "alice-first", "AlphaLessThanChi",
+        [(1, 0, 1), (0, -1, -1), (0, 1, -1), (-1, -1, 1), (1, -1, -1)],
+        [(0, 1, 1), (1, -1, 1), (1, 0, 0), (0, 0, -1), (1, 1, 0)],
+    ),
+    "bob-complement": (
+        "bob-first", "ChordalBobComplement",
+        [(1, -1, 0, -1, 0), (0, 0, 1, 0, 0), (1, 0, -1, -1, -1), (-1, 0, 0, -1, 1),
+         (1, -1, 0, 1, 0), (-1, -1, 0, 0, -1)],
+        [(-1, 0, 0, 1, -1), (-1, -1, 1, -1, -1), (1, 1, 1, 0, -1), (-1, 1, 0, 0, 0),
+         (-1, -1, 1, 0, 1), (-1, 1, 1, 0, -1)],
+    ),
+}
+
+# a qubit measuring side whose host has a two-clique cover: it reaches the
+# distinguishable SingleQubitSandwich rung alice-first
+QUBIT_COVER = (
+    [(1, 0), (1, 1), (0, 1), (1, -1), (1, 1), (1, -1)],
+    [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 0)],
+)
+
+
+def pinned_set(name: str):
+    """The named PINNED_SETS entry as (states, direction, kind)."""
+    from loccgraph import ProductStateSet
+
+    direction, kind, alice, bob = PINNED_SETS[name]
+    return ProductStateSet.from_vectors(alice, bob), direction, kind

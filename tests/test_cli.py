@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import brute
+from loccgraph import ProductStateSet
 from loccgraph.cli import main
 from loccgraph.families import generate
 from loccgraph.locc import simulate
@@ -187,4 +189,73 @@ def test_malformed_numbers_exit_cleanly(tmp_path, capsys, entry):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, ["decide", "--input", str(path)])
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+def _write_set(tmp_path, states, name="states.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(states_to_json(states)))
+    return str(path)
+
+
+@pytest.mark.parametrize("source,direction,kind", [
+    ("example1", "alice-first", "ChordalAliceGraph"),
+    ("bob-complement", "bob-first", "ChordalBobComplement"),
+    ("sandwich", "alice-first", "ChordalSandwich"),
+    ("qubit-cover", "alice-first", "SingleQubitSandwich"),
+    ("path-rep:8", "bob-first", "ScaledDiagonalDominance"),
+    ("example3", "alice-first", "FeasibleDecomposition"),
+])
+def test_decide_output_verifies(tmp_path, capsys, source, direction, kind):
+    if source in brute.PINNED_SETS:
+        states = brute.pinned_set(source)[0]
+    elif source == "qubit-cover":
+        states = ProductStateSet.from_vectors(*brute.QUBIT_COVER)
+    else:
+        states = generate(source)
+    path = _write_set(tmp_path, states)
+    verdict = tmp_path / "verdict.json"
+    code, _, _ = _run(capsys, ["decide", "--input", path, "--direction", direction,
+                               "--output", str(verdict)])
+    assert code == 0
+    assert json.loads(verdict.read_text())["certificate"]["kind"] == kind
+    code, stdout, err = _run(capsys, ["verify", "--input", path,
+                                      "--verdict", str(verdict)])
+    assert code == 0, err
+    assert stdout == "" and "failed" not in err and "verified" in err
+
+
+def test_verify_rejects_an_edited_verdict(tmp_path, capsys):
+    path = _write_states(tmp_path, "path-rep:8")
+    verdict = tmp_path / "verdict.json"
+    _run(capsys, ["decide", "--input", path, "--direction", "bob-first",
+                  "--output", str(verdict)])
+    data = json.loads(verdict.read_text())
+    data["certificate"]["scaling"][2] = -1.0
+    verdict.write_text(json.dumps(data))
+    code, _, err = _run(capsys, ["verify", "--input", path, "--verdict", str(verdict)])
+    assert code == 1
+    assert "failed: protocol present" in err
+    assert "failed: scaling positive" in err
+
+
+def test_verify_rejects_another_sets_verdict(tmp_path, capsys):
+    ex1 = _write_states(tmp_path, "example1")
+    verdict = tmp_path / "verdict.json"
+    _run(capsys, ["decide", "--input", ex1, "--output", str(verdict)])
+    ben = _write_states(tmp_path, "bennett", "bennett.json")
+    code, _, err = _run(capsys, ["verify", "--input", ben, "--verdict", str(verdict)])
+    assert code == 1 and "failed:" in err
+
+
+@pytest.mark.parametrize("text", [
+    "null", "{not json", '{"status": "Distinguishable"}',
+    '{"status": "Distinguishable", "direction": "alice-first", '
+    '"certificate": {"kind": "ChordalAliceGraph", "ordering": ["1"]}}',
+])
+def test_verify_malformed_verdict_exits_cleanly(tmp_path, capsys, text):
+    ex1 = _write_states(tmp_path, "example1")
+    verdict = tmp_path / "verdict.json"
+    verdict.write_text(text)
+    code, _, err = _run(capsys, ["verify", "--input", ex1, "--verdict", str(verdict)])
     assert code == 1 and err.startswith("error:") and "Traceback" not in err

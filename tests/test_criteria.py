@@ -686,10 +686,7 @@ _S2 = np.sqrt(2)
 _K0, _K1 = np.eye(2)
 _PLUS, _MINUS = (_K0 + _K1) / _S2, (_K0 - _K1) / _S2
 _E = np.eye(4)
-_QUBIT_COVER = (
-    [_K0, _PLUS, _K1, _MINUS, _PLUS, _MINUS],
-    [_E[0], _E[2], _E[1], _E[3], _E[3], _E[2]],
-)
+_QUBIT_COVER = brute.QUBIT_COVER
 
 
 @pytest.mark.parametrize("alice,bob,options,status,kind,data", [

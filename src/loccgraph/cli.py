@@ -170,7 +170,7 @@ def _cmd_decompose(args) -> int:
     if kind == KIND_DUAL_WITNESS:
         data = verdict.certificate.data
         _say(f"no admissible splitting: dual witness after "
-             f"{data['iterations']} iterations, shifted inner product "
+             f"{data['iterations']} iterations, shifted trace "
              f"{data['shifted_inner_product']:.3g}")
     else:
         _say(f"no splitting: verdict is {verdict.status} via {kind}")

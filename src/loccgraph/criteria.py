@@ -17,12 +17,14 @@ import numpy as np
 
 from .decomposition import (
     Decomposition,
+    Faces,
     chordal_decompose,
     dominance_scaling,
     dominance_slack,
     dominance_split,
     dual_witness,
     feasibility_search,
+    support_faces,
     verify_decomposition,
 )
 from .errors import InvalidInput, LoccGraphError, SearchBudgetExceeded
@@ -47,8 +49,8 @@ from .graphs import (  # noqa: F401
 )
 from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank  # noqa: F401
 from .locc import (  # noqa: F401
-    BobPlan, Protocol, ProtocolReport, matches_projective_basis, simulate,
-    synthesize_protocol, validate_povm,
+    BobPlan, Povm, PovmElement, Protocol, ProtocolReport, matches_projective_basis,
+    povm_to_decomposition, simulate, synthesize_protocol, validate_povm,
 )
 from .states import ProductStateSet, StateGraphs
 
@@ -93,16 +95,6 @@ _PROVES = {
 
 KINDS = (*_PROVES, KIND_QUBIT)
 
-# the Distinguishable kinds whose certificate fixes the splitting (see
-# certificate_splitting); a verdict file holds their certificate alone
-SPLITTING_FROM_CERTIFICATE = frozenset(
-    {KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST, KIND_QUBIT, KIND_SANDWICH, KIND_SCALED_DD}
-)
-
-# the feasibility search stops once its gap is below this share of the
-# Gram matrix's norm (at least 1)
-FEASIBILITY_GAP_REL = 1e-11
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -134,12 +126,6 @@ class DecideOptions:
     search_budget: int = 40
 
 
-@dataclass(frozen=True)
-class SpanningObstructionReport:
-    d_eff: int
-    entries: tuple[tuple[frozenset[int], int], ...]
-
-
 def effective_dimension(states: ProductStateSet, tol: Tolerance = DEFAULT_TOL) -> int:
     return numeric_rank(states.alice_frame(), tol)
 
@@ -148,29 +134,17 @@ def spanning_obstruction(
     states: ProductStateSet,
     supports: Sequence[frozenset[int]],
     tol: Tolerance = DEFAULT_TOL,
-    d_eff: Optional[int] = None,
-) -> Optional[SpanningObstructionReport]:
-    """Proof that every admissible outcome operator vanishes.
+) -> Faces:
+    """The faces of the supports in Alice's span, the start of the convex
+    end; when every one is empty they prove that every admissible outcome
+    operator vanishes.
 
     If for every admissible support the excluded states span Alice's whole
     effective space, any positive operator silent outside a support is zero
     there, so no measurement with a nonzero first round exists. Quantifying
-    over maximal supports covers all smaller ones. d_eff defaults to the
-    effective dimension of the states.
+    over maximal supports covers all smaller ones.
     """
-    if d_eff is None:
-        d_eff = effective_dimension(states, tol)
-    entries = []
-    for s in supports:
-        outside = np.ones(states.n, dtype=bool)
-        outside[[i - 1 for i in s]] = False
-        if not outside.any():
-            return None
-        r = numeric_rank(states.alice[outside], tol)
-        if r < d_eff:
-            return None
-        entries.append((frozenset(s), r))
-    return SpanningObstructionReport(d_eff, tuple(entries))
+    return support_faces(states.alice_frame(), supports, tol)
 
 
 def certificate_splitting(
@@ -188,7 +162,10 @@ def certificate_splitting(
     - ChordalSandwich: the peel of the recorded sandwich along its ordering;
     - SingleQubitSandwich: the peel of the union of its two cliques;
     - ScaledDiagonalDominance: dominance_split by the recorded scaling, each
-      piece filed under the first recorded support holding it.
+      piece filed under the first recorded support holding it;
+    - FeasibleDecomposition: the recorded pieces of Alice's outcome
+      operators pushed through her frame (povm_to_decomposition), one
+      outcome per support.
 
     decide builds these verdicts' splittings here and verdict files are read
     back through here, so a written protocol and a re-derived one agree.
@@ -218,6 +195,26 @@ def certificate_splitting(
     if kind == KIND_SCALED_DD:
         groups = [frozenset(s) for s in field("supports")]
         return dominance_split(m, ga, np.asarray(field("scaling"), dtype=float), groups)
+    if kind == KIND_FEASIBLE:
+        try:
+            supports = [frozenset(s) for s in field("supports")]
+            weights = np.asarray(field("weights"), dtype=float)
+            directions = np.asarray(field("directions"), dtype=complex)
+            ok = (weights.shape == (len(supports),)
+                  and directions.shape == (len(supports), work.d_alice)
+                  and np.isfinite(weights).all() and np.isfinite(directions).all()
+                  and all(s and min(s) >= 1 and max(s) <= work.n for s in supports))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise InvalidInput(f"{kind} needs one support in 1..{work.n}, finite "
+                               f"weight and direction in C^{work.d_alice} per piece")
+        outcome: dict[frozenset[int], int] = {}
+        povm = Povm(work.d_alice, tuple(
+            PovmElement(outcome.setdefault(s, len(outcome) + 1), float(w), e, s)
+            for s, w, e in zip(supports, weights, directions)
+        ))
+        return povm_to_decomposition(work, povm, tol)
     raise InvalidInput(f"a {kind} certificate fixes no splitting")
 
 
@@ -230,13 +227,10 @@ def distinguishable_verdict(
     ga: Graph,
     host: Graph,
     tol: Tolerance = DEFAULT_TOL,
-    dec: Optional[Decomposition] = None,
 ) -> Verdict:
-    """Every Distinguishable verdict: the Gram splitting (the certificate's
-    own unless dec is given), the protocol it lifts to and that protocol's
-    simulation."""
-    if dec is None:
-        dec = certificate_splitting(work, certificate, ga, host, tol)
+    """Every Distinguishable verdict: the Gram splitting its certificate
+    fixes, the protocol it lifts to and that protocol's simulation."""
+    dec = certificate_splitting(work, certificate, ga, host, tol)
     protocol = synthesize_protocol(work, dec, tol)
     sim = simulate(work, protocol, tol)
     params = dict(params)
@@ -441,63 +435,44 @@ def decide(
             params, notes, ga, host, tol,
         )
 
-    cliques = maximal_cliques(host)
-    obstruction = spanning_obstruction(work, cliques, tol, d_eff)
-    if obstruction is not None:
-        return Verdict(
-            INDISTINGUISHABLE, direction,
-            Certificate(
-                KIND_SPANNING,
-                {
-                    "d_eff": obstruction.d_eff,
-                    "supports": [sorted(s) for s, _ in obstruction.entries],
-                    "outside_ranks": [r for _, r in obstruction.entries],
-                },
-            ),
-            params, notes=tuple(notes),
-        )
-
-    gap_tol = FEASIBILITY_GAP_REL * max(1.0, float(np.linalg.norm(m)))
-    feas = feasibility_search(m, cliques, tol, opt.max_iter, gap_tol)
-    if feas is not None and feas.converged:
+    # the convex end: Alice's outcome operators on the faces of the maximal
+    # admissible supports; all faces empty is the spanning obstruction
+    faces = spanning_obstruction(work, maximal_cliques(host), tol)
+    if faces.empty:
+        return Verdict(INDISTINGUISHABLE, direction, Certificate(KIND_SPANNING, {
+            "d_eff": faces.d_eff,
+            "supports": [sorted(s) for s, _ in faces.entries],
+            "outside_ranks": [r for _, r in faces.entries],
+        }), params, notes=tuple(notes))
+    feas = feasibility_search(faces, tol, opt.max_iter)
+    if feas.converged:
         return distinguishable_verdict(
             work, direction,
             Certificate(KIND_FEASIBLE, {
                 "supports": [sorted(s) for s in feas.supports],
+                "weights": feas.weights.tolist(),
+                "directions": feas.directions,
                 "gap": feas.gap,
                 "iterations": feas.iterations,
             }),
-            params, notes, ga, host, tol, feas.decomposition,
+            params, notes, ga, host, tol,
         )
-    if feas is not None and feas.witness is not None:
-        # every one-way protocol pushes forward to a splitting, and none exists
-        return Verdict(
-            INDISTINGUISHABLE, direction,
-            Certificate(
-                KIND_DUAL_WITNESS,
-                {
-                    "witness": feas.witness.matrix,
-                    "shift": feas.witness.shift,
-                    "shifted_inner_product": feas.witness.value,
-                    "iterations": feas.iterations,
-                },
-            ),
-            params, notes=tuple(notes),
-        )
-    if feas is None:
-        # only when overlaps on both sides sit within tolerance of zero
-        data = {"reason": "Gram matrix has weight outside every admissible support"}
-    else:
-        data = {"reason": "iteration budget exhausted",
-                "gap": feas.gap, "iterations": feas.iterations}
-        notes.append(
-            f"feasibility search ran out of its iteration budget "
-            f"({opt.max_iter}) at gap {feas.gap:.3g}"
-        )
-    return Verdict(
-        UNKNOWN, direction, Certificate(KIND_UNKNOWN, data),
-        params, notes=tuple(notes),
+    if feas.witness is not None:
+        # every one-way protocol restricts to such operators, and none exist
+        return Verdict(INDISTINGUISHABLE, direction, Certificate(KIND_DUAL_WITNESS, {
+            "witness": faces.lift(feas.witness.matrix),
+            "shift": feas.witness.shift,
+            "shifted_inner_product": feas.witness.value,
+            "iterations": feas.iterations,
+        }), params, notes=tuple(notes))
+    notes.append(
+        f"feasibility search ran out of its iteration budget "
+        f"({opt.max_iter}) at gap {feas.gap:.3g}"
     )
+    return Verdict(UNKNOWN, direction, Certificate(KIND_UNKNOWN, {
+        "reason": "iteration budget exhausted",
+        "gap": feas.gap, "iterations": feas.iterations,
+    }), params, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -610,29 +585,20 @@ def converse_theorem_checks(
     x = states.alice_frame()
     m = states.alice_gram()
     scale = max(1.0, float(np.linalg.norm(m)))
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    span = u[:, : d_eff]
+    # a support whose face is a line forces its outcome's direction; an
+    # empty face lets nothing live on the support
+    faces = support_faces(x, maximal_cliques(host), tol)
+    span = faces.span
     forced: list[tuple[frozenset[int], np.ndarray]] = []
     under: list[frozenset[int]] = []
-    for c in maximal_cliques(host):
-        outside = np.ones(states.n, dtype=bool)
-        outside[[i - 1 for i in c]] = False
-        if not outside.any():
+    for c, w in zip(faces.supports, faces.bases):
+        if len(c) == states.n:
             under.append(c)
-            continue
-        rows = states.alice[outside].conj() @ span
-        _, sv, vh = np.linalg.svd(rows)
-        corank = sum(1 for v in sv if v <= tol.rank_tol * sv[0]) + max(
-            0, d_eff - len(sv)
-        )
-        if corank == 0:
-            continue  # nothing can live on this support
-        if corank > 1:
+        elif w.shape[1] > 1:
             under.append(c)
-            notes.append(f"support {sorted(c)} leaves {corank} free directions")
-            continue
-        e = span @ vh[-1, :].conj()
-        forced.append((c, e / np.linalg.norm(e)))
+            notes.append(f"support {sorted(c)} leaves {w.shape[1]} free directions")
+        elif w.shape[1] == 1:
+            forced.append((c, span @ w[:, 0]))
 
     families: list[tuple[tuple[frozenset[int], ...], np.ndarray]] = []
     for combo in itertools.combinations(range(len(forced)), d_eff):
@@ -794,16 +760,17 @@ def verify_certificate(
         check("between bounds", ga.edges <= g.edges <= host.edges)
         check("sandwich chordal", is_chordal(g).chordal)
     elif kind == KIND_FEASIBLE:
-        check("splitting present", verdict.decomposition is not None)
-        if verdict.decomposition is not None:
-            rep = verify_decomposition(
-                work.alice_gram(), verdict.decomposition, host, tol, rel_bound=1e-7
-            )
-            check(
-                "splitting verifies",
-                rep.ok,
-                f"relative residual {rep.rel_residual:.3g}",
-            )
+        # the pieces sum to the identity on Alice's span and each is silent
+        # outside its host clique exactly when, pushed through her frame,
+        # they split her Gram matrix on those cliques
+        try:
+            dec = certificate_splitting(work, verdict.certificate, ga, host, tol)
+            rep = verify_decomposition(work.alice_gram(), dec, host, tol, rel_bound=1e-7)
+            ok, detail = rep.ok, (f"relative residual {rep.rel_residual:.3g}, "
+                                  f"supports off {sorted(map(sorted, rep.bad_supports))}")
+        except LoccGraphError as exc:
+            ok, detail = False, str(exc)
+        check("pieces split the Gram matrix", ok, detail)
     elif kind == KIND_SCALED_DD:
         try:
             x = np.asarray(data.get("scaling"), dtype=float)
@@ -868,22 +835,24 @@ def verify_certificate(
     elif kind == KIND_SPANNING:
         check(
             "obstruction reproducible",
-            spanning_obstruction(work, maximal_cliques(host), tol, d_eff)
-            is not None,
+            spanning_obstruction(work, maximal_cliques(host), tol).empty,
         )
     elif kind == KIND_DUAL_WITNESS:
         try:
-            y = np.asarray(data.get("witness"), dtype=complex)
+            z = np.asarray(data.get("witness"), dtype=complex)
         except (TypeError, ValueError):
-            y = np.zeros(0)
-        well_formed = y.shape == (work.n, work.n) and bool(np.isfinite(y).all())
-        check("witness is an n x n matrix", well_formed, f"shape {y.shape}")
+            z = np.zeros(0)
+        d = work.d_alice
+        well_formed = z.shape == (d, d) and bool(np.isfinite(z).all())
+        check("witness is an operator on the measuring side", well_formed,
+              f"shape {z.shape}, measuring side C^{d}")
         if well_formed:
-            w = dual_witness(work.alice_gram(), y, maximal_cliques(host), tol)
+            faces = spanning_obstruction(work, maximal_cliques(host), tol)
+            w = dual_witness(faces, z, tol)
             check(
                 "witness excludes every splitting",
                 w.holds,
-                f"shift {w.shift:.3g}, shifted inner product {w.value:.3g}, "
+                f"shift {w.shift:.3g}, shifted trace {w.value:.3g}, "
                 f"margin {w.margin:.3g}",
             )
     elif kind == KIND_UNKNOWN:

@@ -1,26 +1,31 @@
-"""Splitting a Gram matrix into PSD pieces with constrained supports.
+"""Splitting a Gram matrix into PSD pieces with constrained supports, and
+the convex search for the outcome operators such a splitting comes from.
 
-Three routes produce splittings. The chordal route peels rank-one terms off
-along a perfect elimination ordering, so each support is a clique of the
-pattern graph; it is exact up to roundoff whenever the pattern graph is
-chordal and the matrix respects the pattern. The dominance route needs no
-chordality: when the comparison matrix of m on its pattern graph is a
-nonsingular M-matrix, a positive diagonal scaling makes m diagonally
-dominant, and m splits in closed form into one PSD piece per edge plus a
-nonnegative diagonal (factor width two: Boman, Chen, Parekh & Toledo 2005,
-"On factor width and symmetric H-matrices"). The feasibility route covers
-patterns the chordal route cannot: accelerated projected gradient on the
-squared distance from the target to sums of PSD pieces on the supports. It
-ends with a splitting, at the price of iterative accuracy, or with a dual
-witness, a Hermitian Y whose shift Y + eps*I is PSD on every support and
-has negative inner product with the target, which proves that no splitting
-exists (theorem of alternatives for generalized inequalities, Boyd &
-Vandenberghe, Convex Optimization, section 5.9).
+Two routes produce splittings in closed form. The chordal route peels
+rank-one terms off along a perfect elimination ordering, so each support is
+a clique of the pattern graph; it is exact up to roundoff whenever the
+pattern graph is chordal and the matrix respects the pattern. The dominance
+route needs no chordality: when the comparison matrix of m on its pattern
+graph is a nonsingular M-matrix, a positive diagonal scaling makes m
+diagonally dominant, and m splits in closed form into one PSD piece per edge
+plus a nonnegative diagonal (factor width two: Boman, Chen, Parekh & Toledo
+2005, "On factor width and symmetric H-matrices").
+
+The feasibility search covers everything else, in the measuring side's own
+span rather than in index space: an outcome operator silent outside a
+support S lives on S's face of that span (support_faces), and the search
+looks for PSD blocks on the faces that sum to the identity. It ends with
+those blocks, whose pieces push forward to a splitting of m = X* X, or with
+a dual witness, a Hermitian Y on the span whose shift Y + eps*I is PSD on
+every face and has negative trace, which proves that no such operators
+exist (theorem of alternatives for generalized inequalities, Boyd &
+Vandenberghe, Convex Optimization, section 5.9). All faces empty is the
+spanning obstruction, Y = -I.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,23 +47,12 @@ class DecompositionTerm:
     def matrix(self) -> np.ndarray:
         return np.outer(self.vector, self.vector.conj())
 
-    @property
-    def weight(self) -> float:
-        return float(np.linalg.norm(self.vector) ** 2)
-
 
 @dataclass(frozen=True)
 class Decomposition:
     n: int
     terms: tuple[DecompositionTerm, ...]
     residual: float
-    step_min_eigs: tuple[float, ...] = field(default=())
-
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for t in self.terms:
-            out += t.matrix()
-        return out
 
 
 def _pattern_leaks(m: np.ndarray, g: Graph, bound: float) -> list[tuple[int, int, float]]:
@@ -74,7 +68,6 @@ def chordal_decompose(
     m: np.ndarray,
     g: Graph,
     tol: Tolerance = DEFAULT_TOL,
-    track_steps: bool = False,
     ordering: Optional[Sequence[int]] = None,
 ) -> Decomposition:
     """Peel m into rank-one terms supported on cliques of chordal g.
@@ -83,8 +76,7 @@ def chordal_decompose(
     the running residual; within a perfect elimination ordering that column
     lives on v plus its not-yet-eliminated neighbours, which form a clique.
     The peel follows the given ordering, which must be a perfect elimination
-    ordering of g, or else the one is_chordal finds. step_min_eigs records
-    the smallest residual eigenvalue after each peel when track_steps is set.
+    ordering of g, or else the one is_chordal finds.
     """
     m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (g.n, g.n):
@@ -108,7 +100,6 @@ def chordal_decompose(
     later = np.ones(g.n, dtype=bool)
     r = m.copy()
     terms: list[DecompositionTerm] = []
-    steps: list[float] = []
     for v in ordering:
         vi = v - 1
         later[vi] = False
@@ -138,10 +129,8 @@ def chordal_decompose(
         r = hermitize(r - np.outer(vec, vec.conj()))
         r[vi, :] = 0.0
         r[:, vi] = 0.0
-        if track_steps:
-            steps.append(float(np.linalg.eigvalsh(r).min()))
     residual = float(np.linalg.norm(r))
-    return Decomposition(g.n, tuple(terms), residual, tuple(steps))
+    return Decomposition(g.n, tuple(terms), residual)
 
 
 def comparison_matrix(m: np.ndarray, g: Graph) -> np.ndarray:
@@ -247,7 +236,6 @@ def verify_decomposition(
     """Check the terms sum back to m and sit on cliques of host."""
     m = hermitize(np.asarray(m, dtype=complex))
     scale = max(1.0, float(np.linalg.norm(m)))
-    residual = float(np.linalg.norm(m - dec.matrix()))
     bad: list[frozenset[int]] = []
     if host is not None:
         clique = {s: is_clique(host, s) for s in {t.support for t in dec.terms}}
@@ -257,6 +245,7 @@ def verify_decomposition(
     for row, t in enumerate(dec.terms):
         inside[row, [i - 1 for i in t.support if 1 <= i <= dec.n]] = True
     vectors = np.array([t.vector for t in dec.terms]).reshape(inside.shape)
+    residual = float(np.linalg.norm(m - vectors.T @ vectors.conj()))
     stray = ((np.abs(vectors) > tol.zero_tol * scale) & ~inside).any(axis=1)
     bad += [t.support for t, off in zip(dec.terms, stray) if off]
     supports_ok = not bad
@@ -267,13 +256,105 @@ def verify_decomposition(
 
 
 @dataclass(frozen=True)
-class DualWitness:
-    """Proof that no splitting exists: Y + shift*I is PSD on every support
-    and its inner product with m is value < 0 (by more than margin).
+class Faces:
+    """The measuring side's span and the face each support leaves in it.
 
-    Any splitting m = sum of PSD B_S on the supports would give
-    <Y + shift*I, m> = sum of <(Y + shift*I)|_S, B_S> >= 0, since the inner
-    product of two PSD matrices is nonnegative.
+    span is an orthonormal basis U (d x r) of the span of the states;
+    bases[k] is an orthonormal basis W_S (r x k_S), in U's coordinates, of
+    the part of that span orthogonal to every state outside supports[k]. An
+    operator on the span that is PSD and silent on the states outside S is
+    U W_S F W_S* U* for a PSD k_S x k_S block F.
+    """
+
+    span: np.ndarray
+    supports: tuple[frozenset[int], ...]
+    bases: tuple[np.ndarray, ...]
+
+    @property
+    def d_eff(self) -> int:
+        return self.span.shape[1]
+
+    @property
+    def entries(self) -> tuple[tuple[frozenset[int], int], ...]:
+        """Each support with the rank of the states outside it, d_eff - k_S."""
+        return tuple(
+            (s, self.d_eff - w.shape[1]) for s, w in zip(self.supports, self.bases)
+        )
+
+    @property
+    def empty(self) -> bool:
+        return all(w.shape[1] == 0 for w in self.bases)
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """U y U*: an r x r matrix on the span as an operator on C^d."""
+        return self.span @ y @ self.span.conj().T
+
+
+def support_faces(
+    x: np.ndarray, supports: Sequence[frozenset[int]], tol: Tolerance = DEFAULT_TOL
+) -> Faces:
+    """The faces of the given supports (1-based) for the states that are
+    the columns of the frame x."""
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[1]
+    supports = tuple(frozenset(s) for s in supports)
+    if not supports:
+        raise InvalidCover("need at least one support")
+    for s in supports:
+        if not s or min(s) < 1 or max(s) > n:
+            raise InvalidCover(f"support {sorted(s)} out of range")
+    u, sv, _ = np.linalg.svd(x, full_matrices=False)
+    span = u[:, : int(np.count_nonzero(sv > tol.rank_tol * sv[0]))]
+    coords = span.conj().T @ x
+    bases = []
+    for s in supports:
+        outside = np.ones(n, dtype=bool)
+        outside[[i - 1 for i in s]] = False
+        # the left singular vectors past the outside states' rank
+        uo, so, _ = np.linalg.svd(coords[:, outside])
+        rank = int(np.count_nonzero(so > tol.rank_tol * so.max(initial=0.0)))
+        bases.append(uo[:, rank:])
+    return Faces(span, supports, tuple(bases))
+
+
+def _layout(bases: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple]]:
+    """The face bases side by side as one r x K matrix B, so that the sum of
+    W_S F_S W_S* is B F B* for the block-diagonal F; with the (row, column)
+    indices that cut F's blocks out as one (blocks, k, k) stack per size k."""
+    widths = np.array([w.shape[1] for w in bases])
+    starts = np.cumsum(widths) - widths
+    stacks = []
+    for k in np.unique(widths[widths > 0]):
+        idx = starts[widths == k][:, None] + np.arange(k)
+        stacks.append((idx[:, :, None], idx[:, None, :]))
+    return np.concatenate(bases, axis=1), stacks
+
+
+def _block_ceiling(g: np.ndarray, stacks: Sequence[tuple]) -> float:
+    """The largest eigenvalue of any diagonal block of g (0 for none)."""
+    return max((float(np.linalg.eigvalsh(g[cut])[:, -1].max()) for cut in stacks),
+               default=0.0)
+
+
+def _clip_blocks(f: np.ndarray, stacks: Sequence[tuple]) -> np.ndarray:
+    """The block-diagonal part of f with each block's negative eigenvalues
+    set to zero: the nearest point of the product of PSD cones."""
+    out = np.zeros_like(f)
+    for cut in stacks:
+        w, v = np.linalg.eigh(f[cut])
+        out[cut] = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return out
+
+
+@dataclass(frozen=True)
+class DualWitness:
+    """Proof that no measurement exists: Y + shift*I, Y Hermitian on the
+    span, is PSD on every face, and its trace value = tr Y + shift*r is
+    negative (by more than margin).
+
+    Blocks F_S with sum_S W_S F_S W_S* = I would give
+    tr(Y + shift*I) = sum_S <W_S* (Y + shift*I) W_S, F_S> >= 0, since the
+    inner product of two PSD matrices is nonnegative.
     """
 
     matrix: np.ndarray
@@ -286,164 +367,173 @@ class DualWitness:
         return self.value < -self.margin
 
 
-def _witness(
-    m: np.ndarray, y: np.ndarray, cells: Sequence, tol: Tolerance
-) -> DualWitness:
-    lowest = min(float(np.linalg.eigvalsh(y[c])[0]) for c in cells)
+def _witness(y: np.ndarray, lowest: float, tol: Tolerance) -> DualWitness:
+    r = y.shape[0]
     shift = max(0.0, -lowest)
-    trace = float(np.trace(m).real)
-    value = float(np.vdot(y, m).real) + shift * trace
-    # roundoff in the block eigenvalues and the inner product stays far
-    # below this, so a witness that holds is not an artefact of rounding
-    margin = tol.psd_tol * float(np.linalg.norm(y)) * trace
+    value = float(np.trace(y).real) + shift * r
+    # roundoff in the block eigenvalues and the trace stays far below this,
+    # so a witness that holds is not an artefact of rounding
+    margin = tol.psd_tol * float(np.linalg.norm(y)) * r
     return DualWitness(y, shift, value, margin)
 
 
-def dual_witness(
-    m: np.ndarray,
-    y: np.ndarray,
-    supports: Sequence[frozenset[int]],
-    tol: Tolerance = DEFAULT_TOL,
-) -> DualWitness:
-    """Shift and shifted inner product of a candidate witness y against m.
+def dual_witness(faces: Faces, z, tol: Tolerance = DEFAULT_TOL) -> DualWitness:
+    """Shift and shifted trace of a candidate witness z, an operator on C^d,
+    read on the span as Y = U* z U. The figures do not depend on which
+    orthonormal bases of the span and faces were computed."""
+    y = hermitize(faces.span.conj().T @ np.asarray(z, dtype=complex) @ faces.span)
+    lowest = min(
+        (float(np.linalg.eigvalsh(w.conj().T @ y @ w)[0]) for w in faces.bases if w.size),
+        default=0.0,
+    )
+    return _witness(y, lowest, tol)
 
-    The shift is the smallest eigenvalue of y on any support, negated, or 0
-    when every block is PSD already. Only y, m and the supports are read.
+
+def _fewer_pieces(pieces: list[tuple]) -> list[tuple]:
+    """(support, V_S) pairs, V_S V_S* the block of S on the span, recast
+    with fewer columns and the same sum of blocks.
+
+    While the map (H_S) -> sum_S V_S H_S V_S* on Hermitian H_S has more
+    unknowns, sum_S rho_S^2 for rho_S the columns of V_S, than the dimension
+    of its image, it has a kernel (Pataki 1998, "On the rank of extreme
+    matrices in semidefinite programs"), and the blocks V_S (I + t H_S) V_S*
+    keep that sum. Their traces sum to 0, so some H_S has a negative
+    eigenvalue, and at the t where the first block turns singular it loses
+    a column. The image only shrinks as columns go, so its first basis
+    serves throughout.
     """
-    m = hermitize(np.asarray(m, dtype=complex))
-    y = hermitize(np.asarray(y, dtype=complex))
-    cells = [np.ix_(ix, ix) for ix in (np.array(sorted(s)) - 1 for s in supports)]
-    return _witness(m, y, cells, tol)
+    if not pieces:
+        return pieces
+    # vec(V H V*) = (V kron conj V) vec(H) for H laid out row by row
+    u, sv, _ = np.linalg.svd(
+        np.hstack([np.kron(f, f.conj()) for _, f in pieces]), full_matrices=False)
+    image = u[:, sv > 1e-9 * sv[0]].conj().T
+    while True:
+        sizes = [f.shape[1] ** 2 for _, f in pieces]
+        # the first blocks whose unknowns outnumber the image's dimension
+        # have a kernel element, which is one of the whole map with zeros
+        # on the other blocks: the last column of a complete QR of the
+        # adjoint of their map in image coordinates
+        used = int(np.searchsorted(np.cumsum(sizes), len(image), side="right")) + 1
+        if used > len(pieces):
+            return pieces
+        local = image @ np.hstack([np.kron(f, f.conj()) for _, f in pieces[:used]])
+        kernel = np.linalg.qr(local.conj().T, mode="complete")[0][:, -1]
+        kernel = np.concatenate([kernel, np.zeros(sum(sizes[used:]))])
+        # a kernel element's conjugate is one too, so its Hermitian or its
+        # anti-Hermitian part is a nonzero Hermitian one
+        parts = [p.reshape(f.shape[1], -1) for p, (_, f) in
+                 zip(np.split(kernel, np.cumsum(sizes)[:-1]), pieces)]
+        h = max(([p + p.conj().T for p in parts], [1j * (p - p.conj().T) for p in parts]),
+                key=lambda hs: sum(np.linalg.norm(b) for b in hs))
+        low = min(np.linalg.eigvalsh(b)[0] for b in h)
+        if not low < 0.0:
+            return pieces
+        shrunk = [(s, f, *np.linalg.eigh(np.eye(len(b)) - b / low))
+                  for (s, f), b in zip(pieces, h)]
+        pieces = [(s, f @ (q[:, w > 1e-12] * np.sqrt(w[w > 1e-12])))
+                  for s, f, w, q in shrunk if (w > 1e-12).any()]
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """A converged search carries a decomposition, an infeasible one a
-    witness; neither means the iteration budget ran out."""
+    """A converged search carries the rank-one pieces weight * dir dir* of
+    the outcome operators (piece k on supports[k], dir a unit vector in
+    C^d), an infeasible one a witness; neither means the iteration budget
+    ran out."""
 
-    decomposition: Optional[Decomposition]
     supports: tuple[frozenset[int], ...]
-    blocks: tuple[np.ndarray, ...]
+    weights: np.ndarray
+    directions: np.ndarray
     gap: float
     iterations: int
     converged: bool
     witness: Optional[DualWitness] = None
 
 
-def _clip_psd(block: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """block with its eigenvalues below floor set to zero."""
-    w, v = np.linalg.eigh(hermitize(block))
-    w[w < floor] = 0.0
-    return (v * w) @ v.conj().T
-
-
 def feasibility_search(
-    m: np.ndarray,
-    supports: Sequence[frozenset[int]],
+    faces: Faces,
     tol: Tolerance = DEFAULT_TOL,
     max_iter: int = 60000,
-    gap_tol: Optional[float] = None,
-) -> Optional[FeasibilityResult]:
-    """Split m into PSD blocks on the given supports, or prove none exists.
+) -> FeasibilityResult:
+    """Find outcome operators on the faces that sum to the identity on the
+    span, or prove none exist.
 
-    Minimises 1/2 ||m - sum_S E_S(B_S)||^2 over PSD blocks B_S. The first
-    iterate is the averaged split clip(m|_S / counts), where counts[i, j]
-    is the number of supports holding both i and j; later iterates are
+    Minimises 1/2 ||I - sum_S W_S F_S W_S*||^2 over PSD blocks F_S by
     accelerated projected gradient steps (FISTA, Beck & Teboulle 2009) of
-    length 1 / max(counts). The search stops at the first of:
+    length 1 / lambda_max(sum_S W_S W_S*), from F = 0. The search stops at
+    the first of:
 
-    - gap ||r|| <= gap_tol, r the residual: converged. Eigenvalue dust is
-      trimmed and one averaged step re-balances the blocks (kept when the
-      gap stays within gap_tol); the result carries the decomposition;
-    - Y = -r / ||r|| is a dual witness (see DualWitness). At the optimum
-      -r is PSD on every support and <-r, m> = -||r||^2, so the test holds
-      once the iterates are close to an optimum with a nonzero residual.
-      The result carries the witness;
-    - max_iter iterates: neither.
+    - gap ||R|| <= 1e-11 * sqrt(r), R the residual: converged. Each
+      block's eigenvectors above max(10 gap, zero_tol), reduced in rank by
+      _fewer_pieces and mapped to C^d by U, are the pieces;
+    - Y = -R / ||R|| is a dual witness (see DualWitness). At the optimum
+      W_S* R W_S is negative semidefinite on every face and tr R = ||R||^2,
+      so the test holds once the iterates are close to an optimum with a
+      nonzero residual;
+    - max_iter steps: neither.
 
-    Returns None when m has weight on an entry no support covers.
+    Restricting the blocks to the faces is facial reduction (Permenter &
+    Parrilo 2018, "Partial facial reduction"): every operator the search
+    can return is silent outside its support, however rank-deficient the
+    states are.
     """
-    m = hermitize(np.asarray(m, dtype=complex))
-    n = m.shape[0]
-    supports = tuple(frozenset(s) for s in supports)
-    if not supports:
-        raise InvalidCover("need at least one support")
-    for s in supports:
-        if not s or min(s) < 1 or max(s) > n:
-            raise InvalidCover(f"support {sorted(s)} out of range")
-    idx = [np.array(sorted(s)) - 1 for s in supports]
-    cells = [np.ix_(ix, ix) for ix in idx]
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if gap_tol is None:
-        gap_tol = 1e-7 * scale
+    r = faces.d_eff
+    gap_tol = 1e-11 * np.sqrt(r)
+    eye = np.eye(r)
+    basis, stacks = _layout(faces.bases)
+    basis_h = basis.conj().T
+    # lambda_max is 1 or more unless every face is empty (then Y = -I holds
+    # after one idle step)
+    step = 1.0 / max(1.0, float(np.linalg.norm(basis, 2)) ** 2)
 
-    counts = np.zeros((n, n))
-    for c in cells:
-        counts[c] += 1.0
-    uncovered = counts == 0
-    if np.abs(m[uncovered]).max(initial=0.0) > tol.zero_tol * scale:
-        return None
-
-    def residual(blocks: Sequence[np.ndarray]) -> np.ndarray:
-        total = np.zeros((n, n), dtype=complex)
-        for b, c in zip(blocks, cells):
-            total[c] += b
-        return m - total
-
-    def averaged_step(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        r = residual(blocks)
-        return [_clip_psd(b + r[c] / counts[c]) for b, c in zip(blocks, cells)]
-
-    blocks = averaged_step([np.zeros((len(ix), len(ix)), dtype=complex) for ix in idx])
-    r = residual(blocks)
-    gap = float(np.linalg.norm(r))
-    iterations = 1
-    step = 1.0 / counts.max()
-    ahead, momentum = blocks, 1.0
+    # the residual R and the face blocks of B* R B (the negated gradient),
+    # at the iterate and, by linearity, at the extrapolated point
+    blocks = np.zeros((basis.shape[1],) * 2, dtype=complex)
+    res = eye.astype(complex)
+    grad = basis_h @ basis
+    ahead, ahead_grad = blocks, grad
+    gap = float(np.sqrt(r))
+    iterations = 0
+    momentum = 1.0
     witness = None
     while gap > gap_tol:
-        candidate = _witness(m, -r / gap, cells, tol)
-        if candidate.holds:
-            witness = candidate
-            break
+        # tr Y bounds the shifted trace from below, so most steps skip the
+        # eigenvalues
+        y = -res / gap
+        if iterations and float(np.trace(y).real) < 0.0:
+            candidate = _witness(y, -_block_ceiling(grad, stacks) / gap, tol)
+            if candidate.holds:
+                witness = candidate
+                break
         if iterations >= max_iter:
             break
-        r_ahead = residual(ahead)
-        new = [_clip_psd(b + step * r_ahead[c]) for b, c in zip(ahead, cells)]
+        new = _clip_blocks(ahead + step * ahead_grad, stacks)
         following = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
         beta = (momentum - 1.0) / following
-        ahead = [a + beta * (a - b) for a, b in zip(new, blocks)]
-        blocks, momentum = new, following
-        r = residual(blocks)
-        gap = float(np.linalg.norm(r))
+        new_res = eye - basis @ new @ basis_h
+        new_grad = basis_h @ new_res @ basis
+        ahead = new + beta * (new - blocks)
+        ahead_grad = (1.0 + beta) * new_grad - beta * grad
+        blocks, res, grad, momentum = new, new_res, new_grad, following
+        gap = float(np.linalg.norm(res))
         iterations += 1
 
-    if gap > gap_tol:
-        return FeasibilityResult(
-            None, supports, tuple(blocks), gap, iterations, False, witness
-        )
-
-    # drop near-null eigenvalue dust so the terms come out clean, then let
-    # one averaged step re-balance what the truncation disturbed
-    floor = max(tol.psd_tol, 10 * gap)
-    polished = averaged_step([_clip_psd(b, floor) for b in blocks])
-    iterations += 1
-    polished_gap = float(np.linalg.norm(residual(polished)))
-    if polished_gap <= gap_tol:
-        blocks, gap = polished, polished_gap
-
-    terms: list[DecompositionTerm] = []
-    term_floor = max(10 * gap, tol.psd_tol * scale)
-    for b, ix in zip(blocks, idx):
-        w, v = eigh_desc(hermitize(b))
-        for col in range(len(w)):
-            if w[col] <= term_floor:
-                continue
-            vec = np.zeros(n, dtype=complex)
-            vec[ix] = np.sqrt(w[col]) * v[:, col]
-            sup = frozenset(
-                int(i) + 1 for i in ix if abs(vec[i]) > tol.zero_tol * scale
-            )
-            terms.append(DecompositionTerm(sup or frozenset({int(ix[0]) + 1}), vec))
-    dec = Decomposition(n, tuple(terms), gap)
-    return FeasibilityResult(dec, supports, tuple(blocks), gap, iterations, True)
+    pieces = []
+    if gap <= gap_tol:
+        floor = max(10 * gap, tol.zero_tol)
+        start = 0
+        for support, w_s in zip(faces.supports, faces.bases):
+            end = start + w_s.shape[1]
+            w, v = eigh_desc(blocks[start:end, start:end])
+            start = end
+            keep = w > floor
+            if keep.any():
+                pieces.append((support, w_s @ (v[:, keep] * np.sqrt(w[keep]))))
+    pieces = _fewer_pieces(pieces)
+    vectors = np.hstack([np.zeros((r, 0))] + [f for _, f in pieces]).T @ faces.span.T
+    weights = np.linalg.norm(vectors, axis=1) ** 2
+    return FeasibilityResult(
+        tuple(s for s, f in pieces for _ in f.T), weights,
+        vectors / np.sqrt(weights)[:, None], gap, iterations, gap <= gap_tol, witness,
+    )

@@ -81,12 +81,6 @@ class Protocol:
     alice: Povm
     bob: tuple[BobPlan, ...]
 
-    def plan_for(self, outcome: int) -> BobPlan:
-        for p in self.bob:
-            if p.outcome == outcome:
-                return p
-        raise InvalidInput(f"no Bob plan for outcome {outcome}")
-
 
 @dataclass(frozen=True)
 class PovmReport:
@@ -168,25 +162,26 @@ def synthesize_protocol(
 def povm_to_decomposition(
     states: ProductStateSet, povm: Povm, tol: Tolerance = DEFAULT_TOL
 ) -> Decomposition:
-    """Push a POVM through the Alice frame: outcome E gives X* E X, split
-    into rank-one terms on the states the outcome can see."""
+    """Push a POVM through the Alice frame X: the element w d d* gives the
+    rank-one term sqrt(w) X* d on the element's support, so every term lies
+    in the range of X* and synthesize_protocol lifts it back exactly.
+    Elements that no state sees (on the complement of Alice's span) give no
+    term; a negative weight raises NotPSD."""
+    dirs, weights = _weighted_directions(povm)
+    if weights.min(initial=0.0) < -tol.psd_tol:
+        raise NotPSD(f"element weight {weights.min():.3g}")
     x = states.alice_frame()
     scale = max(1.0, float(np.linalg.norm(x) ** 2))
-    terms: list[DecompositionTerm] = []
-    total = np.zeros((states.n, states.n), dtype=complex)
-    for outcome in povm.outcome_ids():
-        mk = hermitize(x.conj().T @ povm.outcome_operator(outcome) @ x)
-        w, v = eigh_desc(mk)
-        if w[-1] < -tol.psd_tol * scale:
-            raise NotPSD(f"outcome {outcome} pushes to eigenvalue {w[-1]:.3g}")
-        inside = np.diagonal(mk).real > tol.zero_tol * scale
-        support = frozenset((np.flatnonzero(inside) + 1).tolist())
-        for c in np.flatnonzero(w > tol.zero_tol * scale):
-            vec = np.where(inside, np.sqrt(w[c]) * v[:, c], 0.0)
-            terms.append(DecompositionTerm(support, vec))
-            total += np.outer(vec, vec.conj())
-    residual = float(np.linalg.norm(states.alice_gram() - total))
-    return Decomposition(states.n, tuple(terms), residual)
+    vectors = np.sqrt(np.maximum(weights, 0.0))[:, None] * (dirs @ x.conj())
+    keep = np.linalg.norm(vectors, axis=1) ** 2 > tol.zero_tol * scale
+    terms = tuple(
+        DecompositionTerm(e.support, v)
+        for e, v, seen in zip(povm.elements, vectors, keep) if seen
+    )
+    residual = float(
+        np.linalg.norm(states.alice_gram() - vectors[keep].T @ vectors[keep].conj())
+    )
+    return Decomposition(states.n, terms, residual)
 
 
 def _weighted_directions(povm: Povm) -> tuple[np.ndarray, np.ndarray]:

@@ -20,13 +20,12 @@ from .criteria import (
     BOB_FIRST,
     DISTINGUISHABLE,
     KINDS,
-    SPLITTING_FROM_CERTIFICATE,
     STATUSES,
     Certificate,
     Verdict,
     distinguishable_verdict,
 )
-from .decomposition import Decomposition, DecompositionTerm
+from .decomposition import Decomposition
 from .errors import InvalidInput, LoccGraphError
 from .graphs import Graph
 from .linalg import DEFAULT_TOL, Tolerance
@@ -53,10 +52,6 @@ def _parse_pairs(data, ndim: int) -> np.ndarray:
     if a is None or a.dtype.kind not in "biuf" or a.shape[ndim:] != (2,):
         raise InvalidInput(f"expected a {ndim}-d array of [re, im] number pairs")
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
-
-
-def _parse_vec(data) -> np.ndarray:
-    return _parse_pairs(data, 1)
 
 
 def _parse_mat(data) -> np.ndarray:
@@ -93,20 +88,20 @@ def states_from_json(data: dict) -> ProductStateSet:
     entries = _require(data, "states", "state set")
     if not isinstance(entries, list) or not entries:
         raise InvalidInput("state set needs a non-empty 'states' list")
-    alice, bob, labels = [], [], []
-    for k, entry in enumerate(entries):
-        a = _parse_vec(_require(entry, "A", f"state {k}"))
-        b = _parse_vec(_require(entry, "B", f"state {k}"))
-        if a.shape != (da,) or b.shape != (db,):
-            raise InvalidInput(
-                f"state {k}: vector lengths {a.shape[0]}/{b.shape[0]} "
-                f"do not match dA={da}, dB={db}"
-            )
-        alice.append(a)
-        bob.append(b)
-        labels.append(str(entry.get("label", k + 1)))
+    sides = {
+        side: _parse_pairs(
+            [_require(entry, side, f"state {k}") for k, entry in enumerate(entries)], 2
+        )
+        for side in ("A", "B")
+    }
+    if sides["A"].shape[1] != da or sides["B"].shape[1] != db:
+        raise InvalidInput(
+            f"vector lengths {sides['A'].shape[1]}/{sides['B'].shape[1]} "
+            f"do not match dA={da}, dB={db}"
+        )
+    labels = tuple(str(entry.get("label", k + 1)) for k, entry in enumerate(entries))
     return ProductStateSet.from_vectors(
-        alice, bob, labels=tuple(labels), normalize=False
+        sides["A"], sides["B"], labels=labels, normalize=False
     )
 
 
@@ -153,18 +148,6 @@ def decomposition_to_json(dec: Decomposition) -> dict:
     }
 
 
-def decomposition_from_json(data: dict) -> Decomposition:
-    n = int(_require(data, "n", "decomposition"))
-    terms = []
-    for k, term in enumerate(_require(data, "terms", "decomposition")):
-        support = frozenset(int(i) for i in _require(term, "support", f"term {k}"))
-        vector = _parse_vec(_require(term, "vector", f"term {k}"))
-        if vector.shape != (n,):
-            raise InvalidInput(f"term {k}: vector length {vector.shape[0]} != n={n}")
-        terms.append(DecompositionTerm(support, vector))
-    return Decomposition(n, tuple(terms), float(data.get("residual", 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # protocols
 
@@ -203,7 +186,7 @@ def protocol_from_json(data: dict) -> Protocol:
         elements.append(PovmElement(
             int(_require(e, "outcome", f"element {k}")),
             float(_require(e, "weight", f"element {k}")),
-            _parse_vec(_require(e, "direction", f"element {k}")),
+            _parse_pairs(_require(e, "direction", f"element {k}"), 1),
             frozenset(int(i) for i in _require(e, "support", f"element {k}")),
         ))
     plans = []
@@ -254,10 +237,9 @@ def jsonify(obj: Any) -> Any:
 
 
 def verdict_to_json(verdict: Verdict) -> dict:
-    """The verdict without its protocol and simulation, which
-    verdict_from_json re-derives; the splitting is written only when the
-    certificate does not fix it (FeasibleDecomposition)."""
-    out = {
+    """The verdict without its splitting, protocol and simulation, which
+    verdict_from_json re-derives from the certificate."""
+    return {
         "status": verdict.status,
         "direction": verdict.direction,
         "certificate": {
@@ -268,10 +250,6 @@ def verdict_to_json(verdict: Verdict) -> dict:
         "notes": list(verdict.notes),
         "exit_code": verdict.exit_code,
     }
-    kind = verdict.certificate.kind
-    if verdict.decomposition is not None and kind not in SPLITTING_FROM_CERTIFICATE:
-        out["decomposition"] = decomposition_to_json(verdict.decomposition)
-    return out
 
 
 def _is_int(value) -> bool:
@@ -316,6 +294,8 @@ _CERTIFICATE_FIELDS = {
     "supports": _index_lists,
     "sandwich_edges": _edges,
     "scaling": _numbers,
+    "weights": _numbers,
+    "directions": lambda value, n: _parse_mat(value),
     "witness": lambda value, n: _parse_mat(value),
 }
 
@@ -325,12 +305,11 @@ def verdict_from_json(
 ) -> Verdict:
     """The full in-memory verdict a verdict file describes for these states.
 
-    A Distinguishable verdict gets its splitting from the certificate (or,
-    for FeasibleDecomposition, from the file), then the protocol it lifts to
-    and that protocol's simulation, as decide built them. When that fails,
-    as it does for a forged certificate, the verdict carries no protocol,
-    which verify_certificate reports. A file that is not a verdict raises
-    InvalidInput.
+    A Distinguishable verdict gets its splitting from the certificate, then
+    the protocol it lifts to and that protocol's simulation, as decide built
+    them. When that fails, as it does for a forged certificate, the verdict
+    carries no protocol, which verify_certificate reports. A file that is
+    not a verdict raises InvalidInput.
     """
     status = _require(data, "status", "verdict")
     direction = _require(data, "direction", "verdict")
@@ -355,13 +334,8 @@ def verdict_from_json(
         raise InvalidInput("verdict parameters need integer search budgets")
     if not isinstance(notes, list) or not all(isinstance(x, str) for x in notes):
         raise InvalidInput("verdict notes must be a list of strings")
-    dec = None
-    if "decomposition" in data and kind not in SPLITTING_FROM_CERTIFICATE:
-        dec = decomposition_from_json(data["decomposition"])
-        if dec.n != states.n:
-            raise InvalidInput(f"splitting over {dec.n} states, set has {states.n}")
     verdict = Verdict(status, direction, Certificate(kind, fields), params,
-                      decomposition=dec, notes=tuple(notes))
+                      notes=tuple(notes))
     if status != DISTINGUISHABLE:
         return verdict
     work = states if direction == ALICE_FIRST else states.swapped()
@@ -369,7 +343,7 @@ def verdict_from_json(
     try:
         return distinguishable_verdict(
             work, direction, verdict.certificate, params, notes,
-            graphs.alice, graphs.bob_orthogonality(), tol, dec,
+            graphs.alice, graphs.bob_orthogonality(), tol,
         )
     except LoccGraphError:
         return verdict

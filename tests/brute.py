@@ -392,6 +392,26 @@ PINNED_SETS = {
     ),
 }
 
+# rank-deficient sets (n > d_eff) on which a convex search over n x n Gram
+# splittings, blind to the kernel of the Gram matrix, stalled (S1
+# bob-first) or returned a splitting outside the range of Alice's frame
+# (S2 alice-first), as {name: (alice vectors, bob vectors, {direction:
+# kind})}; from_vectors normalises them
+FACE_SETS = {
+    "S1": (
+        [(1, 1, 0, 1), (1, 1, 0, 1), (1, 0, 0, -1), (1, -1, 0, 0), (0, 0, 1, 0)],
+        [(1, -1, 1, 0), (1, 1, 0, 1), (1, -1, -1, -1), (1, 0, 1, 0), (0, 0, 1, -1)],
+        {"alice-first": "ChordalAliceGraph", "bob-first": "FeasibleDecomposition"},
+    ),
+    "S2": (
+        [(1, 0, 1, -1), (-1, -1, 0, -1), (0, -1, -1, 1), (0, 1, 1, 1), (1, 1, -1, 0),
+         (1, -1, 0, 1)],
+        [(-1, 0, 1, -1), (0, 1, 1, 0), (1, 0, 0, -1), (0, 1, -1, 0), (-1, 0, 0, 1),
+         (-1, 0, 0, -1)],
+        {"alice-first": "FeasibleDecomposition", "bob-first": "ChordalAliceGraph"},
+    ),
+}
+
 # a qubit measuring side whose host has a two-clique cover: it reaches the
 # distinguishable SingleQubitSandwich rung alice-first
 QUBIT_COVER = (
@@ -406,3 +426,11 @@ def pinned_set(name: str):
 
     direction, kind, alice, bob = PINNED_SETS[name]
     return ProductStateSet.from_vectors(alice, bob), direction, kind
+
+
+def face_set(name: str):
+    """The named FACE_SETS entry as (states, {direction: kind})."""
+    from loccgraph import ProductStateSet
+
+    alice, bob, kinds = FACE_SETS[name]
+    return ProductStateSet.from_vectors(alice, bob), kinds

@@ -22,6 +22,7 @@ from loccgraph.criteria import (
     spanning_obstruction,
     verify_certificate,
 )
+from loccgraph.decomposition import support_faces
 from loccgraph.errors import LoccGraphError
 from loccgraph.families import FAMILIES, generate
 from loccgraph.graphs import independence_number, maximal_cliques
@@ -142,7 +143,7 @@ def test_spanning_obstruction_example2():
     s = generate("example2")
     g = s.build_graphs().alice
     rep = spanning_obstruction(s, [frozenset(e) for e in sorted(g.edges)])
-    assert rep is not None
+    assert rep.empty
     assert rep.d_eff == 2
     # every support's excluded pair spans the whole effective space
     assert all(r == 2 for _, r in rep.entries)
@@ -154,7 +155,7 @@ def test_spanning_obstruction_absent_for_example1():
     from loccgraph.graphs import maximal_cliques
 
     rep = spanning_obstruction(s, [frozenset(c) for c in maximal_cliques(host)])
-    assert rep is None
+    assert not rep.empty
 
 
 def test_converse_checks_pentagon():
@@ -459,28 +460,36 @@ def test_pentagon_path_bob_first_has_a_dual_witness():
 def test_tampered_dual_witness_fails_verification():
     s = generate("pentagon-path")
     v = decide(s, BOB_FIRST)
-    y = np.asarray(v.certificate.data["witness"])
-    host = s.swapped().build_graphs().bob_orthogonality()
-    clique = [i - 1 for i in sorted(maximal_cliques(host)[0])]
-    negative_block = y.copy()
-    negative_block[np.ix_(clique, clique)] = -np.eye(len(clique))
-    for forged in (-y, negative_block, np.eye(s.n)):
+    z = np.asarray(v.certificate.data["witness"])
+    work = s.swapped()
+    d = work.d_alice
+    assert z.shape == (d, d)
+    faces = support_faces(
+        work.alice_frame(), maximal_cliques(work.build_graphs().bob_orthogonality())
+    )
+    # one face's block made negative definite
+    w = next(w for w in faces.bases if 0 < w.shape[1] < faces.d_eff)
+    y = faces.span.conj().T @ z @ faces.span
+    y -= w @ (w.conj().T @ y @ w + np.eye(w.shape[1])) @ w.conj().T
+    for forged in (-z, faces.lift(y), np.eye(d)):
         outcome = verify_certificate(s, _with_witness(v, forged))
         assert _failed(outcome) == {"witness excludes every splitting"}
-    for malformed in (y[:3, :3], np.full((s.n, s.n), np.nan), "no matrix"):
+    for malformed in (z[:2, :2], np.full((d, d), np.nan), np.eye(s.n), "no matrix"):
         outcome = verify_certificate(s, _with_witness(v, malformed))
-        assert _failed(outcome) == {"witness is an n x n matrix"}
+        assert _failed(outcome) == {"witness is an operator on the measuring side"}
 
 
 def test_forged_dual_witness_fails_where_a_splitting_exists():
     s = generate("example3")
     v = decide(s)
     assert v.certificate.kind == "FeasibleDecomposition"
-    m = s.alice_gram()
+    # candidate witnesses are operators on the measuring side, C^4
+    frame_op = s.alice_frame() @ s.alice_frame().conj().T
+    d = s.d_alice
     rng = np.random.default_rng(3)
-    candidates = [-m, -np.eye(s.n), m - 2 * np.eye(s.n)]
+    candidates = [-frame_op, -np.eye(d), frame_op - 2 * np.eye(d)]
     for _ in range(20):
-        x = rng.normal(size=(s.n, s.n)) + 1j * rng.normal(size=(s.n, s.n))
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         candidates.append(x + x.conj().T)
     for y in candidates:
         forged = _with_witness(_forge(v, status=INDISTINGUISHABLE), y)
@@ -489,7 +498,8 @@ def test_forged_dual_witness_fails_where_a_splitting_exists():
 
 
 def test_unknown_records_the_exhausted_budget():
-    s = generate("pentagon-path")
+    # S1 bob-first splits, but only after hundreds of steps
+    s, _ = brute.face_set("S1")
     v = decide(s, BOB_FIRST, DecideOptions(max_iter=1))
     assert v.status == UNKNOWN
     data = v.certificate.data

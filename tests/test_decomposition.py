@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from loccgraph.decomposition import (
     dominance_split,
     dual_witness,
     feasibility_search,
+    support_faces,
     verify_decomposition,
 )
 from loccgraph.errors import InvalidCover, NotPSD, PatternViolation
@@ -24,6 +27,31 @@ from loccgraph.graphs import (
     path_graph,
 )
 from loccgraph.linalg import DEFAULT_TOL
+
+
+def _frame(m) -> np.ndarray:
+    """x with x* x = m, one row per nonzero eigenvalue of m."""
+    w, v = np.linalg.eigh(m)
+    keep = w > 1e-12 * w.max()
+    return np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
+
+
+def _pushed(x, result) -> Decomposition:
+    """The pieces of a converged search as a splitting of x* x: piece
+    w d d* gives the term sqrt(w) x* d on its support."""
+    vectors = np.sqrt(result.weights)[:, None] * (result.directions @ x.conj())
+    terms = tuple(DecompositionTerm(s, v) for s, v in zip(result.supports, vectors))
+    return Decomposition(x.shape[1], terms, 0.0)
+
+
+def _step_min_eigs(m, dec) -> list[float]:
+    """The smallest eigenvalue of m less the first k terms, for each k."""
+    residual = np.asarray(m, dtype=complex)
+    out = []
+    for t in dec.terms:
+        residual = residual - t.matrix()
+        out.append(float(np.linalg.eigvalsh(residual)[0]))
+    return out
 
 
 def _p3_psd() -> np.ndarray:
@@ -88,9 +116,10 @@ def test_step_residuals_tracked():
     g = complete_graph(4)
     rng = np.random.default_rng(0)
     m = brute.random_conforming_psd(g, rng)
-    dec = chordal_decompose(m, g, track_steps=True)
-    assert dec.step_min_eigs
-    assert min(dec.step_min_eigs) >= -1e-8
+    dec = chordal_decompose(m, g)
+    steps = _step_min_eigs(m, dec)
+    assert steps
+    assert min(steps) >= -1e-8
     assert verify_decomposition(m, dec, host=g).ok
 
 
@@ -110,36 +139,42 @@ def test_verify_decomposition_detects_bad_support():
     assert not rep.supports_ok
 
 
+_C4 = np.eye(4) + 0.5 * np.array([
+    [0, 1, 1, 0],
+    [1, 0, 0, 1],
+    [1, 0, 0, 1],
+    [0, 1, 1, 0],
+])
+_C4_EDGES = [frozenset(e) for e in [(1, 2), (1, 3), (2, 4), (3, 4)]]
+
+
 def test_feasibility_search_c4_splits():
     # identity plus C_4-patterned coupling is splittable over the C_4 edges
     c4 = Graph.from_edges(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
-    m = np.eye(4) + 0.5 * np.array([
-        [0, 1, 1, 0],
-        [1, 0, 0, 1],
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-    ])
-    supports = [frozenset(e) for e in sorted(c4.edges)]
-    result = feasibility_search(m, supports)
-    assert result is not None and result.converged
-    rep = verify_decomposition(m, result.decomposition, host=c4, rel_bound=1e-6)
+    x = _frame(_C4)
+    result = feasibility_search(support_faces(x, _C4_EDGES))
+    assert result.converged and result.witness is None
+    rep = verify_decomposition(_C4, _pushed(x, result), host=c4, rel_bound=1e-6)
     assert rep.ok and rep.supports_ok
 
 
 def test_feasibility_search_rejects_uncovered_entries():
     m = np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3))
     # supports never put 1 and 3 together, but m[0, 2] is 0.5
-    assert feasibility_search(m, [frozenset({1, 2}), frozenset({2, 3})]) is None
+    faces = support_faces(_frame(m), [frozenset({1, 2}), frozenset({2, 3})])
+    result = feasibility_search(faces)
+    assert not result.converged and result.witness.holds
 
 
 def test_feasibility_search_validates_cover():
-    m = np.eye(3)
+    x = _frame(np.eye(3))
     with pytest.raises(InvalidCover):
-        feasibility_search(m, [frozenset({1, 5})])  # out of range
+        support_faces(x, [frozenset({1, 5})])  # out of range
     with pytest.raises(InvalidCover):
-        feasibility_search(m, [])
+        support_faces(x, [])
     # uncovered vertex carrying weight: infeasible rather than invalid
-    assert feasibility_search(m, [frozenset({1, 2})]) is None
+    result = feasibility_search(support_faces(x, [frozenset({1, 2})]))
+    assert not result.converged and result.witness.holds
 
 
 def test_feasibility_infeasible_instance_returns_none():
@@ -147,55 +182,66 @@ def test_feasibility_infeasible_instance_returns_none():
     # any such split zeroes an off-diagonal entry that must stay 1
     m = np.ones((3, 3))
     supports = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
-    result = feasibility_search(m, supports, max_iter=4000)
-    assert result.decomposition is None and not result.converged
-    # the verifier's check, recomputed from the matrix alone
-    assert dual_witness(m, result.witness.matrix, supports).holds
+    faces = support_faces(_frame(m), supports, DEFAULT_TOL)
+    result = feasibility_search(faces, max_iter=4000)
+    assert not result.converged and not result.supports
+    # the verifier's check, recomputed from the faces and the lifted witness
+    assert dual_witness(faces, faces.lift(result.witness.matrix)).holds
 
 
 def test_dual_witness_fails_when_tampered():
-    m = np.ones((3, 3))
-    supports = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
-    y = feasibility_search(m, supports).witness.matrix
-    assert dual_witness(m, y, supports).holds
-    block = y.copy()
-    block[:2, :2] = -np.eye(2)  # the {1, 2} block negative definite
-    for forged in (-y, block, np.eye(3)):
-        assert not dual_witness(m, forged, supports).holds
+    # the triangle's faces are all empty, so only the trace can be forged;
+    # the uncovered entry of test_feasibility_search_rejects_uncovered_entries
+    # leaves nonempty faces whose blocks can be forged too
+    m = np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3))
+    for m, supports in [
+        (np.ones((3, 3)), [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]),
+        (m, [frozenset({1, 2}), frozenset({2, 3})]),
+    ]:
+        faces = support_faces(_frame(m), supports)
+        z = faces.lift(feasibility_search(faces).witness.matrix)
+        assert dual_witness(faces, z).holds
+        forged = [-z, np.eye(z.shape[0])]
+        for w in faces.bases:
+            if 0 < w.shape[1] < faces.d_eff:
+                # this face's block negative definite
+                y = faces.span.conj().T @ z @ faces.span
+                y = y - w @ (w.conj().T @ y @ w + np.eye(w.shape[1])) @ w.conj().T
+                forged.append(faces.lift(y))
+        for y in forged:
+            assert not dual_witness(faces, y).holds
 
 
 def test_dual_witness_never_holds_against_a_splittable_matrix():
     # the C_4 matrix of test_feasibility_search_c4_splits splits over its
     # edges, so no Y whatsoever can certify the opposite
-    c4 = [frozenset(e) for e in [(1, 2), (1, 3), (2, 4), (3, 4)]]
-    m = np.eye(4) + 0.5 * np.array([
-        [0, 1, 1, 0],
-        [1, 0, 0, 1],
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-    ])
+    # (C_4 has rank 3: its frame acts on C^3)
+    x = _frame(_C4)
+    faces = support_faces(x, _C4_EDGES)
+    d = x.shape[0]
     rng = np.random.default_rng(5)
-    candidates = [-m, -np.eye(4), m - 2 * np.eye(4)]
+    frame_op = x @ x.conj().T
+    candidates = [-frame_op, -np.eye(d), frame_op - 2 * np.eye(d)]
     for _ in range(200):
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        candidates.append(x + x.conj().T)
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        candidates.append(h + h.conj().T)
     for y in candidates:
-        assert not dual_witness(m, y, c4).holds
+        assert not dual_witness(faces, y).holds
 
 
 def test_feasibility_search_stops_at_its_iteration_budget():
-    # a random chordal case the averaged split does not solve outright
+    # a random chordal case that takes the search more than a few steps
     rng = np.random.default_rng(11)
     for _ in range(2):  # the second case of the random test above
         g = brute.random_chordal(6, rng)
         m = brute.random_conforming_psd(g, rng)
-    supports = [frozenset(c) for c in maximal_cliques(g)]
-    full = feasibility_search(m, supports)
+    faces = support_faces(_frame(m), [frozenset(c) for c in maximal_cliques(g)])
+    full = feasibility_search(faces)
     assert full.converged and full.iterations > 3
-    result = feasibility_search(m, supports, max_iter=3)
+    result = feasibility_search(faces, max_iter=3)
     assert result.iterations == 3 and result.gap > 0
     assert not result.converged
-    assert result.decomposition is None and result.witness is None
+    assert not result.supports and result.witness is None
 
 
 def test_random_chordal_roundtrips():
@@ -204,11 +250,11 @@ def test_random_chordal_roundtrips():
         n = int(rng.integers(3, 8))
         g = brute.random_chordal(n, rng)
         m = brute.random_conforming_psd(g, rng)
-        dec = chordal_decompose(m, g, track_steps=True)
+        dec = chordal_decompose(m, g)
         rep = verify_decomposition(m, dec, host=g)
         assert rep.ok and rep.supports_ok
         scale = max(1.0, float(np.linalg.norm(m)))
-        assert min(dec.step_min_eigs, default=0.0) >= -1e-8 * scale
+        assert min(_step_min_eigs(m, dec), default=0.0) >= -1e-8 * scale
         for term in dec.terms:
             assert is_clique(g, term.support)
         assert rep.residual <= 1e-8 * max(1.0, float(np.linalg.norm(m)))
@@ -219,10 +265,32 @@ def test_feasibility_over_maximal_cliques_random():
     for _ in range(10):
         g = brute.random_chordal(6, rng)
         m = brute.random_conforming_psd(g, rng)
-        supports = [frozenset(c) for c in maximal_cliques(g)]
-        result = feasibility_search(m, supports)
-        assert result is not None
-        rep = verify_decomposition(m, result.decomposition, host=g, rel_bound=1e-5)
+        x = _frame(m)
+        faces = support_faces(x, [frozenset(c) for c in maximal_cliques(g)])
+        result = feasibility_search(faces)
+        assert result.converged
+        rep = verify_decomposition(m, _pushed(x, result), host=g, rel_bound=1e-5)
+        assert rep.ok and rep.supports_ok
+
+
+def test_feasibility_search_returns_few_pieces():
+    # full-rank splittings over the maximal cliques of random graphs: the
+    # block ranks rho_S meet Pataki's bound sum rho_S^2 <= r^2, and the
+    # pieces still sum to the identity on the span
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        g = brute.random_graph(8, 0.5, rng)
+        m = brute.random_conforming_psd(g, rng)
+        x = _frame(m)
+        faces = support_faces(x, [frozenset(c) for c in maximal_cliques(g)])
+        result = feasibility_search(faces)
+        assert result.converged and faces.d_eff == 8
+        ranks = collections.Counter(result.supports)
+        assert sum(k * k for k in ranks.values()) <= faces.d_eff**2
+        d = result.directions
+        total = (result.weights[:, None] * d).T @ d.conj()
+        assert np.allclose(total, faces.span @ faces.span.conj().T, atol=1e-9)
+        rep = verify_decomposition(m, _pushed(x, result), host=g, rel_bound=1e-7)
         assert rep.ok and rep.supports_ok
 
 

@@ -184,6 +184,7 @@ def test_simulate_matches_operator_reference():
     povm = protocol.alice
     assert matches_projective_basis(povm, HADAMARD)
     success, leakage = [], 0.0
+    plans = {p.outcome: p for p in protocol.bob}
     for i in range(1, states.n + 1):
         a, b = states.alice[i - 1], states.bob[i - 1]
         total = 0.0
@@ -195,7 +196,7 @@ def test_simulate_matches_operator_reference():
             if i not in support:
                 leakage = max(leakage, p)
                 continue
-            plan = protocol.plan_for(outcome)
+            plan = plans[outcome]
             col = plan.labels.index(states.labels[i - 1])
             total += p * abs(np.vdot(plan.basis[:, col], b)) ** 2
         success.append(total)

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from loccgraph.criteria import BOB_FIRST, decide, verify_certificate
-from loccgraph.decomposition import chordal_decompose, verify_decomposition
+from loccgraph.decomposition import verify_decomposition
 from loccgraph.errors import InvalidInput
 from loccgraph.families import generate
 from loccgraph.graphs import Graph, cycle_graph
 from loccgraph.locc import simulate
 from loccgraph.serialize import (
-    decomposition_from_json,
-    decomposition_to_json,
     dot_graph,
     graph_from_json,
     graph_to_json,
@@ -61,16 +59,6 @@ def test_graph_roundtrip():
 def test_graph_edges_are_one_based_sorted():
     g = Graph.from_edges(3, [(3, 1), (2, 1)])
     assert graph_to_json(g)["edges"] == [[1, 2], [1, 3]]
-
-
-def test_decomposition_roundtrip_verifies():
-    s = generate("example1")
-    g = s.build_graphs().alice
-    m = s.alice_gram()
-    dec = chordal_decompose(m, g)
-    back = decomposition_from_json(_roundtrip(decomposition_to_json(dec)))
-    rep = verify_decomposition(m, back, host=g)
-    assert rep.ok and rep.supports_ok
 
 
 def test_protocol_roundtrip_resimulates():

@@ -17,6 +17,7 @@ from loccgraph.criteria import (
     INDISTINGUISHABLE,
     KINDS,
     decide,
+    effective_dimension,
     verify_certificate,
 )
 from loccgraph.errors import InvalidInput
@@ -24,6 +25,9 @@ from loccgraph.families import generate
 from loccgraph.serialize import protocol_to_json, verdict_from_json, verdict_to_json
 
 MAX_VERDICT_BYTES = 10_000
+# draws of random_nonchordal_instance (seed:index) with n = d = 8 that split
+# alice-first with the most pieces of their seed's first 40 draws
+FULL_RANK_SPLITS = ("nonchordal:5:17", "nonchordal:7:13")
 
 
 def _cases():
@@ -37,14 +41,25 @@ def _cases():
     cases += [pytest.param(f"pinned:{name}", brute.PINNED_SETS[name][0], id=name)
               for name in brute.PINNED_SETS]
     cases += [pytest.param("qubit-cover", ALICE_FIRST, id="qubit-cover")]
+    cases += [pytest.param(spec, ALICE_FIRST, id=f"full-rank-{spec}")
+              for spec in FULL_RANK_SPLITS]
     return cases
 
 
 def _states(spec: str) -> ProductStateSet:
     if spec == "qubit-cover":
         return ProductStateSet.from_vectors(*brute.QUBIT_COVER)
+    if spec.startswith("nonchordal:"):
+        _, seed, index = spec.split(":")
+        rng = np.random.default_rng(int(seed))
+        for _ in range(int(index) + 1):
+            s, _ = brute.random_nonchordal_instance(int(rng.integers(5, 9)), rng)
+        return s
     if spec.startswith("pinned:"):
-        return brute.pinned_set(spec.split(":", 1)[1])[0]
+        name = spec.split(":", 1)[1]
+        if name in brute.FACE_SETS:
+            return brute.face_set(name)[0]
+        return brute.pinned_set(name)[0]
     return generate(spec)
 
 
@@ -101,17 +116,33 @@ def test_greedy_integer_sets_are_orthogonal_product_sets():
             assert s.n == 6 and s.validate_orthonormal().ok
 
 
-def test_feasible_decomposition_file_keeps_its_splitting():
+def test_feasible_decomposition_file_writes_its_pieces():
+    # one weight and one direction on the measuring side per piece, not the
+    # n x n splitting they push forward to
     s = generate("example3")
     v = decide(s, ALICE_FIRST)
     assert v.certificate.kind == "FeasibleDecomposition"
     data = json.loads(_write(v))
-    assert data["decomposition"]["terms"]
+    assert "decomposition" not in data
+    cert = data["certificate"]
+    assert len(cert["supports"]) == len(cert["weights"]) == len(cert["directions"])
+    assert all(len(e) == s.d_alice for e in cert["directions"])
     back = verdict_from_json(data, s)
     assert verify_certificate(s, back).ok
+    assert protocol_to_json(back.protocol) == protocol_to_json(v.protocol)
 
 
-@pytest.mark.parametrize("spec", ["path-rep:8", "pentagon-path"])
+@pytest.mark.parametrize("spec", FULL_RANK_SPLITS)
+def test_full_rank_splits_are_feasible_decompositions(spec):
+    # the size bound in test_verdict_file_roundtrip bites on these, whose
+    # pieces fill all of C^8 on Alice's side
+    s = _states(spec)
+    v = decide(s, ALICE_FIRST)
+    assert v.certificate.kind == "FeasibleDecomposition"
+    assert effective_dimension(s) == s.d_alice == s.n == 8
+
+
+@pytest.mark.parametrize("spec", ["path-rep:8", "pentagon-path", "example3"])
 def test_derived_kinds_write_no_splitting(spec):
     v = decide(generate(spec), BOB_FIRST if spec == "path-rep:8" else ALICE_FIRST)
     assert v.decomposition is not None
@@ -268,15 +299,82 @@ def test_missing_certificate_fields_fail_verification():
 
 
 def test_a_splitting_over_other_states_is_malformed():
+    # a piece whose support names a fifth state of the four
     s = generate("example3")
     data = json.loads(_write(decide(s, ALICE_FIRST)))
-    data["decomposition"]["n"] = 3
-    data["decomposition"]["terms"] = []
+    data["certificate"]["supports"][0] = [1, 5]
     with pytest.raises(InvalidInput):
         verdict_from_json(data, s)
 
 
 def test_feasible_verdict_without_its_splitting_fails():
-    back, failed = _forged("example3", ALICE_FIRST, lambda d: d.pop("decomposition"))
+    back, failed = _forged(
+        "example3", ALICE_FIRST, lambda d: d["certificate"].pop("directions")
+    )
     assert back.protocol is None
-    assert {"protocol present", "splitting present"} <= failed
+    assert {"protocol present", "pieces split the Gram matrix"} <= failed
+
+
+def _edit_pieces(change):
+    """Apply change(supports, weights, directions) to a FeasibleDecomposition file."""
+    def edit(data):
+        cert = data["certificate"]
+        change(cert["supports"], cert["weights"], cert["directions"])
+    return edit
+
+
+def _drop_piece(supports, weights, directions):
+    for field in (supports, weights, directions):
+        del field[0]
+
+
+def _reach_outside(supports, weights, directions):
+    # the first piece keeps only one state of its support
+    supports[0] = supports[0][:1]
+
+
+def _negate_weight(supports, weights, directions):
+    weights[0] = -weights[0]
+
+
+@pytest.mark.parametrize("spec,direction,edit,checks", [
+    pytest.param("example3", ALICE_FIRST, _edit_pieces(_drop_piece),
+                 {"pieces split the Gram matrix"}, id="piece-dropped"),
+    pytest.param("pinned:S1", BOB_FIRST, _edit_pieces(_drop_piece),
+                 {"pieces split the Gram matrix"}, id="S1-piece-dropped"),
+    pytest.param("example3", ALICE_FIRST, _edit_pieces(_reach_outside),
+                 {"pieces split the Gram matrix", "supports respected"},
+                 id="piece-reaches-outside"),
+    pytest.param("example3", ALICE_FIRST, _edit_pieces(_negate_weight),
+                 {"pieces split the Gram matrix", "protocol present"},
+                 id="negative-weight"),
+    pytest.param("example3", ALICE_FIRST,
+                 _edit_certificate("directions", lambda e: e[:-1]),
+                 {"pieces split the Gram matrix", "protocol present"},
+                 id="directions-short"),
+    pytest.param("example3", ALICE_FIRST,
+                 _edit_certificate("weights", lambda w: [float("nan")] + w[1:]),
+                 {"pieces split the Gram matrix", "protocol present"}, id="weight-nan"),
+])
+def test_forged_feasible_decompositions_fail_their_checks(spec, direction, edit, checks):
+    _, failed = _forged(spec, direction, edit)
+    assert checks <= failed
+
+
+def _negate_witness(data):
+    data["certificate"]["witness"] = [
+        [[-re, -im] for re, im in row] for row in data["certificate"]["witness"]
+    ]
+
+
+@pytest.mark.parametrize("edit,check", [
+    pytest.param(_negate_witness, "witness excludes every splitting", id="negated"),
+    pytest.param(_edit_certificate("witness", lambda y: [row[:-1] for row in y[:-1]]),
+                 "witness is an operator on the measuring side", id="shrunk"),
+    pytest.param(_edit_certificate("witness", lambda y: [
+        [[float("nan"), 0.0]] + row[1:] for row in y]),
+                 "witness is an operator on the measuring side", id="nan"),
+])
+def test_forged_dual_witness_files_fail_their_checks(edit, check):
+    _, failed = _forged("pentagon-path", BOB_FIRST, edit)
+    assert failed == {check}

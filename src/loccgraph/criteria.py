@@ -23,8 +23,8 @@ from .decomposition import (
     dominance_slack,
     dominance_split,
     dual_witness,
+    faces_in_span,
     feasibility_search,
-    support_faces,
     verify_decomposition,
 )
 from .errors import InvalidInput, LoccGraphError, SearchBudgetExceeded
@@ -127,7 +127,8 @@ class DecideOptions:
 
 
 def effective_dimension(states: ProductStateSet, tol: Tolerance = DEFAULT_TOL) -> int:
-    return numeric_rank(states.alice_frame(), tol)
+    """The rank of Alice's frame: the width of the set's alice_span."""
+    return states.alice_span(tol).shape[1]
 
 
 def spanning_obstruction(
@@ -144,7 +145,7 @@ def spanning_obstruction(
     there, so no measurement with a nonzero first round exists. Quantifying
     over maximal supports covers all smaller ones.
     """
-    return support_faces(states.alice_frame(), supports, tol)
+    return faces_in_span(states.alice_span(tol), states.alice_frame(), supports, tol)
 
 
 def certificate_splitting(
@@ -303,8 +304,8 @@ def decide(
         "d_alice": work.d_alice,
         "d_bob": work.d_bob,
         "d_eff": d_eff,
-        "alice_edges": len(ga.edges),
-        "bob_edges": len(gb.edges),
+        "alice_edges": ga.edge_count(),
+        "bob_edges": gb.edge_count(),
         "search_budget": opt.search_budget,
         "sandwich_budget": opt.sandwich_budget,
     }
@@ -587,7 +588,7 @@ def converse_theorem_checks(
     scale = max(1.0, float(np.linalg.norm(m)))
     # a support whose face is a line forces its outcome's direction; an
     # empty face lets nothing live on the support
-    faces = support_faces(x, maximal_cliques(host), tol)
+    faces = spanning_obstruction(states, maximal_cliques(host), tol)
     span = faces.span
     forced: list[tuple[frozenset[int], np.ndarray]] = []
     under: list[frozenset[int]] = []
@@ -645,11 +646,27 @@ def converse_theorem_checks(
 # certificate re-verification
 
 
-def _is_measurement(plan: BobPlan, labels: set[str], tol: Tolerance) -> bool:
-    """Orthonormal columns, each labelled with a different one of the states."""
-    k = len(plan.labels)
-    overlap = np.abs(plan.basis.conj().T @ plan.basis - np.eye(k)).max(initial=0.0)
-    return len(set(plan.labels) & labels) == k and overlap <= 10 * tol.rank_tol
+def _non_measurements(
+    plans: Sequence[BobPlan], labels: set[str], tol: Tolerance
+) -> list[int]:
+    """The outcomes whose plans are not orthonormal columns each labelled
+    with a different one of the states, the plans known to fit one Bob
+    space. One Gram of all plan columns side by side, masked to each
+    plan's own block; its side is the total column count (191 for
+    path-rep:40 bob-first)."""
+    if not plans:
+        return []
+    widths = [len(p.labels) for p in plans]
+    plan_of = np.repeat(np.arange(len(plans)), widths)
+    cols = np.concatenate([p.basis for p in plans], axis=1)
+    off = np.abs(cols.conj().T @ cols - np.eye(len(plan_of)))
+    off[plan_of[:, None] != plan_of[None, :]] = 0.0
+    overlap = np.zeros(len(plans))
+    np.maximum.at(overlap, plan_of, off.max(axis=1, initial=0.0))
+    return [
+        p.outcome for p, k, dev in zip(plans, widths, overlap)
+        if len(set(p.labels) & labels) != k or dev > 10 * tol.rank_tol
+    ]
 
 
 @dataclass(frozen=True)
@@ -722,8 +739,7 @@ def verify_certificate(
             least = min((e.weight for e in protocol.alice.elements), default=0.0)
             check("povm elements positive", least >= -tol.psd_tol,
                   f"least weight {least:.3g}")
-            known = set(work.labels)
-            bad = [p.outcome for p in protocol.bob if not _is_measurement(p, known, tol)]
+            bad = _non_measurements(protocol.bob, set(work.labels), tol)
             measures = not bad
             check("bob plans are measurements", measures, f"outcomes {bad}")
         if measures:

@@ -34,7 +34,7 @@ from .errors import InvalidCover, NegativePivot, NotPSD, PatternViolation
 from .graphs import (
     Graph, adjacency_matrix, is_chordal, is_clique, is_perfect_elimination_ordering,
 )
-from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, psd_check
+from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, psd_check, span_basis
 
 
 @dataclass(frozen=True)
@@ -295,6 +295,17 @@ def support_faces(
 ) -> Faces:
     """The faces of the given supports (1-based) for the states that are
     the columns of the frame x."""
+    return faces_in_span(span_basis(x, tol), x, supports, tol)
+
+
+def faces_in_span(
+    span: np.ndarray,
+    x: np.ndarray,
+    supports: Sequence[frozenset[int]],
+    tol: Tolerance = DEFAULT_TOL,
+) -> Faces:
+    """support_faces given span, an orthonormal basis of the span of x's
+    columns (span_basis(x, tol), which a state set keeps as alice_span)."""
     x = np.asarray(x, dtype=complex)
     n = x.shape[1]
     supports = tuple(frozenset(s) for s in supports)
@@ -303,8 +314,6 @@ def support_faces(
     for s in supports:
         if not s or min(s) < 1 or max(s) > n:
             raise InvalidCover(f"support {sorted(s)} out of range")
-    u, sv, _ = np.linalg.svd(x, full_matrices=False)
-    span = u[:, : int(np.count_nonzero(sv > tol.rank_tol * sv[0]))]
     coords = span.conj().T @ x
     bases = []
     for s in supports:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -78,6 +78,10 @@ class Graph:
             (v, w) for v in self.vertices for w in _bits(self.nbrs[v - 1] >> v << v)
         ]
 
+    def edge_count(self) -> int:
+        """len(self.edges), counted from the masks without building them."""
+        return sum(m.bit_count() for m in self.nbrs) // 2
+
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.nbrs))
 
@@ -120,6 +124,20 @@ def _symmetric_loopless(nbrs: Sequence[int]) -> bool:
         step = moved & mask
         moved ^= step ^ step << shift
     return moved == rest
+
+
+def _kept(fn):
+    """fn(g) computed once per graph and kept on it, as Graph.edges is; for
+    functions of the graph alone whose results are immutable."""
+    key = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def once(g: Graph):
+        if key not in g.__dict__:
+            g.__dict__[key] = fn(g)
+        return g.__dict__[key]
+
+    return once
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -186,6 +204,7 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return _clique_mask(g.nbrs, _mask(vs))
 
 
+@_kept
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood induces a clique."""
     return frozenset(v for v in g.vertices if _clique_mask(g.nbrs, g.nbrs[v - 1]))
@@ -274,6 +293,7 @@ def _shortest_path_avoiding(
     return None
 
 
+@_kept
 def is_chordal(g: Graph) -> ChordalityResult:
     """Lex-BFS ordering verified independently; a hole witnesses failure."""
     order = tuple(reversed(lex_bfs_order(g)))
@@ -289,6 +309,7 @@ def is_chordal(g: Graph) -> ChordalityResult:
 # cliques and classic parameters
 
 
+@_kept
 def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
     """Bitset Bron-Kerbosch with Tomita pivoting: the pivot is the smallest
     vertex of P | X with the most neighbours in P. Output sorted for

@@ -90,6 +90,14 @@ def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return smallest >= -tol.psd_tol, smallest
 
 
+def _rank(sv: np.ndarray, tol: Tolerance) -> int:
+    """The rank rule: singular values (descending) above rank_tol relative
+    to the largest."""
+    if sv.size == 0 or sv[0] <= 0:
+        return 0
+    return int(np.count_nonzero(sv > tol.rank_tol * sv[0]))
+
+
 def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count singular values above rank_tol relative to the largest."""
     arr = np.asarray(m, dtype=complex)
@@ -97,10 +105,14 @@ def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
         return 0
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    sv = np.linalg.svd(arr, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0:
-        return 0
-    return int(np.count_nonzero(sv > tol.rank_tol * sv[0]))
+    return _rank(np.linalg.svd(arr, compute_uv=False), tol)
+
+
+def span_basis(x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the column span of x: the left singular vectors
+    that numeric_rank counts, so its width is numeric_rank(x)."""
+    u, sv, _ = np.linalg.svd(as_matrix(x), full_matrices=False)
+    return u[:, : _rank(sv, tol)]
 
 
 def eigh_desc(m) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +167,7 @@ def orthonormal_columns(cols: Iterable[np.ndarray], dim: int, tol: Tolerance = D
         raise DimensionMismatch("column dimension mismatch")
     if not vecs:
         return np.zeros((dim, 0), dtype=complex)
-    u, sv, _ = np.linalg.svd(np.stack(vecs, axis=1), full_matrices=False)
-    return u[:, : int(np.count_nonzero(sv > tol.rank_tol * sv[0]))]
+    return span_basis(np.stack(vecs, axis=1), tol)
 
 
 def complete_basis(partial: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -98,22 +98,40 @@ class ProtocolReport:
     max_support_leakage: float
 
 
-def _bob_plan(
-    states: ProductStateSet, outcome: int, support: frozenset[int], tol: Tolerance
-) -> BobPlan:
-    """Column j is member j's normalised Bob vector, so labels line up."""
-    members = sorted(support)
-    cols = states.bob[[i - 1 for i in members]].T
-    partial = cols / np.linalg.norm(cols, axis=0)
-    overlap = np.abs(partial.conj().T @ partial - np.eye(len(members)))
-    if overlap.max(initial=0.0) > 100 * tol.zero_tol:
-        j, k = np.unravel_index(np.argmax(overlap), overlap.shape)
-        raise NonOrthogonalBobClique(
-            f"states {states.labels[members[j] - 1]} and "
-            f"{states.labels[members[k] - 1]} overlap ({overlap[j, k]:.3g}) "
-            f"on Bob's side within outcome {outcome}"
-        )
-    return BobPlan(outcome, partial, tuple(states.labels[i - 1] for i in members))
+def _bob_plans(
+    states: ProductStateSet, outcome_of: dict[frozenset[int], int], tol: Tolerance
+) -> tuple[BobPlan, ...]:
+    """One plan per outcome; column j is member j's normalised Bob vector,
+    so labels line up.
+
+    Bob's parts must be orthonormal within every outcome. That is checked
+    once, on the normalised Bob Gram over the pairs that share an outcome;
+    only when it fails are the outcomes walked, to name the first
+    offending pair.
+    """
+    unit = states.bob / np.linalg.norm(states.bob, axis=1, keepdims=True)
+    rows = [[i - 1 for i in sorted(support)] for support in outcome_of]
+    incidence = np.zeros((len(rows), states.n))
+    for k, members in enumerate(rows):
+        incidence[k, members] = 1.0
+    g = states.bob_gram()
+    scale = np.sqrt(np.diagonal(g).real)
+    off = np.abs(g / np.outer(scale, scale) - np.eye(states.n))
+    if (off * (incidence.T @ incidence > 0)).max(initial=0.0) > 100 * tol.zero_tol:
+        for outcome, members in zip(outcome_of.values(), rows):
+            cols = unit[members].T
+            overlap = np.abs(cols.conj().T @ cols - np.eye(len(members)))
+            if overlap.max(initial=0.0) > 100 * tol.zero_tol:
+                j, k = np.unravel_index(np.argmax(overlap), overlap.shape)
+                raise NonOrthogonalBobClique(
+                    f"states {states.labels[members[j]]} and "
+                    f"{states.labels[members[k]]} overlap ({overlap[j, k]:.3g}) "
+                    f"on Bob's side within outcome {outcome}"
+                )
+    return tuple(
+        BobPlan(outcome, unit[members].T, tuple(states.labels[i] for i in members))
+        for outcome, members in zip(outcome_of.values(), rows)
+    )
 
 
 def synthesize_protocol(
@@ -153,9 +171,7 @@ def synthesize_protocol(
         PovmElement(last.outcome, float(w[c]), v[:, c], last.support)
         for c in np.flatnonzero(w > tol.zero_tol)
     ]
-    plans = tuple(
-        _bob_plan(states, k, support, tol) for support, k in outcome_of.items()
-    )
+    plans = _bob_plans(states, outcome_of, tol)
     return Protocol(Povm(states.d_alice, tuple(elements)), plans)
 
 
@@ -250,14 +266,19 @@ def simulate(
 
     index = {lbl: i for i, lbl in enumerate(states.labels)}
     plans = {p.outcome: p for p in protocol.bob}
+    used = [
+        (k, plans[outcome]) for k, outcome in enumerate(outcomes)
+        if outcome in plans and seen[k].any()
+    ]
     p_bob = np.zeros_like(p_alice)
-    for k, outcome in enumerate(outcomes):
-        plan = plans.get(outcome)
-        if plan is None or not seen[k].any():
-            continue
-        owners = [index[lbl] for lbl in plan.labels]
-        hits = np.einsum("dj,jd->j", plan.basis.conj(), states.bob[owners])
-        np.add.at(p_bob[k], owners, np.abs(hits) ** 2)
+    if used:
+        # every plan column as one row: its outcome's row, its owner, its
+        # vector, and that vector's overlap with the owner's Bob part
+        cols = np.concatenate([plan.basis.T for _, plan in used])
+        rows = np.repeat([k for k, _ in used], [len(plan.labels) for _, plan in used])
+        owners = [index[lbl] for _, plan in used for lbl in plan.labels]
+        hits = np.einsum("jd,jd->j", cols.conj(), states.bob[owners])
+        np.add.at(p_bob, (rows, owners), np.abs(hits) ** 2)
 
     success = (p_alice * p_bob * seen).sum(axis=0)
     per_state = tuple(zip(states.labels, success.tolist()))

@@ -6,18 +6,32 @@ the set is built. The overlap graph on either side joins i and j when the
 local inner product is nonzero; for a mutually orthogonal product set every
 pair must be orthogonal on at least one side, so the two overlap graphs
 never share an edge.
+
+A set is immutable, so what the decision ladder reads about it is derived
+at most once per set and kept on it: the swapped set (the same object on
+every call, whose own swapped() is this set), the overlap graphs per
+zero_tol, the admissible host per StateGraphs, and the orthonormal basis
+of the measuring side's span per rank_tol, whose width is the effective
+dimension (each Graph in turn keeps its chordality, maximal cliques and
+simplicial vertices; see graphs). Nothing is kept at module level and nothing derived from a
+verdict or certificate is kept, so verify_certificate re-checks each
+certificate against the states alone. The swapped set refers back to its
+origin weakly, so keeping only the swapped set does not keep the other
+alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
 from .graphs import Graph, complement
-from .linalg import DEFAULT_TOL, Tolerance, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, hermitize, span_basis
 
 
 @dataclass(frozen=True)
@@ -30,6 +44,10 @@ class StateGraphs:
     def bob_orthogonality(self) -> Graph:
         """Pairs whose Bob parts are orthogonal; admissible outcome supports
         are exactly the cliques of this graph."""
+        return self._host
+
+    @cached_property
+    def _host(self) -> Graph:
         return complement(self.bob)
 
 
@@ -47,6 +65,8 @@ class ProductStateSet:
     labels: tuple[str, ...]
     # Alice's and Bob's Gram matrices, conjugate-linear in the first slot
     _grams: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # what is derived from the set once: see the module docstring
+    _derived: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.alice, dtype=complex))
@@ -75,6 +95,12 @@ class ProductStateSet:
         object.__setattr__(self, "bob", b)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_grams", grams)
+        object.__setattr__(self, "_derived", {})
+
+    def __getstate__(self) -> dict:
+        # a copy derives its own facts: the kept swapped set's weak
+        # reference back cannot be pickled
+        return dict(self.__dict__, _derived={})
 
     @classmethod
     def from_vectors(
@@ -129,9 +155,22 @@ class ProductStateSet:
         return self._grams[0] * self._grams[1]
 
     def build_graphs(self, tol: Tolerance = DEFAULT_TOL) -> StateGraphs:
-        return StateGraphs(
-            *(Graph.from_matrix(np.abs(g) > tol.zero_tol) for g in self._grams)
-        )
+        key = ("graphs", tol.zero_tol)
+        if key not in self._derived:
+            self._derived[key] = StateGraphs(
+                *(Graph.from_matrix(np.abs(g) > tol.zero_tol) for g in self._grams)
+            )
+        return self._derived[key]
+
+    def alice_span(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """Read-only orthonormal basis (d x d_eff) of the span of Alice's
+        vectors, from one SVD of her frame (linalg.span_basis)."""
+        key = ("span", tol.rank_tol)
+        if key not in self._derived:
+            span = span_basis(self.alice_frame(), tol)
+            span.setflags(write=False)
+            self._derived[key] = span
+        return self._derived[key]
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:
         g = self.product_gram()
@@ -165,13 +204,23 @@ class ProductStateSet:
         for x in (alice, bob, *grams):
             x.setflags(write=False)
         for name, value in (("alice", alice), ("bob", bob), ("labels", labels),
-                            ("_grams", tuple(grams))):
+                            ("_grams", tuple(grams)), ("_derived", {})):
             object.__setattr__(out, name, value)
         return out
 
     def swapped(self) -> "ProductStateSet":
-        """The parties exchanged; shares this set's arrays and Grams."""
-        return self._from_parts(self.bob, self.alice, self.labels, self._grams[::-1])
+        """The parties exchanged; shares this set's arrays and Grams. The
+        same set on every call while it lives, and its swapped() is this
+        set. The set that made the other holds it and the other refers back
+        weakly, so the pair forms no reference cycle."""
+        other = self._derived.get("swapped")
+        if isinstance(other, weakref.ref):
+            other = other()
+        if other is None:
+            other = self._from_parts(self.bob, self.alice, self.labels, self._grams[::-1])
+            self._derived["swapped"] = other
+            other._derived["swapped"] = weakref.ref(self)
+        return other
 
     def subset(self, labels: Iterable[str]) -> "ProductStateSet":
         """The named states in the given order; Grams sliced from this set's."""

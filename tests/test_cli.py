@@ -259,3 +259,22 @@ def test_verify_malformed_verdict_exits_cleanly(tmp_path, capsys, text):
     verdict.write_text(text)
     code, _, err = _run(capsys, ["verify", "--input", ex1, "--verdict", str(verdict)])
     assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,direction", [
+    ("path-rep:8", "bob-first"),        # Distinguishable: read back, then checked
+    ("cycle-rep:6", "alice-first"),     # SpanningObstruction
+])
+def test_verify_derives_each_fact_once(tmp_path, capsys, monkeypatch, spec, direction):
+    from test_verdict_files import _count_derivations
+
+    states = generate(spec)
+    path = _write_set(tmp_path, states)
+    verdict = tmp_path / "verdict.json"
+    _run(capsys, ["decide", "--input", path, "--direction", direction,
+                  "--output", str(verdict)])
+    frame = (states.alice if direction == "alice-first" else states.bob).T
+    counts = _count_derivations(monkeypatch, frame)
+    code, _, err = _run(capsys, ["verify", "--input", path, "--verdict", str(verdict)])
+    assert code == 0, err
+    assert counts == {"graphs": 2, "frame_svds": 1}

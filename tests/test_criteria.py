@@ -666,6 +666,34 @@ def test_forged_protocols_fail_their_checks():
         assert _failed(verify_certificate(s, forged)) == {failed}
 
 
+def _per_plan_non_measurements(plans, labels):
+    """The per-plan check that one masked Gram replaced, as a reference."""
+    bad = []
+    for p in plans:
+        k = len(p.labels)
+        overlap = np.abs(p.basis.conj().T @ p.basis - np.eye(k)).max(initial=0.0)
+        if len(set(p.labels) & labels) != k or overlap > 10 * DEFAULT_TOL.rank_tol:
+            bad.append(p.outcome)
+    return bad
+
+
+def test_plan_check_reports_what_a_per_plan_check_reports():
+    s = generate("path-rep:8")
+    v = decide(s, BOB_FIRST)
+    plans = list(v.protocol.bob)
+    basis = plans[1].basis.copy()
+    basis[:, 0] = (basis[:, 0] + 1e-3 * basis[:, 1]) / np.sqrt(1 + 1e-6)
+    plans[1] = dataclasses.replace(plans[1], basis=basis)              # tilted column
+    plans[2] = dataclasses.replace(plans[2], labels=("x",) + plans[2].labels[1:])
+    plans[4] = dataclasses.replace(plans[4], labels=plans[4].labels[:1] * 2)
+    plans.append(BobPlan(7, np.zeros((s.d_alice, 0), dtype=complex), ()))  # measures nothing
+    expected = _per_plan_non_measurements(plans, set(s.labels))
+    assert expected == [2, 3, 5]
+    outcome = verify_certificate(s, _with_protocol(v, bob=tuple(plans)))
+    detail = {name: d for name, _, d in outcome.checks}["bob plans are measurements"]
+    assert detail == f"outcomes {expected}"
+
+
 def test_malformed_protocols_fail_the_dimension_check():
     # each of these raised inside the simulation instead of failing a check
     s = generate("example1")

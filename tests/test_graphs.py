@@ -342,3 +342,12 @@ def test_maximal_cliques_match_brute_force():
                 and not any(is_clique(g, c + (v,)) for v in g.vertices if v not in c)
             )
             assert [sorted(c) for c in maximal_cliques(g)] == expected
+
+
+def test_edge_count_counts_the_edge_set():
+    rng = np.random.default_rng(5)
+    graphs = list(brute.all_graphs(4))
+    graphs += [brute.random_graph(int(rng.integers(1, 100)), float(rng.random()), rng)
+               for _ in range(30)]
+    for g in graphs:
+        assert g.edge_count() == len(g.edges)

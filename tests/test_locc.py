@@ -76,6 +76,11 @@ def test_bob_orthogonality_enforced():
     term = DecompositionTerm(frozenset({2, 3}), 0.5 * states.alice_gram()[:, 1])
     with pytest.raises(NonOrthogonalBobClique):
         synthesize_protocol(states, Decomposition(states.n, (term,), 0.0))
+    # the whole-protocol check names the first offending outcome's pair
+    fine = DecompositionTerm(frozenset({1, 4}), 0.5 * states.alice_gram()[:, 0])
+    with pytest.raises(NonOrthogonalBobClique,
+                       match=r"states 2 and 3 overlap \(1\) .* within outcome 2$"):
+        synthesize_protocol(states, Decomposition(states.n, (fine, term), 0.0))
 
 
 def test_povm_to_decomposition_roundtrip():

@@ -1,4 +1,6 @@
 import json
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from loccgraph.criteria import decide
 from loccgraph.errors import InvalidInput, NotMutuallyOrthogonal
 from loccgraph.graphs import complement
+from loccgraph.linalg import Tolerance
 from loccgraph.locc import simulate
 from loccgraph.serialize import (
     protocol_from_json,
@@ -215,6 +218,44 @@ def test_swapped_shares_arrays_and_grams():
     back = t.swapped()
     assert back.alice is s.alice and back.bob is s.bob
     assert back.alice_gram() is s.alice_gram() and back.bob_gram() is s.bob_gram()
+
+
+def test_swapped_is_one_set_that_swaps_back():
+    s = _example1()
+    t = s.swapped()
+    assert s.swapped() is t and t.swapped() is s
+    assert s.swapped().swapped() is s
+    # a swapped set refers back weakly: dropping the origin frees it, and
+    # the swapped set then makes a new one from the shared parts
+    origin = ProductStateSet.from_vectors(s.alice, s.bob)
+    alone = origin.swapped()
+    gone = weakref.ref(origin)
+    del origin
+    assert gone() is None
+    back = alone.swapped()
+    assert back.alice is alone.bob and back.alice_gram() is alone.bob_gram()
+    assert back.swapped() is alone and alone.swapped() is back
+    # a pickled copy keeps the states and derives the rest again
+    copy = pickle.loads(pickle.dumps(alone))
+    assert np.array_equal(copy.alice, alone.alice) and copy.labels == alone.labels
+    assert copy.swapped().swapped() is copy
+
+
+def test_derived_facts_are_kept_per_tolerance():
+    # Alice's two parts overlap by about 1e-8: an edge at zero_tol 1e-9,
+    # none at 1e-7
+    s = ProductStateSet.from_vectors([(1, 0), (1e-8, 1)], [(1, 0), (0, 1)])
+    fine = Tolerance(zero_tol=1e-9, rank_tol=1e-9)
+    coarse = Tolerance(zero_tol=1e-7, rank_tol=1e-7)
+    g_fine, g_coarse = s.build_graphs(fine), s.build_graphs(coarse)
+    assert g_fine.alice.edges == {(1, 2)} and not g_coarse.alice.edges
+    assert s.build_graphs(fine) is g_fine and s.build_graphs(coarse) is g_coarse
+    assert g_fine.bob_orthogonality() is g_fine.bob_orthogonality()
+    # two Alice parts 1e-8 apart: rank 2 at rank_tol 1e-9, 1 at 1e-7
+    s = ProductStateSet.from_vectors([(1, 0), (1, 1e-8)], [(1, 0), (0, 1)])
+    assert s.alice_span(fine).shape == (2, 2) and s.alice_span(coarse).shape == (2, 1)
+    assert s.alice_span(fine) is s.alice_span(fine)
+    assert not s.alice_span(fine).flags.writeable
 
 
 def test_subset_grams_are_sub_blocks():

@@ -22,7 +22,15 @@ from loccgraph.criteria import (
 )
 from loccgraph.errors import InvalidInput
 from loccgraph.families import generate
-from loccgraph.serialize import protocol_to_json, verdict_from_json, verdict_to_json
+from loccgraph.graphs import Graph
+from loccgraph.linalg import numeric_rank
+from loccgraph.serialize import (
+    protocol_to_json,
+    states_from_json,
+    states_to_json,
+    verdict_from_json,
+    verdict_to_json,
+)
 
 MAX_VERDICT_BYTES = 10_000
 # draws of random_nonchordal_instance (seed:index) with n = d = 8 that split
@@ -378,3 +386,102 @@ def _negate_witness(data):
 def test_forged_dual_witness_files_fail_their_checks(edit, check):
     _, failed = _forged("pentagon-path", BOB_FIRST, edit)
     assert failed == {check}
+
+
+# ---------------------------------------------------------------------------
+# what a state set keeps: the graphs, the host, the span and chordality are
+# derived once per set, and verification reads nothing else from decide
+
+
+def _kept_cases():
+    both = (ALICE_FIRST, BOB_FIRST)
+    cases = [(generate(spec), direction, spec)
+             for specs in brute.SWEEP_SPECS.values() for spec in specs
+             for direction in both]
+    cases += [(brute.face_set(name)[0], direction, name)
+              for name in brute.FACE_SETS for direction in both]
+    cases += [(*brute.pinned_set(name)[:2], name) for name in brute.PINNED_SETS]
+    return cases
+
+
+def test_verifying_on_the_decided_set_matches_a_fresh_parse():
+    for s, direction, name in _kept_cases():
+        v = decide(s, direction)
+        fresh = states_from_json(json.loads(json.dumps(states_to_json(s))))
+        assert verify_certificate(s, v).checks == verify_certificate(fresh, v).checks, name
+        data = json.loads(_write(v))
+        kept = verify_certificate(s, verdict_from_json(data, s))
+        again = verify_certificate(fresh, verdict_from_json(data, fresh))
+        assert kept.ok and kept.checks == again.checks, name
+
+
+def test_effective_dimension_is_the_frame_rank():
+    # the kept span's width counts singular values as numeric_rank does
+    for s, direction, name in _kept_cases():
+        v = decide(s, direction)
+        work = s if direction == ALICE_FIRST else s.swapped()
+        rank = numeric_rank(work.alice_frame())
+        assert v.parameters["d_eff"] == effective_dimension(work) == rank, name
+        if v.certificate.kind == "SpanningObstruction":
+            assert v.certificate.data["d_eff"] == rank, name
+
+
+@pytest.mark.parametrize("spec,direction,edit,check", [
+    pytest.param("example1", ALICE_FIRST,
+                 _edit_certificate("ordering", lambda o: o[::-1]),
+                 "ordering valid", id="ordering-reversed"),
+    pytest.param("bennett", ALICE_FIRST,
+                 _edit_certificate("alpha_witness", lambda w: w[:-1]),
+                 "witness size meets rank", id="witness-short"),
+    pytest.param("cycle-rep:6", BOB_FIRST,
+                 lambda d: d.update(status=INDISTINGUISHABLE, certificate={
+                     "kind": "SpanningObstruction", "d_eff": 2,
+                     "supports": [], "outside_ranks": []}),
+                 "obstruction reproducible", id="spanning-claimed"),
+])
+def test_a_forgery_fails_after_a_valid_decide_on_the_same_set(spec, direction, edit, check):
+    s = generate(spec)
+    v = decide(s, direction)
+    assert verify_certificate(s, v).ok
+    data = json.loads(_write(v))
+    edit(data)
+    assert check in _failed(verify_certificate(s, verdict_from_json(data, s)))
+
+
+def _count_derivations(monkeypatch, frame: np.ndarray) -> dict:
+    """Count overlap-graph builds and SVDs of the given measuring frame."""
+    counts = {"graphs": 0, "frame_svds": 0}
+    from_matrix = Graph.from_matrix.__func__
+    svd = np.linalg.svd
+
+    def counting_from_matrix(cls, a):
+        counts["graphs"] += 1
+        return from_matrix(cls, a)
+
+    def counting_svd(a, *args, **kwargs):
+        if np.shape(a) == frame.shape and np.array_equal(a, frame):
+            counts["frame_svds"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "from_matrix", classmethod(counting_from_matrix))
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
+
+
+@pytest.mark.parametrize("spec,direction", [
+    ("example1", ALICE_FIRST),        # ChordalAliceGraph
+    ("path-rep:8", BOB_FIRST),        # ScaledDiagonalDominance
+    ("example3", ALICE_FIRST),        # FeasibleDecomposition
+    ("cycle-rep:6", ALICE_FIRST),     # SpanningObstruction
+    ("pentagon-path", BOB_FIRST),     # DualWitness
+    ("bennett", BOB_FIRST),           # MinDimNoSimplicial
+])
+def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
+    s = generate(spec)
+    frame = (s.alice if direction == ALICE_FIRST else s.bob).T
+    counts = _count_derivations(monkeypatch, frame)
+    v = decide(s, direction)
+    back = verdict_from_json(json.loads(_write(v)), s)
+    assert verify_certificate(s, back).ok
+    # one overlap graph per side, one SVD of the measuring frame
+    assert counts == {"graphs": 2, "frame_svds": 1}

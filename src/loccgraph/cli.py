@@ -163,7 +163,7 @@ def _cmd_decompose(args) -> int:
     kind = verdict.certificate.kind
     if verdict.status == DISTINGUISHABLE:
         dec = verdict.decomposition
-        _emit_json(args, serialize.decomposition_to_json(dec))
+        _emit_json(args, serialize.jsonify(dec))
         _say(f"{len(dec.terms)} rank-one terms on "
              f"{len({t.support for t in dec.terms})} admissible supports via {kind}")
         return 0

@@ -44,6 +44,7 @@ from .graphs import (  # noqa: F401
     is_chordal,
     is_clique,
     is_perfect_elimination_ordering,
+    is_subgraph,
     maximal_cliques,
     simplicial_vertices,
 )
@@ -425,7 +426,7 @@ def decide(
     # every overlap edge is a host edge for an orthogonal product set, so a
     # clique of ga is an admissible support; the inclusion is checked, since
     # overlaps near zero on both sides can break it
-    x = dominance_scaling(m, ga, tol) if ga.edges <= host.edges else None
+    x = dominance_scaling(m, ga, tol) if is_subgraph(ga, host) else None
     if x is not None:
         return distinguishable_verdict(
             work, direction,
@@ -773,7 +774,7 @@ def verify_certificate(
         )
     elif kind == KIND_SANDWICH:
         g = Graph.from_edges(work.n, data.get("sandwich_edges", ()))
-        check("between bounds", ga.edges <= g.edges <= host.edges)
+        check("between bounds", is_subgraph(ga, g) and is_subgraph(g, host))
         check("sandwich chordal", is_chordal(g).chordal)
     elif kind == KIND_FEASIBLE:
         # the pieces sum to the identity on Alice's span and each is silent
@@ -804,7 +805,7 @@ def verify_certificate(
                 bool((slack > 0).all()),
                 f"least slack {slack.min():.3g}",
             )
-        check("overlaps admissible", ga.edges <= host.edges)
+        check("overlaps admissible", is_subgraph(ga, host))
         supports = [list(s) for s in data.get("supports", ())]
         in_range = all(
             s and all(isinstance(i, int) and 1 <= i <= work.n for i in s)

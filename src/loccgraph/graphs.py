@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, cached_property, wraps
+from functools import cached_property, wraps
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,21 @@ class Graph:
             raise InvalidInput("graph needs at least one vertex")
         if len(nbrs) != self.n or min(nbrs) < 0 or max(nbrs) >> self.n:
             raise InvalidInput(f"need {self.n} neighbour masks of {self.n} bits")
-        if not _symmetric_loopless(nbrs):
+        # no vertex sees itself, and each sees every vertex that sees it
+        if any(m >> v & 1 or any(not nbrs[w - 1] >> v & 1 for w in _bits(m))
+               for v, m in enumerate(nbrs)):
             raise InvalidInput("neighbour masks must be symmetric without self-loops")
+
+    @classmethod
+    def _from_masks(cls, n: int, nbrs: tuple[int, ...]) -> "Graph":
+        """A graph from int masks symmetric and loopless by construction;
+        only n is checked."""
+        if n < 1:
+            raise InvalidInput("graph needs at least one vertex")
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "nbrs", nbrs)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -45,15 +58,19 @@ class Graph:
                 raise InvalidInput(f"edge ({i},{j}) needs two distinct vertices in 1..{n}")
             nbrs[i - 1] |= 1 << (j - 1)
             nbrs[j - 1] |= 1 << (i - 1)
-        return cls(n, tuple(nbrs))
+        return cls._from_masks(n, tuple(nbrs))
 
     @classmethod
     def from_matrix(cls, a) -> "Graph":
         """Graph joining i != j wherever the symmetric boolean matrix a is set."""
         a = np.array(a, dtype=bool)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not (a == a.T).all():
+            raise InvalidInput(f"need a symmetric square matrix, got shape {a.shape}")
         np.fill_diagonal(a, False)
         rows = np.packbits(a, axis=1, bitorder="little")
-        return cls(len(a), tuple(int.from_bytes(r.tobytes(), "little") for r in rows))
+        return cls._from_masks(
+            len(a), tuple(int.from_bytes(r.tobytes(), "little") for r in rows)
+        )
 
     @property
     def vertices(self) -> range:
@@ -84,46 +101,6 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.nbrs))
-
-
-@cache
-def _mirror_steps(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The strict upper triangle of a width x width bit matrix held row-major
-    in one int, and the (shift, mask) steps of _symmetric_loopless; cached
-    once per width, a multiple of 8."""
-    diag = sum(1 << r * (width + 1) for r in range(width))
-    upper = sum(((1 << width) - (2 << r)) << r * width for r in range(width))
-    # step j's mask: where the entries d right of the diagonal, for each d
-    # with bit j set, sit after the steps for the lower bits of d
-    steps = tuple(
-        ((width - 1) << j, sum(
-            (diag << d & upper) << (d & ((1 << j) - 1)) * (width - 1)
-            for d in range(width) if d >> j & 1
-        ))
-        for j in range((width - 1).bit_length())
-    )
-    return upper, steps
-
-
-def _symmetric_loopless(nbrs: Sequence[int]) -> bool:
-    """Whether the masks are symmetric with a clear diagonal.
-
-    The rows go into one int, `width` bits apart. The entry d places right
-    of the diagonal in row r sits at bit r*width + r + d, and its mirror
-    image d*(width - 1) bits higher. Step j moves every upper entry whose d
-    has bit j set on by 2**j * (width - 1); no two entries meet on the way,
-    and after the last step each lies on its mirror image below the
-    diagonal. The masks pass when that equals the rest of the matrix.
-    """
-    size = (len(nbrs) + 7) // 8
-    upper, steps = _mirror_steps(8 * size)
-    x = int.from_bytes(b"".join([m.to_bytes(size, "little") for m in nbrs]), "little")
-    moved = x & upper
-    rest = x ^ moved
-    for shift, mask in steps:
-        step = moved & mask
-        moved ^= step ^ step << shift
-    return moved == rest
 
 
 def _kept(fn):
@@ -173,27 +150,39 @@ def _clique_mask(nbrs: Sequence[int], mask: int) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple(_full(n) ^ (1 << v) for v in range(n)))
+    return Graph._from_masks(n, tuple(_full(n) ^ (1 << v) for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return Graph._from_masks(n, (0,) * n)
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidInput("cycle needs n >= 3")
-    return Graph(n, tuple((1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n)))
+    return Graph._from_masks(
+        n, tuple((1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n))
+    )
 
 
 def path_graph(n: int) -> Graph:
     # bit v+1 and, past the first vertex, bit v-1
-    return Graph(n, tuple(((2 << v) | (1 << v >> 1)) & _full(n) for v in range(n)))
+    return Graph._from_masks(
+        n, tuple(((2 << v) | (1 << v >> 1)) & _full(n) for v in range(n))
+    )
 
 
 def complement(g: Graph) -> Graph:
     full = _full(g.n)
-    return Graph(g.n, tuple((full & ~m) ^ (1 << v) for v, m in enumerate(g.nbrs)))
+    return Graph._from_masks(
+        g.n, tuple((full & ~m) ^ (1 << v) for v, m in enumerate(g.nbrs))
+    )
+
+
+def is_subgraph(g: Graph, h: Graph) -> bool:
+    """Whether every edge of g is an edge of h."""
+    pairs = itertools.zip_longest(g.nbrs, h.nbrs, fillvalue=0)
+    return not any(a & ~b for a, b in pairs)
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -432,6 +421,13 @@ def chromatic_number(g: Graph, budget: int = 40) -> tuple[int, dict[int, int]]:
     if g.n > budget:
         raise SearchBudgetExceeded(f"colouring search limited to n <= {budget}")
     omega, _ = independence_number(complement(g), budget)
+    return _chromatic_from(g, omega)
+
+
+def _chromatic_from(g: Graph, omega: int) -> tuple[int, dict[int, int]]:
+    """Chromatic number of g with a colouring witness, given its clique
+    number omega: the greedy colouring when it uses omega colours, else the
+    fewest colours from omega up that admit one."""
     greedy = _coloring(g, g.n)
     upper = max(greedy.values())
     if upper == omega:
@@ -594,7 +590,7 @@ def chordal_sandwich(
     """
     if g_lo.n != g_hi.n:
         raise InvalidInput("sandwich endpoints need the same vertex count")
-    if any(lo & ~hi for lo, hi in zip(g_lo.nbrs, g_hi.nbrs)):
+    if not is_subgraph(g_lo, g_hi):
         raise InvalidInput("lower graph must be a subgraph of the upper graph")
     if is_chordal(g_lo).chordal:
         return g_lo
@@ -611,7 +607,7 @@ def chordal_sandwich(
         if nbrs in seen:
             return None
         seen.add(nbrs)
-        g = Graph(g_lo.n, nbrs)
+        g = Graph._from_masks(g_lo.n, nbrs)
         res = is_chordal(g)
         if res.chordal:
             return g
@@ -653,10 +649,11 @@ def eta_plus_bounds(g: Graph, budget: int = 40) -> EtaBounds:
     """Outer bounds on the invertible-diagonal PSD minimum rank.
 
     Lower bound: independence number. Upper bound: chromatic number of the
-    complement. Certified when they coincide.
+    complement, whose clique number is that same independence number.
+    Certified when they coincide.
     """
     lower, witness = independence_number(g, budget)
-    upper, coloring = chromatic_number(complement(g), budget)
+    upper, coloring = _chromatic_from(complement(g), lower)
     return EtaBounds(lower, witness, upper, coloring, lower == upper)
 
 

@@ -43,15 +43,6 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def unit(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Normalize a vector; rejects the zero vector."""
-    arr = as_vector(v)
-    nrm = float(np.linalg.norm(arr))
-    if nrm <= tol.zero_tol:
-        raise ZeroVector("cannot normalize a numerically zero vector")
-    return arr / nrm
-
-
 def hermitize(m) -> np.ndarray:
     arr = as_matrix(m)
     return (arr + arr.conj().T) / 2.0
@@ -72,13 +63,6 @@ def gram(vectors: Sequence) -> np.ndarray:
     """Gram matrix with the inner product conjugate-linear in the first slot."""
     x = frame(vectors)
     return hermitize(x.conj().T @ x)
-
-
-def support(m, tol: Tolerance = DEFAULT_TOL) -> frozenset[int]:
-    """1-based indices whose diagonal entry is nonzero beyond zero_tol."""
-    arr = as_matrix(m)
-    diag = np.abs(np.diagonal(arr))
-    return frozenset(int(i) + 1 for i in np.nonzero(diag > tol.zero_tol)[0])
 
 
 def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

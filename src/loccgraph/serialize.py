@@ -25,7 +25,6 @@ from .criteria import (
     Verdict,
     distinguishable_verdict,
 )
-from .decomposition import Decomposition
 from .errors import InvalidInput, LoccGraphError
 from .graphs import Graph
 from .linalg import DEFAULT_TOL, Tolerance
@@ -135,20 +134,6 @@ def dot_graph(g: Graph, name: str = "G",
 
 
 # ---------------------------------------------------------------------------
-# decompositions
-
-def decomposition_to_json(dec: Decomposition) -> dict:
-    return {
-        "n": dec.n,
-        "terms": [
-            {"support": sorted(t.support), "vector": _vec(t.vector)}
-            for t in dec.terms
-        ],
-        "residual": float(dec.residual),
-    }
-
-
-# ---------------------------------------------------------------------------
 # protocols
 
 def protocol_to_json(protocol: Protocol) -> dict:
@@ -218,8 +203,6 @@ def jsonify(obj: Any) -> Any:
         return obj.tolist()
     if isinstance(obj, Graph):
         return graph_to_json(obj)
-    if isinstance(obj, Decomposition):
-        return decomposition_to_json(obj)
     if isinstance(obj, Protocol):
         return protocol_to_json(obj)
     if isinstance(obj, (frozenset, set)):

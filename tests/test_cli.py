@@ -278,3 +278,29 @@ def test_verify_derives_each_fact_once(tmp_path, capsys, monkeypatch, spec, dire
     code, _, err = _run(capsys, ["verify", "--input", path, "--verdict", str(verdict)])
     assert code == 0, err
     assert counts == {"graphs": 2, "frame_svds": 1}
+
+
+@pytest.mark.parametrize("spec,direction", [
+    ("example1", "alice-first"),    # ChordalAliceGraph
+    ("path-rep:8", "bob-first"),    # ScaledDiagonalDominance
+])
+def test_decompose_writes_the_decomposition_layout(tmp_path, capsys, spec, direction):
+    from loccgraph.criteria import decide
+    from loccgraph.serialize import states_from_json
+
+    path = _write_states(tmp_path, spec)
+    argv = ["decompose", "--input", path, "--direction", direction]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    states = states_from_json(json.loads((tmp_path / "states.json").read_text()))
+    dec = decide(states, direction).decomposition
+    layout = {
+        "n": dec.n,
+        "terms": [
+            {"support": sorted(t.support),
+             "vector": [[float(x.real), float(x.imag)] for x in t.vector]}
+            for t in dec.terms
+        ],
+        "residual": dec.residual,
+    }
+    assert stdout == json.dumps(layout, indent=2) + "\n"

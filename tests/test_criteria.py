@@ -768,3 +768,24 @@ def test_qubit_cover_peels_to_a_projective_measurement():
     assert all(any(t <= c for c in cliques) for t in supports)
     assert len(v.protocol.alice.outcome_ids()) == len(supports) == 2
     assert as_projective_basis(v.protocol.alice) is not None
+
+
+@pytest.mark.parametrize("spec", ["tiles", "bennett", "bennett-subset:2,8,6,4,9"])
+def test_decide_runs_one_independence_search_per_eta_bound(monkeypatch, spec):
+    # the upper bound is chi(complement(host)), whose clique number is the
+    # lower bound alpha(host); the search for it is not run a second time
+    import loccgraph.criteria as criteria
+    import loccgraph.graphs as graphs
+
+    searched = []
+    original = graphs.independence_number
+
+    def counting(g, budget=40):
+        searched.append(g)
+        return original(g, budget)
+
+    for module in (graphs, criteria):
+        monkeypatch.setattr(module, "independence_number", counting)
+    v = decide(generate(spec))
+    assert "eta_host" in v.parameters
+    assert len(searched) == 1

@@ -25,6 +25,7 @@ from loccgraph.graphs import (
     is_chordal,
     is_clique,
     is_perfect_elimination_ordering,
+    is_subgraph,
     lex_bfs_order,
     maximal_cliques,
     path_graph,
@@ -351,3 +352,102 @@ def test_edge_count_counts_the_edge_set():
                for _ in range(30)]
     for g in graphs:
         assert g.edge_count() == len(g.edges)
+
+
+def _built_graphs(monkeypatch) -> list:
+    """Record every graph built through Graph._from_masks, the constructor
+    that skips the public mask check."""
+    built = []
+    from_masks = Graph._from_masks.__func__
+
+    def recording(cls, n, nbrs):
+        built.append(from_masks(cls, n, nbrs))
+        return built[-1]
+
+    monkeypatch.setattr(Graph, "_from_masks", classmethod(recording))
+    return built
+
+
+def _assert_public_check_passes(graphs):
+    for g in graphs:
+        assert Graph(g.n, g.nbrs) == g, (g.n, g.nbrs)
+
+
+def test_every_graph_the_engine_builds_passes_the_public_check(monkeypatch):
+    built = _built_graphs(monkeypatch)
+    small = [g for n in range(1, 6) for g in brute.all_graphs(n)]
+    rng = np.random.default_rng(43)
+    graphs = small + [
+        brute.random_graph(int(rng.integers(1, 41)), float(rng.random()), rng)
+        for _ in range(200)
+    ]
+    for g in graphs:
+        assert Graph.from_matrix(adjacency_matrix(g)) == g
+        assert complement(complement(g)) == g
+    makers = (complete_graph, empty_graph, path_graph)
+    named = [make(n) for n in range(1, 41) for make in makers]
+    named += [cycle_graph(n) for n in range(3, 41)]
+    # each of graphs from its edges, its matrix and two complements
+    assert len(built) == len(graphs) * 4 + len(named)
+    _assert_public_check_passes(built)
+
+
+def test_every_node_of_the_sandwich_search_passes_the_public_check(monkeypatch):
+    # both bounds non-chordal, so the search builds nodes of its own
+    rng = np.random.default_rng(47)
+    pairs = []
+    for lo in brute.all_graphs(5):
+        if is_chordal(lo).chordal:
+            continue
+        missing = sorted(complement(lo).edges)
+        picks = rng.permutation(len(missing))[: int(rng.integers(1, len(missing)))]
+        hi = Graph.from_edges(5, sorted(lo.edges) + [missing[k] for k in picks])
+        if not is_chordal(hi).chordal:
+            pairs.append((lo, hi))
+    built = _built_graphs(monkeypatch)
+    found = 0
+    for lo, hi in pairs:
+        got = chordal_sandwich(lo, hi)
+        found += got is not None
+    # one root per search, and more below the roots of some
+    assert 0 < found < len(pairs) < len(built)
+    _assert_public_check_passes(built)
+
+
+def test_from_matrix_needs_a_symmetric_square_matrix():
+    with pytest.raises(InvalidInput):
+        Graph.from_matrix(np.zeros((2, 3), dtype=bool))
+    with pytest.raises(InvalidInput):
+        Graph.from_matrix(np.zeros(3, dtype=bool))
+    with pytest.raises(InvalidInput):
+        Graph.from_matrix([[0, 1], [0, 0]])
+    with pytest.raises(InvalidInput):
+        Graph.from_matrix(np.zeros((0, 0), dtype=bool))
+    # a set diagonal is dropped, not refused
+    assert Graph.from_matrix(np.ones((2, 2), dtype=bool)) == complete_graph(2)
+
+
+def test_is_subgraph_is_edge_set_inclusion():
+    graphs = [g for n in range(1, 5) for g in brute.all_graphs(n)]
+    for g in graphs[::3]:
+        for h in graphs[::5]:
+            assert is_subgraph(g, h) == (g.edges <= h.edges), (g, h)
+
+
+def test_eta_bounds_run_one_independence_search(monkeypatch):
+    import loccgraph.graphs as graphs
+
+    searched = []
+    original = graphs.independence_number
+
+    def counting(g, budget=40):
+        searched.append(g)
+        return original(g, budget)
+
+    monkeypatch.setattr(graphs, "independence_number", counting)
+    for g in (cycle_graph(5), path_graph(4), cycle_graph(7), complement(path_graph(7))):
+        searched.clear()
+        b = eta_plus_bounds(g)
+        assert searched == [g]
+        assert b.upper == chromatic_number(complement(g))[0]
+        assert b.lower == original(g)[0]

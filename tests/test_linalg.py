@@ -18,8 +18,6 @@ from loccgraph.linalg import (
     numeric_rank,
     orthonormal_columns,
     psd_check,
-    support,
-    unit,
 )
 
 
@@ -28,13 +26,6 @@ def test_tolerance_rejects_nonpositive():
         Tolerance(zero_tol=0.0)
     with pytest.raises(ValueError):
         Tolerance(psd_tol=-1e-9)
-
-
-def test_unit_normalizes_and_rejects_zero():
-    v = unit([3.0, 4.0])
-    assert np.allclose(np.linalg.norm(v), 1.0)
-    with pytest.raises(ZeroVector):
-        unit([0.0, 1e-12])
 
 
 def test_hermitize_symmetrizes():
@@ -61,11 +52,6 @@ def test_gram_conjugates_first_slot():
     g2 = gram([[1.0, 1.0], [1.0, 1.0j]])
     assert np.isclose(g2[0, 1], 1.0 + 1.0j)
     assert np.isclose(g2[1, 0], 1.0 - 1.0j)
-
-
-def test_support_is_one_based():
-    m = np.diag([1.0, 0.0, 0.5])
-    assert support(m) == frozenset({1, 3})
 
 
 def test_psd_check():

@@ -15,6 +15,8 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import serialize
 from .criteria import (
     ALICE_FIRST,
@@ -164,8 +166,8 @@ def _cmd_decompose(args) -> int:
     if verdict.status == DISTINGUISHABLE:
         dec = verdict.decomposition
         _emit_json(args, serialize.jsonify(dec))
-        _say(f"{len(dec.terms)} rank-one terms on "
-             f"{len({t.support for t in dec.terms})} admissible supports via {kind}")
+        _say(f"{len(dec.vectors)} rank-one terms on "
+             f"{len(np.unique(dec.supports, axis=0))} admissible supports via {kind}")
         return 0
     if kind == KIND_DUAL_WITNESS:
         data = verdict.certificate.data

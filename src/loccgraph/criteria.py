@@ -25,11 +25,13 @@ from .decomposition import (
     dual_witness,
     faces_in_span,
     feasibility_search,
+    support_mask,
     verify_decomposition,
 )
-from .errors import InvalidInput, LoccGraphError, SearchBudgetExceeded
-# edge_clique_cover_number, frame and validate_povm are no longer called here;
-# they stay bound because perfbench/layertrace.py wraps the names this module binds
+from .errors import InvalidCover, InvalidInput, LoccGraphError, SearchBudgetExceeded
+# edge_clique_cover_number, frame, independence_number and validate_povm are
+# no longer called here; they stay bound because perfbench/layertrace.py wraps
+# the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
     Graph,
@@ -50,8 +52,8 @@ from .graphs import (  # noqa: F401
 )
 from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank  # noqa: F401
 from .locc import (  # noqa: F401
-    BobPlan, Povm, PovmElement, Protocol, ProtocolReport, matches_projective_basis,
-    povm_to_decomposition, simulate, synthesize_protocol, validate_povm,
+    Povm, Protocol, ProtocolReport, matches_projective_basis, outcome_numbers,
+    outcome_overlaps, povm_to_decomposition, simulate, synthesize_protocol, validate_povm,
 )
 from .states import ProductStateSet, StateGraphs
 
@@ -199,23 +201,18 @@ def certificate_splitting(
         return dominance_split(m, ga, np.asarray(field("scaling"), dtype=float), groups)
     if kind == KIND_FEASIBLE:
         try:
-            supports = [frozenset(s) for s in field("supports")]
+            supports = support_mask(field("supports"), work.n)
             weights = np.asarray(field("weights"), dtype=float)
             directions = np.asarray(field("directions"), dtype=complex)
             ok = (weights.shape == (len(supports),)
                   and directions.shape == (len(supports), work.d_alice)
-                  and np.isfinite(weights).all() and np.isfinite(directions).all()
-                  and all(s and min(s) >= 1 and max(s) <= work.n for s in supports))
-        except (TypeError, ValueError):
+                  and np.isfinite(weights).all() and np.isfinite(directions).all())
+        except (TypeError, ValueError, InvalidCover):
             ok = False
         if not ok:
             raise InvalidInput(f"{kind} needs one support in 1..{work.n}, finite "
                                f"weight and direction in C^{work.d_alice} per piece")
-        outcome: dict[frozenset[int], int] = {}
-        povm = Povm(work.d_alice, tuple(
-            PovmElement(outcome.setdefault(s, len(outcome) + 1), float(w), e, s)
-            for s, w, e in zip(supports, weights, directions)
-        ))
+        povm = Povm(directions, weights, outcome_numbers(supports)[0], supports)
         return povm_to_decomposition(work, povm, tol)
     raise InvalidInput(f"a {kind} certificate fixes no splitting")
 
@@ -648,26 +645,23 @@ def converse_theorem_checks(
 
 
 def _non_measurements(
-    plans: Sequence[BobPlan], labels: set[str], tol: Tolerance
+    protocol: Protocol, states: ProductStateSet, tol: Tolerance
 ) -> list[int]:
-    """The outcomes whose plans are not orthonormal columns each labelled
-    with a different one of the states, the plans known to fit one Bob
-    space. One Gram of all plan columns side by side, masked to each
-    plan's own block; its side is the total column count (191 for
+    """The outcomes, in the order Bob's columns first name them, whose
+    columns are not orthonormal or not each labelled with a different one
+    of the states. One Gram of all Bob columns side by side, masked to the
+    pairs that share an outcome; its side is the column count (191 for
     path-rep:40 bob-first)."""
-    if not plans:
-        return []
-    widths = [len(p.labels) for p in plans]
-    plan_of = np.repeat(np.arange(len(plans)), widths)
-    cols = np.concatenate([p.basis for p in plans], axis=1)
-    off = np.abs(cols.conj().T @ cols - np.eye(len(plan_of)))
-    off[plan_of[:, None] != plan_of[None, :]] = 0.0
-    overlap = np.zeros(len(plans))
-    np.maximum.at(overlap, plan_of, off.max(axis=1, initial=0.0))
-    return [
-        p.outcome for p, k, dev in zip(plans, widths, overlap)
-        if len(set(p.labels) & labels) != k or dev > 10 * tol.rank_tol
-    ]
+    outcomes = protocol.bob_outcomes
+    same = outcomes[:, None] == outcomes[None, :]
+    owner = states.label_positions(protocol.bob_labels)
+    # a label that names no state, or a state its outcome names twice
+    misnamed = (owner < 0) | ((same & (owner[:, None] == owner[None, :])).sum(axis=1) > 1)
+    overlap = outcome_overlaps(protocol.bob_basis, outcomes).max(axis=1, initial=0.0)
+    flawed = misnamed | (overlap > 10 * tol.rank_tol)
+    # each outcome's first column stands for it
+    first = ~np.tril(same, -1).any(axis=1)
+    return outcomes[first & (same & flawed).any(axis=1)].tolist()
 
 
 @dataclass(frozen=True)
@@ -723,24 +717,20 @@ def verify_certificate(
         if protocol is not None:
             # a protocol built for the other side, or of the wrong shape,
             # cannot act on these states
-            dirs = {np.shape(e.direction) for e in protocol.alice.elements}
-            plans = {(np.shape(p.basis), len(p.labels)) for p in protocol.bob}
-            fits = (
-                protocol.alice.dim == work.d_alice and dirs <= {(work.d_alice,)}
-                and all(shape == (work.d_bob, k) for shape, k in plans)
-            )
+            dim, bob_dim = protocol.alice.dim, protocol.bob_basis.shape[0]
+            fits = dim == work.d_alice and bob_dim == work.d_bob
             check(
                 "protocol dimension",
                 fits,
-                f"POVM on C^{protocol.alice.dim}, directions {sorted(dirs)}, "
-                f"Bob (basis, labels) {sorted(plans)}, "
+                f"POVM on C^{dim}, Bob columns in C^{bob_dim}, "
                 f"states in C^{work.d_alice} x C^{work.d_bob}",
             )
         if fits:
-            least = min((e.weight for e in protocol.alice.elements), default=0.0)
+            weights = protocol.alice.weights
+            least = float(weights.min()) if len(weights) else 0.0
             check("povm elements positive", least >= -tol.psd_tol,
                   f"least weight {least:.3g}")
-            bad = _non_measurements(protocol.bob, set(work.labels), tol)
+            bad = _non_measurements(protocol, work, tol)
             measures = not bad
             check("bob plans are measurements", measures, f"outcomes {bad}")
         if measures:
@@ -837,10 +827,15 @@ def verify_certificate(
         check("witness spans effective space", rank == d_eff, f"rank {rank}")
     elif kind in (KIND_ALPHA_CHI, KIND_NO_SANDWICH):
         try:
-            chi, _ = chromatic_number(gb, search_budget)
+            if kind == KIND_ALPHA_CHI:
+                # the host's complement is Bob's overlap graph, so one
+                # search for alpha(host) gives both bounds
+                eta = eta_plus_bounds(host, search_budget)
+                alpha, chi = eta.lower, eta.upper
+            else:
+                chi, _ = chromatic_number(gb, search_budget)
             check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
             if kind == KIND_ALPHA_CHI:
-                alpha, _ = independence_number(host, search_budget)
                 check("alpha below chi", alpha < chi, f"alpha {alpha}")
             else:
                 check(

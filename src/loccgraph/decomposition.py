@@ -25,21 +25,21 @@ spanning obstruction, Y = -I.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidCover, NegativePivot, NotPSD, PatternViolation
-from .graphs import (
-    Graph, adjacency_matrix, is_chordal, is_clique, is_perfect_elimination_ordering,
-)
+from .errors import InvalidCover, InvalidInput, NegativePivot, NotPSD, PatternViolation
+from .graphs import Graph, adjacency_matrix, is_chordal, is_perfect_elimination_ordering
 from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, psd_check, span_basis
 
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    """Rank-one piece v v* with v zero outside its support (1-based)."""
+    """Rank-one piece v v* with v zero outside its support (1-based): one
+    row of a Decomposition, built when Decomposition.terms is read."""
 
     support: frozenset[int]
     vector: np.ndarray
@@ -48,15 +48,61 @@ class DecompositionTerm:
         return np.outer(self.vector, self.vector.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    n: int
-    terms: tuple[DecompositionTerm, ...]
+    """Rank-one pieces v v*, one per row: row k of vectors (k x n) is zero
+    outside row k of supports (boolean k x n), the states piece k lives on.
+    residual is ||m - sum v v*|| for the matrix m that was split."""
+
+    vectors: np.ndarray
+    supports: np.ndarray
     residual: float
 
+    def __post_init__(self):
+        if (self.vectors.ndim != 2 or self.supports.shape != self.vectors.shape
+                or self.supports.dtype != bool):
+            raise InvalidInput(f"pieces {self.vectors.shape} with supports "
+                               f"{self.supports.shape}")
 
-def _pattern_leaks(m: np.ndarray, g: Graph, bound: float) -> list[tuple[int, int, float]]:
-    off = (np.abs(m) > bound) & ~adjacency_matrix(g)
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def terms(self) -> tuple[DecompositionTerm, ...]:
+        return tuple(
+            DecompositionTerm(s, v) for s, v in zip(support_sets(self.supports), self.vectors)
+        )
+
+
+def support_mask(supports: Sequence[Iterable[int]], n: int) -> np.ndarray:
+    """The boolean k x n mask of k non-empty supports of 1-based states;
+    InvalidCover names the first support that is empty or out of 1..n."""
+    sizes = np.fromiter(map(len, supports), dtype=int, count=len(supports))
+    members = np.array(list(itertools.chain.from_iterable(supports)))
+    if members.size and members.dtype.kind not in "iu":
+        raise InvalidCover("supports must list integer state indices")
+    members = members.astype(int)
+    row = np.repeat(np.arange(len(supports)), sizes)
+    bad = np.union1d(np.flatnonzero(sizes == 0), row[(members < 1) | (members > n)])
+    if bad.size:
+        raise InvalidCover(f"support {sorted(supports[bad[0]])} out of range")
+    mask = np.zeros((len(supports), n), dtype=bool)
+    mask[row, members - 1] = True
+    return mask
+
+
+def support_sets(mask: np.ndarray) -> tuple[frozenset[int], ...]:
+    """Each row of a boolean support mask as a set of 1-based states."""
+    rows, cols = np.nonzero(mask)
+    cuts = np.searchsorted(rows, np.arange(1, len(mask)))
+    return tuple(frozenset(c.tolist()) for c in np.split(cols + 1, cuts)[:len(mask)])
+
+
+def _pattern_leaks(m: np.ndarray, adj: np.ndarray, bound: float) -> list[tuple[int, int, float]]:
+    off = (np.abs(m) > bound) & ~adj
+    if not off.any():
+        return []
     rows, cols = np.nonzero(np.triu(off, k=1))
     return [
         (i + 1, j + 1, float(abs(m[i, j])))
@@ -76,61 +122,124 @@ def chordal_decompose(
     the running residual; within a perfect elimination ordering that column
     lives on v plus its not-yet-eliminated neighbours, which form a clique.
     The peel follows the given ordering, which must be a perfect elimination
-    ordering of g, or else the one is_chordal finds.
+    ordering of g, or else the one is_chordal finds (kept on g).
+
+    With rows and columns taken in that ordering the peel is the Cholesky
+    factorisation of m, which has no fill (Rose 1970, "Triangulated graphs
+    and the elimination process"): column j of the factor is the piece of
+    the j-th vertex. One LAPACK call computes it whenever every pivot
+    clears zero_tol * scale. A singular m (more states than the rank of
+    their span: the PSD check's least eigenvalue is at most zero_tol *
+    scale) takes the elimination loop, which skips each vertex whose pivot
+    vanishes. Both routes end in _cut_to_cliques.
     """
     m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (g.n, g.n):
         raise PatternViolation(f"matrix shape {m.shape} does not match n={g.n}")
     scale = max(1.0, float(np.linalg.norm(m)))
-    leaks = _pattern_leaks(m, g, tol.zero_tol * scale)
+    adj = adjacency_matrix(g)
+    leaks = _pattern_leaks(m, adj, tol.zero_tol * scale)
     if leaks:
         raise PatternViolation(f"nonzero entries off the pattern: {leaks[:5]}")
     ok, min_eig = psd_check(m, tol)
     if not ok:
         raise NotPSD(f"matrix has eigenvalue {min_eig:.3g}")
+    chord = is_chordal(g)
     if ordering is None:
-        chord = is_chordal(g)
         if not chord.chordal:
             raise PatternViolation(f"pattern graph has a chordless cycle {chord.hole}")
         ordering = chord.ordering
-    elif not is_perfect_elimination_ordering(g, ordering):
+    # is_chordal verified its own ordering; any other is checked here
+    elif (tuple(ordering) != chord.ordering
+          and not is_perfect_elimination_ordering(g, ordering)):
         raise PatternViolation(f"{list(ordering)} is no perfect elimination ordering")
 
-    adj = adjacency_matrix(g)
-    later = np.ones(g.n, dtype=bool)
+    order = np.asarray(ordering, dtype=int) - 1
+    floor = tol.zero_tol * scale
+    # every pivot is at least the least eigenvalue, so a singular m skips
+    # the factorisation
+    pieces = _cholesky_pieces(m, order, floor) if min_eig > floor else None
+    if pieces is None:
+        pieces = _eliminated_pieces(m, order, tol, scale)
+    return _cut_to_cliques(m, adj, order, *pieces, tol, scale)
+
+
+def _cholesky_pieces(
+    m: np.ndarray, order: np.ndarray, floor: float
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The peel's (vertices, vectors, pivots) in elimination order from one
+    Cholesky factorisation of m permuted to order; None when it fails or a
+    pivot is at most floor."""
+    try:
+        factor = np.linalg.cholesky(m[order][:, order])
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(factor).real ** 2
+    if not (pivots > floor).all():
+        return None
+    vectors = np.empty_like(factor)
+    vectors[:, order] = factor.T
+    return order, vectors, pivots
+
+
+def _eliminated_pieces(
+    m: np.ndarray, order: np.ndarray, tol: Tolerance, scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peel's (vertices, vectors, pivots) one vertex at a time: a
+    vertex whose pivot is at most zero_tol * scale gives no piece, and one
+    below -psd_tol * scale raises NegativePivot."""
     r = m.copy()
-    terms: list[DecompositionTerm] = []
-    for v in ordering:
-        vi = v - 1
-        later[vi] = False
+    vertices, vectors, pivots = [], [], []
+    for vi in order.tolist():
         pivot = float(r[vi, vi].real)
         if pivot < -tol.psd_tol * scale:
-            raise NegativePivot(f"pivot {pivot:.3g} at vertex {v}")
-        if pivot <= tol.zero_tol * scale:
-            r[vi, :] = 0.0
-            r[:, vi] = 0.0
-            continue
-        # v and its neighbours not yet eliminated
-        allowed = adj[vi] & later
-        allowed[vi] = True
-        col = r[:, vi].copy()
-        stray = np.flatnonzero(~allowed & (np.abs(col) > 10 * tol.zero_tol * scale))
-        if stray.size:
-            u = int(stray[0]) + 1
-            raise PatternViolation(
-                f"eliminating {v}: residual entry at {u} of size {abs(col[u-1]):.3g}"
-            )
-        w = np.where(allowed, col, 0.0) / np.sqrt(pivot)
-        keep = allowed & (np.abs(w) > tol.zero_tol * scale)
-        keep[vi] = True
-        support = frozenset((np.flatnonzero(keep) + 1).tolist())
-        vec = np.where(keep, w, 0.0)
-        terms.append(DecompositionTerm(support, vec))
-        r = hermitize(r - np.outer(vec, vec.conj()))
+            raise NegativePivot(f"pivot {pivot:.3g} at vertex {vi + 1}")
+        if pivot > tol.zero_tol * scale:
+            w = r[:, vi] / np.sqrt(pivot)
+            r -= w[:, None] * w.conj()
+            vertices.append(vi)
+            vectors.append(w)
+            pivots.append(pivot)
         r[vi, :] = 0.0
         r[:, vi] = 0.0
-    residual = float(np.linalg.norm(r))
-    return Decomposition(g.n, tuple(terms), residual)
+    return (np.array(vertices, dtype=int), np.array(vectors).reshape(-1, len(m)),
+            np.array(pivots))
+
+
+def _cut_to_cliques(
+    m: np.ndarray,
+    adj: np.ndarray,
+    order: np.ndarray,
+    vertices: np.ndarray,
+    vectors: np.ndarray,
+    pivots: np.ndarray,
+    tol: Tolerance,
+    scale: float,
+) -> Decomposition:
+    """The peel's pieces cut to their cliques: the piece of vertex v may
+    live on v and its neighbours eliminated after it. An entry elsewhere
+    of the residual column, w times sqrt(pivot), above 10 * zero_tol *
+    scale raises PatternViolation; entries of at most zero_tol * scale
+    become zero. The residual is ||m - sum v v*|| over the cut pieces."""
+    rows = np.arange(len(vertices))
+    position = np.empty(len(order), dtype=int)
+    position[order] = np.arange(len(order))
+    allowed = adj[vertices] & (position > position[vertices][:, None])
+    allowed[rows, vertices] = True
+    size = np.abs(vectors)
+    column = size * np.sqrt(pivots)[:, None]
+    stray = ~allowed & (column > 10 * tol.zero_tol * scale)
+    if stray.any():
+        k, u = np.argwhere(stray)[0]
+        raise PatternViolation(
+            f"eliminating {vertices[k] + 1}: residual entry at {u + 1} "
+            f"of size {column[k, u]:.3g}"
+        )
+    keep = allowed & (size > tol.zero_tol * scale)
+    keep[rows, vertices] = True
+    vectors = np.where(keep, vectors, 0.0)
+    residual = float(np.linalg.norm(m - vectors.T @ vectors.conj()))
+    return Decomposition(vectors, keep, residual)
 
 
 def comparison_matrix(m: np.ndarray, g: Graph) -> np.ndarray:
@@ -190,11 +299,7 @@ def dominance_split(
     x = np.asarray(x, dtype=float)
     if x.shape != (n,) or not (np.isfinite(x).all() and (x > 0).all()):
         raise InvalidCover(f"scaling needs {n} positive entries")
-    member = np.zeros((len(groups), n), dtype=bool)
-    for k, s in enumerate(groups):
-        if not s or min(s) < 1 or max(s) > n:
-            raise InvalidCover(f"support {sorted(s)} out of range")
-        member[k, [i - 1 for i in s]] = True
+    member = support_mask(groups, n)
     i, j = np.array(g.edge_list(), dtype=int).reshape(-1, 2).T - 1
     rows = len(i)
     vectors = np.zeros((rows + n, n), dtype=complex)
@@ -210,11 +315,8 @@ def dominance_split(
     if not holds.any(axis=0).all():
         raise InvalidCover("supports miss an edge or a vertex")
     owner = np.argmax(holds, axis=0)
-    terms = tuple(
-        DecompositionTerm(groups[k], vec) for k, vec in zip(owner.tolist(), vectors)
-    )
     residual = float(np.linalg.norm(m - vectors.T @ vectors.conj()))
-    return Decomposition(n, terms, residual)
+    return Decomposition(vectors, member[owner], residual)
 
 
 @dataclass(frozen=True)
@@ -233,25 +335,27 @@ def verify_decomposition(
     tol: Tolerance = DEFAULT_TOL,
     rel_bound: float = 1e-8,
 ) -> DecompositionReport:
-    """Check the terms sum back to m and sit on cliques of host."""
+    """Check the terms sum back to m and sit on cliques of host.
+
+    bad_supports lists the support of each term that is no clique of host,
+    then of each term with an entry above zero_tol * scale outside it."""
     m = hermitize(np.asarray(m, dtype=complex))
     scale = max(1.0, float(np.linalg.norm(m)))
-    bad: list[frozenset[int]] = []
+    vectors, supports = dec.vectors, dec.supports
+    inside = supports.astype(float)
+    not_clique = np.zeros(len(supports), dtype=bool)
     if host is not None:
-        clique = {s: is_clique(host, s) for s in {t.support for t in dec.terms}}
-        bad += [t.support for t in dec.terms if not clique[t.support]]
-    # entries of each term's vector that are nonzero outside its support
-    inside = np.zeros((len(dec.terms), dec.n), dtype=bool)
-    for row, t in enumerate(dec.terms):
-        inside[row, [i - 1 for i in t.support if 1 <= i <= dec.n]] = True
-    vectors = np.array([t.vector for t in dec.terms]).reshape(inside.shape)
+        apart = ~adjacency_matrix(host)
+        np.fill_diagonal(apart, False)
+        not_clique = ((inside @ apart) * inside).any(axis=1)
+    stray = ((np.abs(vectors) > tol.zero_tol * scale) & ~supports).any(axis=1)
     residual = float(np.linalg.norm(m - vectors.T @ vectors.conj()))
-    stray = ((np.abs(vectors) > tol.zero_tol * scale) & ~inside).any(axis=1)
-    bad += [t.support for t, off in zip(dec.terms, stray) if off]
+    bad = support_sets(supports[np.concatenate(
+        [np.flatnonzero(not_clique), np.flatnonzero(stray)])])
     supports_ok = not bad
     rel = residual / scale
     return DecompositionReport(
-        rel <= rel_bound and supports_ok, residual, rel, supports_ok, tuple(bad)
+        rel <= rel_bound and supports_ok, residual, rel, supports_ok, bad
     )
 
 

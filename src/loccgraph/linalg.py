@@ -92,11 +92,19 @@ def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return _rank(np.linalg.svd(arr, compute_uv=False), tol)
 
 
+def thin_svd(x, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x's singular value decomposition cut to the singular values that
+    numeric_rank counts: u (d x r) with orthonormal columns, those r values,
+    and vh (r x n) with orthonormal rows."""
+    u, sv, vh = np.linalg.svd(as_matrix(x), full_matrices=False)
+    r = _rank(sv, tol)
+    return u[:, :r], sv[:r], vh[:r]
+
+
 def span_basis(x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column span of x: the left singular vectors
     that numeric_rank counts, so its width is numeric_rank(x)."""
-    u, sv, _ = np.linalg.svd(as_matrix(x), full_matrices=False)
-    return u[:, : _rank(sv, tol)]
+    return thin_svd(x, tol)[0]
 
 
 def eigh_desc(m) -> tuple[np.ndarray, np.ndarray]:
@@ -111,14 +119,25 @@ def least_squares_preimage(
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Solve X* phi = v / mu for a unit phi and scale mu > 0.
 
-    The least-squares solution phi0 of X* phi = v is accepted when its
-    residual is at most rank_tol * ||v||; then phi = phi0 / ||phi0|| and
-    mu = ||phi0||, so X* phi = v / mu holds to the same accuracy.
+    The least-squares solution phi0 of X* phi = v of least norm, with the
+    singular values of X that numeric_rank does not count taken as zero, is
+    accepted when its residual is at most rank_tol * ||v||; then
+    phi = phi0 / ||phi0|| and mu = ||phi0||, so X* phi = v / mu holds to the
+    same accuracy.
 
     A vector v gives (phi, mu). A matrix v is one right-hand side per
     column, solved in one call: it gives the unit columns phi and the array
     of their scales mu, and every column must pass both checks.
     """
+    return svd_preimage(x, thin_svd(x, tol), v, tol)
+
+
+def svd_preimage(
+    x: np.ndarray, svd: tuple[np.ndarray, np.ndarray, np.ndarray], v,
+    tol: Tolerance = DEFAULT_TOL,
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """least_squares_preimage given thin_svd(x, tol) = (u, sv, vh): X* is
+    vh* diag(sv) u*, so phi0 = u diag(1/sv) vh v."""
     xm = as_matrix(x)
     rhs = np.asarray(v, dtype=complex)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != xm.shape[1]:
@@ -127,7 +146,8 @@ def least_squares_preimage(
     vnorm = np.linalg.norm(cols, axis=0)
     if (vnorm <= tol.zero_tol).any():
         raise ZeroVector("preimage of the zero vector is undefined")
-    phi0, *_ = np.linalg.lstsq(xm.conj().T, cols, rcond=None)
+    u, sv, vh = svd
+    phi0 = u @ ((vh @ cols) / sv[:, None])
     residual = np.linalg.norm(xm.conj().T @ phi0 - cols, axis=0)
     k = int(np.argmax(residual / vnorm))
     if residual[k] > tol.rank_tol * vnorm[k]:

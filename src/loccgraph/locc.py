@@ -1,11 +1,15 @@
 """Measure-and-tell protocols: Alice measures, Bob finishes.
 
 A protocol is an Alice POVM whose outcome operators only respond to states
-in their declared support, plus one Bob plan per outcome: the orthonormal
-Bob vectors of the states that outcome leaves, the rest of Bob's space
-giving up. Protocols are synthesized from Gram splittings, one outcome per
-distinct support (each rank-one piece lifts to a POVM element through a
-least-squares preimage), and checked by exact simulation.
+in their declared support, plus Bob's reply to each outcome: the
+orthonormal Bob vectors of the states that outcome leaves, the rest of
+Bob's space giving up. Protocols are synthesized from Gram splittings, one
+outcome per distinct support (each rank-one piece lifts to a POVM element
+through a least-squares preimage), and checked by exact simulation.
+
+Both halves are kept as arrays, one row per POVM element and one column
+per Bob vector; PovmElement and BobPlan are views of them, built when
+Povm.elements or Protocol.bob is read.
 """
 
 from __future__ import annotations
@@ -15,19 +19,20 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import Decomposition, DecompositionTerm
+from .decomposition import Decomposition, support_sets
 from .errors import InvalidInput, NonOrthogonalBobClique, NotPSD
-# complete_basis, numeric_rank and orthonormal_columns are not called here;
-# they stay bound because perfbench/layertrace.py wraps the names this module binds
+# complete_basis, least_squares_preimage, numeric_rank and orthonormal_columns
+# are not called here; they stay bound because perfbench/layertrace.py wraps
+# the names this module binds
 from .linalg import (  # noqa: F401
     DEFAULT_TOL,
     Tolerance,
     complete_basis,
     eigh_desc,
-    hermitize,
     least_squares_preimage,
     numeric_rank,
     orthonormal_columns,
+    svd_preimage,
 )
 from .states import ProductStateSet
 
@@ -45,24 +50,48 @@ class PovmElement:
         return self.weight * np.outer(self.direction, self.direction.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    dim: int
-    elements: tuple[PovmElement, ...]
+    """Rank-one elements weight * d d*, one per row: directions (k x dim),
+    weights (k), the outcome each counts towards (k integers) and the
+    states each may respond to (boolean supports, k x n)."""
+
+    directions: np.ndarray
+    weights: np.ndarray
+    outcomes: np.ndarray
+    supports: np.ndarray
+
+    def __post_init__(self):
+        k = len(self.directions)
+        if (self.directions.ndim != 2 or self.weights.shape != (k,)
+                or self.outcomes.shape != (k,) or self.supports.ndim != 2
+                or len(self.supports) != k or self.supports.dtype != bool):
+            raise InvalidInput(
+                f"POVM of {self.directions.shape} directions, {self.weights.shape} "
+                f"weights, {self.outcomes.shape} outcomes, {self.supports.shape} supports"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
+
+    @property
+    def elements(self) -> tuple[PovmElement, ...]:
+        return tuple(
+            PovmElement(int(k), float(w), d, s) for k, w, d, s in zip(
+                self.outcomes, self.weights, self.directions, support_sets(self.supports))
+        )
 
     def outcome_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({e.outcome for e in self.elements}))
+        return tuple(np.unique(self.outcomes).tolist())
 
     def outcome_operator(self, outcome: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for e in self.elements:
-            if e.outcome == outcome:
-                out += e.matrix()
-        return out
+        pick = self.outcomes == outcome
+        dirs = self.directions[pick]
+        return (dirs.T * self.weights[pick]) @ dirs.conj()
 
     def total(self) -> np.ndarray:
-        dirs, weights = _weighted_directions(self)
-        return (dirs.T * weights) @ dirs.conj()
+        return (self.directions.T * self.weights) @ self.directions.conj()
 
 
 @dataclass(frozen=True)
@@ -76,10 +105,35 @@ class BobPlan:
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Protocol:
+    """Alice's POVM, then Bob's columns: column c of bob_basis (d_bob x c)
+    is his reply to outcome bob_outcomes[c] for the state labelled
+    bob_labels[c]. An outcome's columns, in order, are its BobPlan."""
+
     alice: Povm
-    bob: tuple[BobPlan, ...]
+    bob_basis: np.ndarray
+    bob_outcomes: np.ndarray
+    bob_labels: np.ndarray
+
+    def __post_init__(self):
+        c = self.bob_outcomes.shape
+        if (self.bob_basis.ndim != 2 or c != (self.bob_basis.shape[1],)
+                or self.bob_labels.shape != c):
+            raise InvalidInput(
+                f"Bob columns {self.bob_basis.shape} with {self.bob_outcomes.shape} "
+                f"outcomes and {self.bob_labels.shape} labels"
+            )
+
+    @property
+    def bob(self) -> tuple[BobPlan, ...]:
+        ids, first = np.unique(self.bob_outcomes, return_index=True)
+        plans = []
+        for outcome in ids[np.argsort(first)].tolist():
+            pick = self.bob_outcomes == outcome
+            plans.append(BobPlan(outcome, self.bob_basis[:, pick],
+                                 tuple(self.bob_labels[pick].tolist())))
+        return tuple(plans)
 
 
 @dataclass(frozen=True)
@@ -98,40 +152,54 @@ class ProtocolReport:
     max_support_leakage: float
 
 
-def _bob_plans(
-    states: ProductStateSet, outcome_of: dict[frozenset[int], int], tol: Tolerance
-) -> tuple[BobPlan, ...]:
-    """One plan per outcome; column j is member j's normalised Bob vector,
-    so labels line up.
+def outcome_numbers(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One outcome per distinct row of the boolean supports, numbered 1, 2,
+    ... in order of first appearance: each row's outcome, and the first row
+    of each outcome."""
+    packed = np.ascontiguousarray(np.packbits(supports, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=int)
+    number[order] = np.arange(1, len(order) + 1)
+    return number[inverse.reshape(-1)], first[order]
 
-    Bob's parts must be orthonormal within every outcome. That is checked
-    once, on the normalised Bob Gram over the pairs that share an outcome;
-    only when it fails are the outcomes walked, to name the first
-    offending pair.
+
+def outcome_overlaps(basis: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """|B* B - I| for Bob's columns B, on the pairs of columns that answer
+    the same outcome, and zero on the other pairs."""
+    same = outcomes[:, None] == outcomes[None, :]
+    return np.abs(basis.conj().T @ basis - np.eye(len(outcomes))) * same
+
+
+def _bob_plans(
+    states: ProductStateSet, members: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bob's columns, outcome by outcome, given the states each outcome
+    leaves (boolean, one row per outcome): member j's normalised Bob
+    vector, its outcome and its label.
+
+    Bob's parts must be orthonormal within every outcome; when they are
+    not, the first outcome holding an overlapping pair names its worst
+    pair.
     """
-    unit = states.bob / np.linalg.norm(states.bob, axis=1, keepdims=True)
-    rows = [[i - 1 for i in sorted(support)] for support in outcome_of]
-    incidence = np.zeros((len(rows), states.n))
-    for k, members in enumerate(rows):
-        incidence[k, members] = 1.0
-    g = states.bob_gram()
-    scale = np.sqrt(np.diagonal(g).real)
-    off = np.abs(g / np.outer(scale, scale) - np.eye(states.n))
-    if (off * (incidence.T @ incidence > 0)).max(initial=0.0) > 100 * tol.zero_tol:
-        for outcome, members in zip(outcome_of.values(), rows):
-            cols = unit[members].T
-            overlap = np.abs(cols.conj().T @ cols - np.eye(len(members)))
-            if overlap.max(initial=0.0) > 100 * tol.zero_tol:
-                j, k = np.unravel_index(np.argmax(overlap), overlap.shape)
-                raise NonOrthogonalBobClique(
-                    f"states {states.labels[members[j]]} and "
-                    f"{states.labels[members[k]]} overlap ({overlap[j, k]:.3g}) "
-                    f"on Bob's side within outcome {outcome}"
-                )
-    return tuple(
-        BobPlan(outcome, unit[members].T, tuple(states.labels[i] for i in members))
-        for outcome, members in zip(outcome_of.values(), rows)
-    )
+    outcome, member = np.nonzero(members)
+    cols = states.bob[member]
+    basis = (cols / np.linalg.norm(cols, axis=1, keepdims=True)).T
+    outcomes = outcome + 1
+    labels = np.asarray(states.labels)[member]
+    off = outcome_overlaps(basis, outcomes)
+    flawed = off.max(axis=1, initial=0.0) > 100 * tol.zero_tol
+    if flawed.any():
+        block = outcomes == outcomes[np.argmax(flawed)]
+        within = off[np.ix_(block, block)]
+        j, i = np.unravel_index(np.argmax(within), within.shape)
+        raise NonOrthogonalBobClique(
+            f"states {labels[block][j]} and {labels[block][i]} overlap "
+            f"({within[j, i]:.3g}) on Bob's side within outcome "
+            f"{outcomes[np.argmax(flawed)]}"
+        )
+    return basis, outcomes, labels
 
 
 def synthesize_protocol(
@@ -150,29 +218,25 @@ def synthesize_protocol(
     """
     if dec.n != states.n:
         raise InvalidInput(f"splitting over {dec.n} states, set has {states.n}")
-    if not dec.terms:
+    if not len(dec.vectors):
         raise InvalidInput("empty splitting")
-    phis, mus = least_squares_preimage(
-        states.alice_frame(), np.array([t.vector for t in dec.terms]).T, tol
+    phis, mus = svd_preimage(
+        states.alice_frame(), states.alice_svd(tol), dec.vectors.T, tol
     )
-    outcome_of: dict[frozenset[int], int] = {}
-    elements: list[PovmElement] = []
-    for term, phi, mu in zip(dec.terms, phis.T, mus):
-        k = outcome_of.setdefault(term.support, len(outcome_of) + 1)
-        elements.append(PovmElement(k, float(mu) ** 2, phi, term.support))
-
-    povm = Povm(states.d_alice, tuple(elements))
-    deficit = hermitize(np.eye(states.d_alice) - povm.total())
-    w, v = eigh_desc(deficit)
+    outcomes, firsts = outcome_numbers(dec.supports)
+    weights = mus ** 2
+    w, v = eigh_desc(np.eye(states.d_alice) - (phis * weights) @ phis.conj().T)
     if w[-1] < -10 * tol.psd_tol:
         raise NotPSD(f"splitting overshoots the identity by {-w[-1]:.3g}")
-    last = elements[-1]
-    elements += [
-        PovmElement(last.outcome, float(w[c]), v[:, c], last.support)
-        for c in np.flatnonzero(w > tol.zero_tol)
-    ]
-    plans = _bob_plans(states, outcome_of, tol)
-    return Protocol(Povm(states.d_alice, tuple(elements)), plans)
+    fill = w > tol.zero_tol
+    extra = int(fill.sum())
+    povm = Povm(
+        np.concatenate([phis.T, v[:, fill].T]),
+        np.concatenate([weights, w[fill]]),
+        np.concatenate([outcomes, np.repeat(outcomes[-1:], extra)]),
+        np.concatenate([dec.supports, np.repeat(dec.supports[-1:], extra, axis=0)]),
+    )
+    return Protocol(povm, *_bob_plans(states, dec.supports[firsts], tol))
 
 
 def povm_to_decomposition(
@@ -183,29 +247,26 @@ def povm_to_decomposition(
     in the range of X* and synthesize_protocol lifts it back exactly.
     Elements that no state sees (on the complement of Alice's span) give no
     term; a negative weight raises NotPSD."""
-    dirs, weights = _weighted_directions(povm)
+    weights = povm.weights
     if weights.min(initial=0.0) < -tol.psd_tol:
         raise NotPSD(f"element weight {weights.min():.3g}")
     x = states.alice_frame()
     scale = max(1.0, float(np.linalg.norm(x) ** 2))
-    vectors = np.sqrt(np.maximum(weights, 0.0))[:, None] * (dirs @ x.conj())
+    vectors = np.sqrt(np.maximum(weights, 0.0))[:, None] * (povm.directions @ x.conj())
     keep = np.linalg.norm(vectors, axis=1) ** 2 > tol.zero_tol * scale
-    terms = tuple(
-        DecompositionTerm(e.support, v)
-        for e, v, seen in zip(povm.elements, vectors, keep) if seen
-    )
     residual = float(
         np.linalg.norm(states.alice_gram() - vectors[keep].T @ vectors[keep].conj())
     )
-    return Decomposition(states.n, terms, residual)
+    return Decomposition(vectors[keep], _inside(povm, states.n)[keep], residual)
 
 
-def _weighted_directions(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """Element directions as the rows of an (elements x dim) array, and the
-    element weights."""
-    dirs = np.array([e.direction for e in povm.elements], dtype=complex)
-    weights = np.array([e.weight for e in povm.elements], dtype=float)
-    return dirs.reshape(len(povm.elements), povm.dim), weights
+def _inside(povm: Povm, n: int) -> np.ndarray:
+    """The supports as a k x n mask: states past the mask's width are in
+    no support, and support entries past n name no state."""
+    width = min(n, povm.supports.shape[1])
+    inside = np.zeros((len(povm.supports), n), dtype=bool)
+    inside[:, :width] = povm.supports[:, :width]
+    return inside
 
 
 def _alice_probabilities(
@@ -213,18 +274,14 @@ def _alice_probabilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """w_e |<d_e, a_i>|^2 for every element e (rows) and state i (columns),
     with the mask of the states each element's support declares."""
-    dirs, weights = _weighted_directions(povm)
-    probs = weights[:, None] * np.abs(dirs.conj() @ states.alice.T) ** 2
-    inside = np.zeros(probs.shape, dtype=bool)
-    for row, e in enumerate(povm.elements):
-        inside[row, [i - 1 for i in e.support if 1 <= i <= states.n]] = True
-    return probs, inside
+    probs = povm.weights[:, None] * np.abs(povm.directions.conj() @ states.alice.T) ** 2
+    return probs, _inside(povm, states.n)
 
 
 def _completeness_deviation(povm: Povm) -> float:
-    return float(
-        np.abs(np.linalg.eigvalsh(hermitize(povm.total() - np.eye(povm.dim)))).max()
-    )
+    gap = povm.total()
+    gap[np.diag_indices(povm.dim)] -= 1.0
+    return float(np.abs(np.linalg.eigvalsh(gap)).max())
 
 
 def validate_povm(
@@ -234,7 +291,7 @@ def validate_povm(
 ) -> PovmReport:
     """Completeness, element positivity, and support discipline."""
     completeness = _completeness_deviation(povm)
-    min_weight = min((e.weight for e in povm.elements), default=0.0)
+    min_weight = float(povm.weights.min()) if len(povm.weights) else 0.0
     leakage = 0.0
     if states is not None:
         probs, inside = _alice_probabilities(povm, states)
@@ -244,7 +301,7 @@ def validate_povm(
         and min_weight >= -tol.psd_tol
         and leakage <= 10 * tol.psd_tol
     )
-    return PovmReport(ok, completeness, float(min_weight), leakage)
+    return PovmReport(ok, completeness, min_weight, leakage)
 
 
 def simulate(
@@ -252,35 +309,22 @@ def simulate(
 ) -> ProtocolReport:
     """Exact outcome statistics of the two-round protocol on each state:
     Alice's element probabilities summed per outcome, times the weight of
-    each state on Bob's column labelled with it. Every plan label must name
-    a state; an outcome without a plan gives up."""
+    each state on Bob's columns of that outcome labelled with it. A column
+    whose label names no state counts for none; an outcome without columns
+    gives up."""
     povm = protocol.alice
-    outcomes = povm.outcome_ids()
-    row_of = {outcome: k for k, outcome in enumerate(outcomes)}
-    rows = [row_of[e.outcome] for e in povm.elements]
     probs, inside = _alice_probabilities(povm, states)
-    p_alice = np.zeros((len(outcomes), states.n))
-    np.add.at(p_alice, rows, probs)
-    seen = np.zeros(p_alice.shape, dtype=bool)
-    np.logical_or.at(seen, rows, inside)
-
-    index = {lbl: i for i, lbl in enumerate(states.labels)}
-    plans = {p.outcome: p for p in protocol.bob}
-    used = [
-        (k, plans[outcome]) for k, outcome in enumerate(outcomes)
-        if outcome in plans and seen[k].any()
-    ]
-    p_bob = np.zeros_like(p_alice)
-    if used:
-        # every plan column as one row: its outcome's row, its owner, its
-        # vector, and that vector's overlap with the owner's Bob part
-        cols = np.concatenate([plan.basis.T for _, plan in used])
-        rows = np.repeat([k for k, _ in used], [len(plan.labels) for _, plan in used])
-        owners = [index[lbl] for _, plan in used for lbl in plan.labels]
-        hits = np.einsum("jd,jd->j", cols.conj(), states.bob[owners])
-        np.add.at(p_bob, (rows, owners), np.abs(hits) ** 2)
-
-    success = (p_alice * p_bob * seen).sum(axis=0)
+    owner = states.label_positions(protocol.bob_labels)
+    named = np.flatnonzero(owner >= 0)
+    at = owner[named]
+    # for each Bob column: the elements of its outcome, and what they give
+    # the state the column detects
+    same = povm.outcomes[:, None] == protocol.bob_outcomes[named]
+    p_alice = (probs[:, at] * same).sum(axis=0)
+    seen = (inside[:, at] & same).any(axis=0)
+    hits = np.einsum("dc,cd->c", protocol.bob_basis[:, named].conj(), states.bob[at])
+    success = np.bincount(at, weights=p_alice * np.abs(hits) ** 2 * seen,
+                          minlength=states.n)
     per_state = tuple(zip(states.labels, success.tolist()))
     return ProtocolReport(
         per_state,

@@ -25,10 +25,11 @@ from .criteria import (
     Verdict,
     distinguishable_verdict,
 )
-from .errors import InvalidInput, LoccGraphError
+from .decomposition import Decomposition, support_mask, support_sets
+from .errors import InvalidCover, InvalidInput, LoccGraphError
 from .graphs import Graph
 from .linalg import DEFAULT_TOL, Tolerance
-from .locc import BobPlan, Povm, PovmElement, Protocol
+from .locc import Povm, Protocol
 from .states import ProductStateSet
 
 
@@ -137,19 +138,22 @@ def dot_graph(g: Graph, name: str = "G",
 # protocols
 
 def protocol_to_json(protocol: Protocol) -> dict:
-    elements = protocol.alice.elements
-    directions = _pairs([np.ravel(e.direction) for e in elements])
+    """Alice's elements, then Bob's plans, one per outcome in the order his
+    columns first name them."""
+    alice = protocol.alice
     return {
         "alice": {
-            "dim": protocol.alice.dim,
+            "dim": alice.dim,
             "elements": [
                 {
-                    "outcome": e.outcome,
-                    "weight": float(e.weight),
+                    "outcome": outcome,
+                    "weight": weight,
                     "direction": direction,
-                    "support": sorted(e.support),
+                    "support": sorted(support),
                 }
-                for e, direction in zip(elements, directions)
+                for outcome, weight, direction, support in zip(
+                    alice.outcomes.tolist(), alice.weights.tolist(),
+                    _pairs(alice.directions), support_sets(alice.supports))
             ],
         },
         "bob": [
@@ -164,24 +168,54 @@ def protocol_to_json(protocol: Protocol) -> dict:
 
 
 def protocol_from_json(data: dict) -> Protocol:
+    """The protocol a protocol_to_json document describes. Supports index
+    states from 1 up to the largest index the document names."""
     alice = _require(data, "alice", "protocol")
     dim = int(_require(alice, "dim", "protocol.alice"))
-    elements = []
+    fields = {key: [] for key in ("outcome", "weight", "direction", "support")}
     for k, e in enumerate(_require(alice, "elements", "protocol.alice")):
-        elements.append(PovmElement(
-            int(_require(e, "outcome", f"element {k}")),
-            float(_require(e, "weight", f"element {k}")),
-            _parse_pairs(_require(e, "direction", f"element {k}"), 1),
-            frozenset(int(i) for i in _require(e, "support", f"element {k}")),
-        ))
-    plans = []
+        for key, values in fields.items():
+            values.append(_require(e, key, f"element {k}"))
+    try:
+        supports = [[int(i) for i in s] for s in fields["support"]]
+        width = max(map(max, filter(None, supports)), default=1)
+        mask = support_mask(supports, width)
+    except (TypeError, ValueError, InvalidCover):
+        raise InvalidInput("element supports must be non-empty lists of "
+                           "state indices from 1") from None
+    directions = (_parse_pairs(fields["direction"], 2) if supports
+                  else np.zeros((0, dim), dtype=complex))
+    if directions.shape[1] != dim:
+        raise InvalidInput(f"element directions in C^{directions.shape[1]}, POVM on C^{dim}")
+    povm = Povm(directions, np.array(fields["weight"], dtype=float),
+                np.array(fields["outcome"], dtype=int), mask)
+    columns, outcomes, labels = [], [], []
     for k, p in enumerate(_require(data, "bob", "protocol")):
-        plans.append(BobPlan(
-            int(_require(p, "outcome", f"plan {k}")),
-            _parse_mat(_require(p, "basis", f"plan {k}")),
-            tuple(str(l) for l in _require(p, "labels", f"plan {k}")),
-        ))
-    return Protocol(Povm(dim, tuple(elements)), tuple(plans))
+        basis = _parse_mat(_require(p, "basis", f"plan {k}"))
+        names = [str(l) for l in _require(p, "labels", f"plan {k}")]
+        if basis.shape[1] != len(names):
+            raise InvalidInput(f"plan {k} has {basis.shape[1]} columns, {len(names)} labels")
+        columns.append(basis)
+        outcomes += [int(_require(p, "outcome", f"plan {k}"))] * len(names)
+        labels += names
+    try:
+        basis = np.concatenate(columns, axis=1) if columns else np.zeros((0, 0), dtype=complex)
+    except ValueError:
+        raise InvalidInput("Bob's plans must share one dimension") from None
+    return Protocol(povm, basis, np.array(outcomes, dtype=int),
+                    np.array(labels, dtype=str))
+
+
+def decomposition_to_json(dec: Decomposition) -> dict:
+    """n, then each term's support and vector, then the residual."""
+    return {
+        "n": dec.n,
+        "terms": [
+            {"support": sorted(support), "vector": vector}
+            for support, vector in zip(support_sets(dec.supports), _pairs(dec.vectors))
+        ],
+        "residual": dec.residual,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +239,8 @@ def jsonify(obj: Any) -> Any:
         return graph_to_json(obj)
     if isinstance(obj, Protocol):
         return protocol_to_json(obj)
+    if isinstance(obj, Decomposition):
+        return decomposition_to_json(obj)
     if isinstance(obj, (frozenset, set)):
         return sorted(jsonify(x) for x in obj)
     if isinstance(obj, dict):

@@ -10,9 +10,10 @@ never share an edge.
 A set is immutable, so what the decision ladder reads about it is derived
 at most once per set and kept on it: the swapped set (the same object on
 every call, whose own swapped() is this set), the overlap graphs per
-zero_tol, the admissible host per StateGraphs, and the orthonormal basis
-of the measuring side's span per rank_tol, whose width is the effective
-dimension (each Graph in turn keeps its chordality, maximal cliques and
+zero_tol, the admissible host per StateGraphs, the SVD of the measuring
+side's frame per rank_tol, whose left factor is an orthonormal basis of
+the span and whose width is the effective dimension, and the labels in
+sorted order (each Graph in turn keeps its chordality, maximal cliques and
 simplicial vertices; see graphs). Nothing is kept at module level and nothing derived from a
 verdict or certificate is kept, so verify_certificate re-checks each
 certificate against the states alone. The swapped set refers back to its
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
 from .graphs import Graph, complement
-from .linalg import DEFAULT_TOL, Tolerance, hermitize, span_basis
+from .linalg import DEFAULT_TOL, Tolerance, hermitize, thin_svd
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,19 @@ class ProductStateSet:
         except ValueError:
             raise InvalidInput(f"no state labeled {label!r}") from None
 
+    def label_positions(self, labels) -> np.ndarray:
+        """0-based index of the state each label names, -1 where none does."""
+        if "labels" not in self._derived:
+            order = np.argsort(self.labels)
+            names = np.asarray(self.labels)[order]
+            names.setflags(write=False)
+            order.setflags(write=False)
+            self._derived["labels"] = (names, order)
+        names, order = self._derived["labels"]
+        labels = np.asarray(labels, dtype=str)
+        at = np.searchsorted(names, labels).clip(max=self.n - 1)
+        return np.where(names[at] == labels, order[at], -1)
+
     def alice_frame(self) -> np.ndarray:
         """Alice's vectors as the columns of a read-only d x n view."""
         return self.alice.T
@@ -162,15 +176,23 @@ class ProductStateSet:
             )
         return self._derived[key]
 
+    def alice_svd(
+        self, tol: Tolerance = DEFAULT_TOL
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Alice's frame's SVD cut to its numeric rank (linalg.thin_svd), as
+        read-only arrays."""
+        key = ("svd", tol.rank_tol)
+        if key not in self._derived:
+            svd = thin_svd(self.alice_frame(), tol)
+            for part in svd:
+                part.setflags(write=False)
+            self._derived[key] = svd
+        return self._derived[key]
+
     def alice_span(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Read-only orthonormal basis (d x d_eff) of the span of Alice's
-        vectors, from one SVD of her frame (linalg.span_basis)."""
-        key = ("span", tol.rank_tol)
-        if key not in self._derived:
-            span = span_basis(self.alice_frame(), tol)
-            span.setflags(write=False)
-            self._derived[key] = span
-        return self._derived[key]
+        vectors: the left factor of alice_svd."""
+        return self.alice_svd(tol)[0]
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:
         g = self.product_gram()

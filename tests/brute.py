@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from loccgraph import Graph
+from loccgraph.decomposition import Decomposition, support_mask
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -434,3 +435,59 @@ def face_set(name: str):
 
     alice, bob, kinds = FACE_SETS[name]
     return ProductStateSet.from_vectors(alice, bob), kinds
+
+
+def splitting(n: int, pieces, residual: float = 0.0) -> Decomposition:
+    """A Decomposition of n states from (support, vector) pairs."""
+    supports = [frozenset(support) for support, _ in pieces]
+    vectors = np.array([np.asarray(v, dtype=complex) for _, v in pieces]).reshape(-1, n)
+    return Decomposition(vectors, support_mask(supports, n), residual)
+
+
+def reference_simulation(states, protocol) -> dict:
+    """The protocol run element by element, straight from its definition:
+    state i fires element e with probability w_e |<d_e, a_i>|^2; an element
+    whose support misses i leaks that probability; Bob, told the outcome,
+    finds i with probability |<b, b_i>|^2 summed over the columns b of that
+    outcome labelled with i, and only an outcome one of whose elements
+    declares i counts. Completeness is the largest eigenvalue of
+    |sum_e w_e d_e d_e* - I|."""
+    povm = protocol.alice
+    elements, plans = povm.elements, protocol.bob
+    success, leakage = {}, 0.0
+    for i, label in enumerate(states.labels):
+        a, b = states.alice[i], states.bob[i]
+        total = 0.0
+        for outcome in sorted({e.outcome for e in elements}):
+            fired = 0.0
+            declared = False
+            for e in elements:
+                if e.outcome != outcome:
+                    continue
+                p = e.weight * abs(np.vdot(e.direction, a)) ** 2
+                fired += p
+                if i + 1 in e.support:
+                    declared = True
+                else:
+                    leakage = max(leakage, p)
+            found = 0.0
+            for plan in plans:
+                if plan.outcome != outcome:
+                    continue
+                for column, owner in zip(plan.basis.T, plan.labels):
+                    if owner == label:
+                        found += abs(np.vdot(column, b)) ** 2
+            if declared:
+                total += fired * found
+        success[label] = total
+    operator_sum = sum(
+        (e.weight * np.outer(e.direction, e.direction.conj()) for e in elements),
+        np.zeros((povm.dim, povm.dim), dtype=complex),
+    )
+    deviation = float(np.abs(np.linalg.eigvalsh(operator_sum - np.eye(povm.dim))).max())
+    return {
+        "per_state": success,
+        "min_success": min(success.values()),
+        "completeness_deviation": deviation,
+        "max_support_leakage": leakage,
+    }

@@ -23,11 +23,11 @@ from loccgraph.criteria import (
     verify_certificate,
 )
 from loccgraph.decomposition import support_faces
-from loccgraph.errors import LoccGraphError
+from loccgraph.errors import InvalidInput, LoccGraphError
 from loccgraph.families import FAMILIES, generate
 from loccgraph.graphs import independence_number, maximal_cliques
 from loccgraph.linalg import DEFAULT_TOL
-from loccgraph.locc import BobPlan, Povm, PovmElement, as_projective_basis
+from loccgraph.locc import BobPlan, Povm, as_projective_basis, simulate
 from loccgraph.states import ProductStateSet
 
 
@@ -412,16 +412,15 @@ def test_verification_uses_the_recorded_budgets(monkeypatch):
     v = decide(s, options=DecideOptions(search_budget=6))
     assert v.certificate.kind == "AlphaLessThanChi"
     budgets = []
-    for name in ("independence_number", "chromatic_number"):
-        original = getattr(criteria, name)
+    original = criteria.eta_plus_bounds
 
-        def spy(g, budget=40, _original=original):
-            budgets.append(budget)
-            return _original(g, budget)
+    def spy(g, budget=40):
+        budgets.append(budget)
+        return original(g, budget)
 
-        monkeypatch.setattr(criteria, name, spy)
+    monkeypatch.setattr(criteria, "eta_plus_bounds", spy)
     assert verify_certificate(s, v).ok
-    assert budgets == [6, 6]
+    assert budgets == [6]
 
 
 def test_verification_without_recorded_budgets_uses_the_defaults():
@@ -634,35 +633,56 @@ def _with_protocol(verdict, **parts):
     return dataclasses.replace(verdict, protocol=protocol)
 
 
-def test_forged_protocols_fail_their_checks():
+def _with_plans(verdict, plans):
+    """The verdict with Bob's columns taken from the given plans, in order."""
+    widths = [len(p.labels) for p in plans]
+    return _with_protocol(
+        verdict,
+        bob_basis=np.concatenate([p.basis for p in plans], axis=1),
+        bob_outcomes=np.repeat([p.outcome for p in plans], widths),
+        bob_labels=np.array([l for p in plans for l in p.labels], dtype=str),
+    )
+
+
+def _forged_protocols():
+    """Forged protocols on example1 alice-first, each with the one check it
+    fails: (states, verdict, failed check)."""
     s = generate("example1")
     v = decide(s)
-    assert verify_certificate(s, v).ok
-    everyone = frozenset(range(1, s.n + 1))
+    alice = v.protocol.alice
+    everyone = np.ones((1, s.n), dtype=bool)
     # Alice does nothing and Bob "measures" the four Bob vectors of C^3,
     # two of them equal
-    idle = Povm(s.d_alice, tuple(
-        PovmElement(1, 1.0, e, everyone) for e in np.eye(s.d_alice, dtype=complex)
-    ))
+    idle = Povm(np.eye(s.d_alice, dtype=complex), np.ones(s.d_alice),
+                np.ones(s.d_alice, dtype=int), everyone.repeat(s.d_alice, axis=0))
     vectors = BobPlan(1, s.bob.T.copy(), s.labels)
     # every plan counts its first state twice
-    doubled = tuple(
+    doubled = [
         dataclasses.replace(
             p, basis=np.column_stack([p.basis, p.basis[:, 0]]),
             labels=p.labels + p.labels[:1],
         )
         for p in v.protocol.bob
-    )
+    ]
     # a +0.5/-0.5 pair cancels out of every figure but positivity
-    first = v.protocol.alice.elements[0]
-    signed = Povm(s.d_alice, v.protocol.alice.elements + tuple(
-        PovmElement(first.outcome, w, first.direction, everyone) for w in (0.5, -0.5)
-    ))
-    for forged, failed in [
-        (_with_protocol(v, alice=idle, bob=(vectors,)), "bob plans are measurements"),
-        (_with_protocol(v, bob=doubled), "bob plans are measurements"),
+    signed = Povm(
+        np.concatenate([alice.directions, alice.directions[[0, 0]]]),
+        np.concatenate([alice.weights, [0.5, -0.5]]),
+        np.concatenate([alice.outcomes, alice.outcomes[[0, 0]]]),
+        np.concatenate([alice.supports, everyone.repeat(2, axis=0)]),
+    )
+    return s, v, [
+        (_with_plans(_with_protocol(v, alice=idle), [vectors]),
+         "bob plans are measurements"),
+        (_with_plans(v, doubled), "bob plans are measurements"),
         (_with_protocol(v, alice=signed), "povm elements positive"),
-    ]:
+    ]
+
+
+def test_forged_protocols_fail_their_checks():
+    s, v, forgeries = _forged_protocols()
+    assert verify_certificate(s, v).ok
+    for forged, failed in forgeries:
         assert _failed(verify_certificate(s, forged)) == {failed}
 
 
@@ -689,7 +709,7 @@ def test_plan_check_reports_what_a_per_plan_check_reports():
     plans.append(BobPlan(7, np.zeros((s.d_alice, 0), dtype=complex), ()))  # measures nothing
     expected = _per_plan_non_measurements(plans, set(s.labels))
     assert expected == [2, 3, 5]
-    outcome = verify_certificate(s, _with_protocol(v, bob=tuple(plans)))
+    outcome = verify_certificate(s, _with_plans(v, plans))
     detail = {name: d for name, _, d in outcome.checks}["bob plans are measurements"]
     assert detail == f"outcomes {expected}"
 
@@ -698,25 +718,29 @@ def test_malformed_protocols_fail_the_dimension_check():
     # each of these raised inside the simulation instead of failing a check
     s = generate("example1")
     v = decide(s, ALICE_FIRST)
-    plan, *plans = v.protocol.bob
-    extra_label = dataclasses.replace(plan, labels=plan.labels + ("4",))
-    e, *elements = v.protocol.alice.elements
-    short = dataclasses.replace(e, direction=e.direction[:1])
+    alice, basis = v.protocol.alice, v.protocol.bob_basis
     for malformed in (
-        _with_protocol(v, bob=(extra_label, *plans)),
-        _with_protocol(v, alice=Povm(s.d_alice, (short, *elements))),
+        _with_protocol(v, bob_basis=np.vstack([basis, basis[:1]])),
+        _with_protocol(v, alice=dataclasses.replace(
+            alice, directions=alice.directions[:, :1])),
     ):
         outcome = verify_certificate(s, malformed)
         assert _failed(outcome) == {"protocol dimension"}
         ran = {name for name, _, _ in outcome.checks}
         assert "protocol succeeds" not in ran
+    # a label without a column, or a direction shorter than the others,
+    # makes no protocol at all
+    with pytest.raises(InvalidInput):
+        dataclasses.replace(v.protocol, bob_labels=np.append(v.protocol.bob_labels, "4"))
+    with pytest.raises(InvalidInput):
+        dataclasses.replace(alice, directions=alice.directions[0])
 
 
 def test_outcome_without_a_bob_plan_gives_up():
     # a missing plan raised InvalidInput from Protocol.plan_for
     s = generate("example1")
     v = decide(s)
-    outcome = verify_certificate(s, _with_protocol(v, bob=v.protocol.bob[1:]))
+    outcome = verify_certificate(s, _with_plans(v, v.protocol.bob[1:]))
     assert _failed(outcome) == {"protocol succeeds"}
 
 
@@ -788,4 +812,98 @@ def test_decide_runs_one_independence_search_per_eta_bound(monkeypatch, spec):
         monkeypatch.setattr(module, "independence_number", counting)
     v = decide(generate(spec))
     assert "eta_host" in v.parameters
+    assert len(searched) == 1
+
+
+def _assert_simulation_matches_reference(states, protocol):
+    sim = simulate(states, protocol)
+    ref = brute.reference_simulation(states, protocol)
+    assert [label for label, _ in sim.per_state] == list(states.labels)
+    assert np.allclose([p for _, p in sim.per_state],
+                       [ref["per_state"][label] for label in states.labels],
+                       rtol=0, atol=1e-12)
+    for key in ("min_success", "completeness_deviation", "max_support_leakage"):
+        assert getattr(sim, key) == pytest.approx(ref[key], rel=0, abs=1e-12), key
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_simulation_matches_the_element_by_element_reference(direction):
+    ran = 0
+    for specs in brute.SWEEP_SPECS.values():
+        for spec in specs:
+            s = generate(spec)
+            v = decide(s, direction)
+            if v.status == DISTINGUISHABLE:
+                work = s if direction == ALICE_FIRST else s.swapped()
+                _assert_simulation_matches_reference(work, v.protocol)
+                ran += 1
+    assert ran >= 7
+
+
+def test_forged_protocol_simulations_match_the_reference():
+    s, v, forgeries = _forged_protocols()
+    for forged, _ in forgeries:
+        _assert_simulation_matches_reference(s, forged.protocol)
+    # and a declared support narrower than the states an element sees
+    leaky = dataclasses.replace(
+        v.protocol.alice, supports=np.eye(s.n, dtype=bool)[np.zeros(
+            len(v.protocol.alice.weights), dtype=int)])
+    _assert_simulation_matches_reference(s, dataclasses.replace(v.protocol, alice=leaky))
+
+
+# the Distinguishable small sets whose measuring side has more states than
+# dimensions, so Cholesky refuses their Gram matrix and the peel takes the
+# elimination loop
+_SINGULAR_PEELS = [
+    *((f"bennett-subset:{','.join(str(t) for t in range(1, 10) if t not in gone)}",
+       direction)
+      for direction, pairs in ((ALICE_FIRST, ({7, 9}, {7, 8}, {6, 9}, {6, 8})),
+                               (BOB_FIRST, ({3, 5}, {3, 4}, {2, 5}, {2, 4})))
+      for gone in pairs),
+    ("example1", ALICE_FIRST), ("example1", BOB_FIRST), ("example2", BOB_FIRST),
+]
+
+
+@pytest.mark.parametrize("spec,direction", _SINGULAR_PEELS)
+def test_singular_peels_decide_and_verify(spec, direction, monkeypatch):
+    from loccgraph import decomposition
+
+    loops = []
+    original = decomposition._eliminated_pieces
+
+    def counting(*args):
+        loops.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decomposition, "_eliminated_pieces", counting)
+    s = generate(spec)
+    v = decide(s, direction)
+    assert (v.status, v.certificate.kind) == (DISTINGUISHABLE, "ChordalAliceGraph")
+    assert len(loops) == 1
+    assert v.simulation.min_success >= 1 - 1e-9
+    outcome = verify_certificate(s, v)
+    assert outcome.ok, outcome.checks
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_verify_runs_one_independence_search_for_alpha_below_chi(monkeypatch, direction):
+    # verify's AlphaLessThanChi check reads alpha(host) and chi(bob) off one
+    # eta_plus_bounds call: chi(bob) is chi(complement(host)), whose clique
+    # number is alpha(host), so the search for it is not run twice
+    import loccgraph.criteria as criteria
+    import loccgraph.graphs as graphs
+
+    s = generate("tiles")
+    v = decide(s, direction)
+    assert v.certificate.kind == "AlphaLessThanChi"
+    searched = []
+    original = graphs.independence_number
+
+    def counting(g, budget=40):
+        searched.append(g)
+        return original(g, budget)
+
+    for module in (graphs, criteria):
+        monkeypatch.setattr(module, "independence_number", counting)
+    assert verify_certificate(s, v).ok
     assert len(searched) == 1

@@ -6,7 +6,6 @@ import pytest
 import brute
 from loccgraph.decomposition import (
     Decomposition,
-    DecompositionTerm,
     chordal_decompose,
     comparison_matrix,
     dominance_scaling,
@@ -14,9 +13,13 @@ from loccgraph.decomposition import (
     dual_witness,
     feasibility_search,
     support_faces,
+    support_mask,
     verify_decomposition,
 )
-from loccgraph.errors import InvalidCover, NotPSD, PatternViolation
+from loccgraph.errors import (
+    InvalidCover, LoccGraphError, NegativePivot, NotPSD, PatternViolation,
+)
+from loccgraph.families import generate
 from loccgraph.graphs import (
     Graph,
     complete_graph,
@@ -40,8 +43,7 @@ def _pushed(x, result) -> Decomposition:
     """The pieces of a converged search as a splitting of x* x: piece
     w d d* gives the term sqrt(w) x* d on its support."""
     vectors = np.sqrt(result.weights)[:, None] * (result.directions @ x.conj())
-    terms = tuple(DecompositionTerm(s, v) for s, v in zip(result.supports, vectors))
-    return Decomposition(x.shape[1], terms, 0.0)
+    return Decomposition(vectors, support_mask(result.supports, x.shape[1]), 0.0)
 
 
 def _step_min_eigs(m, dec) -> list[float]:
@@ -129,11 +131,7 @@ def test_verify_decomposition_detects_bad_support():
     dec = chordal_decompose(m, g)
     # declare a support that is not a clique of the host we verify against
     bad = Decomposition(
-        dec.n,
-        tuple(
-            DecompositionTerm(frozenset({1, 3}), t.vector) for t in dec.terms
-        ),
-        dec.residual,
+        dec.vectors, support_mask([{1, 3}] * len(dec.vectors), dec.n), dec.residual
     )
     rep = verify_decomposition(m, bad, host=g)
     assert not rep.supports_ok
@@ -311,21 +309,22 @@ def test_verify_decomposition_bad_supports_match_term_loop():
     g = path_graph(4)
     m = np.eye(4)
     vec = np.array([1.0, 0.5, 0.0, 0.0])
-    terms = (
-        DecompositionTerm(frozenset({1, 2}), vec),
-        DecompositionTerm(frozenset({1, 3}), vec),        # not a clique, leaks at 2
-        DecompositionTerm(frozenset({1}), vec),           # leaks at 2
-        DecompositionTerm(frozenset({1, 3}), vec),        # repeated
-        DecompositionTerm(frozenset({0, 9}), np.zeros(4)),  # out of range
-    )
-    dec = Decomposition(4, terms, 0.0)
+    dec = brute.splitting(4, [
+        ({1, 2}, vec),
+        ({1, 3}, vec),        # not a clique, leaks at 2
+        ({1}, vec),           # leaks at 2
+        ({1, 3}, vec),        # repeated
+    ])
     rep = verify_decomposition(m, dec, host=g)
     assert rep.bad_supports == _reference_report_supports(m, dec, g)
     assert rep.bad_supports == (
-        frozenset({1, 3}), frozenset({1, 3}), frozenset({0, 9}),
+        frozenset({1, 3}), frozenset({1, 3}),
         frozenset({1, 3}), frozenset({1}), frozenset({1, 3}),
     )
     assert not rep.supports_ok and not rep.ok
+    # a support out of range has no row in a splitting's support mask
+    with pytest.raises(InvalidCover, match=r"support \[0, 9\] out of range"):
+        brute.splitting(4, [({0, 9}, np.zeros(4))])
 
 
 def test_dominance_split_rebuilds_an_h_matrix():
@@ -357,3 +356,62 @@ def test_dominance_scaling_refuses_a_non_h_matrix():
     assert dominance_scaling(m, g) is None
     # and one whose comparison matrix has a negative eigenvalue
     assert dominance_scaling(np.eye(4) + 0.6 * (m - np.eye(4)) / 0.5, g) is None
+
+
+def _peel_by_loop(monkeypatch):
+    """Make chordal_decompose take the elimination loop whatever its input."""
+    from loccgraph import decomposition
+
+    monkeypatch.setattr(decomposition, "_cholesky_pieces", lambda *args: None)
+
+
+def test_cholesky_peel_matches_the_elimination_loop(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = [brute.random_product_instance(int(rng.integers(3, 11)), rng)
+             for _ in range(40)]
+    fast = [chordal_decompose(states.alice_gram(), g) for states, g in cases]
+    _peel_by_loop(monkeypatch)
+    for (states, g), dec in zip(cases, fast):
+        loop = chordal_decompose(states.alice_gram(), g)
+        assert np.array_equal(dec.supports, loop.supports)
+        assert np.abs(dec.vectors - loop.vectors).max() <= 1e-12
+
+
+def test_peel_reports_its_true_residual(monkeypatch):
+    # positive definite (the Cholesky route) and singular (the loop): the
+    # reported residual is ||m - sum v v*|| of the pieces returned
+    rng = np.random.default_rng(2)
+    states, g = brute.random_product_instance(8, rng)
+    singular = generate("example1")
+    for m, graph in ((states.alice_gram(), g),
+                     (singular.alice_gram(), singular.build_graphs().alice)):
+        dec = chordal_decompose(m, graph)
+        v = dec.vectors
+        assert dec.residual == pytest.approx(
+            float(np.linalg.norm(m - v.T @ v.conj())), rel=0, abs=1e-15)
+    _peel_by_loop(monkeypatch)
+    dec = chordal_decompose(states.alice_gram(), g)
+    assert dec.residual == verify_decomposition(states.alice_gram(), dec).residual
+
+
+@pytest.mark.parametrize("case", ["bad ordering", "pattern leak", "negative pivot"])
+def test_peel_routes_raise_alike(case, monkeypatch):
+    ordering = None
+    if case == "bad ordering":
+        m, g, ordering = _p3_psd(), path_graph(3), (2, 1, 3)
+    elif case == "pattern leak":
+        m, g = _p3_psd(), path_graph(3)
+        m[0, 2] = m[2, 0] = 0.3
+    else:
+        # PSD within psd_tol (least eigenvalue about -1e-10), but the second
+        # pivot in the order (1, 2) is -1e-6
+        m, g, ordering = np.array([[1e-5, 1e-3], [1e-3, 0.1 - 1e-6]]), complete_graph(2), (1, 2)
+    errors = []
+    for loop in (False, True):
+        if loop:
+            _peel_by_loop(monkeypatch)
+        with pytest.raises(LoccGraphError) as info:
+            chordal_decompose(m, g, ordering=ordering)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (NegativePivot if case == "negative pivot" else PatternViolation)

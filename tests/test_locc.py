@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import brute
 from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
 from loccgraph.decomposition import (
     Decomposition,
-    DecompositionTerm,
     chordal_decompose,
+    support_mask,
     verify_decomposition,
 )
 from loccgraph.errors import NonOrthogonalBobClique
@@ -73,14 +75,14 @@ def test_bob_orthogonality_enforced():
     states = generate("example1")
     # states 2 and 3 share the same Bob vector, so an outcome whose support
     # holds both cannot give Bob an orthogonal basis
-    term = DecompositionTerm(frozenset({2, 3}), 0.5 * states.alice_gram()[:, 1])
+    term = ({2, 3}, 0.5 * states.alice_gram()[:, 1])
     with pytest.raises(NonOrthogonalBobClique):
-        synthesize_protocol(states, Decomposition(states.n, (term,), 0.0))
+        synthesize_protocol(states, brute.splitting(states.n, [term]))
     # the whole-protocol check names the first offending outcome's pair
-    fine = DecompositionTerm(frozenset({1, 4}), 0.5 * states.alice_gram()[:, 0])
+    fine = ({1, 4}, 0.5 * states.alice_gram()[:, 0])
     with pytest.raises(NonOrthogonalBobClique,
                        match=r"states 2 and 3 overlap \(1\) .* within outcome 2$"):
-        synthesize_protocol(states, Decomposition(states.n, (fine, term), 0.0))
+        synthesize_protocol(states, brute.splitting(states.n, [fine, term]))
 
 
 def test_povm_to_decomposition_roundtrip():
@@ -96,14 +98,9 @@ def test_povm_to_decomposition_roundtrip():
 def test_validate_povm_flags_leakage():
     states, dec, protocol = _example1_protocol()
     # shrink the declared support of every element below the true one
-    from loccgraph.locc import Povm, PovmElement
-
-    stripped = Povm(
-        protocol.alice.dim,
-        tuple(
-            PovmElement(e.outcome, e.weight, e.direction, frozenset({1}))
-            for e in protocol.alice.elements
-        ),
+    povm = protocol.alice
+    stripped = dataclasses.replace(
+        povm, supports=support_mask([{1}] * len(povm.weights), states.n)
     )
     rep = validate_povm(stripped, states)
     assert not rep.ok
@@ -134,11 +131,8 @@ def test_one_outcome_per_support():
     states, g = brute.random_product_instance(6, rng)
     dec = chordal_decompose(states.alice_gram(), g)
     halves = Decomposition(
-        dec.n,
-        tuple(
-            DecompositionTerm(t.support, t.vector / np.sqrt(2))
-            for t in dec.terms for _ in range(2)
-        ),
+        np.repeat(dec.vectors, 2, axis=0) / np.sqrt(2),
+        np.repeat(dec.supports, 2, axis=0),
         dec.residual,
     )
     protocol = synthesize_protocol(states, halves)
@@ -181,10 +175,10 @@ def test_simulate_matches_operator_reference():
     # state
     states = generate("example1")
     frame = states.alice_frame()
-    split = Decomposition(states.n, tuple(
-        DecompositionTerm(frozenset(support), frame.conj().T @ a)
+    split = brute.splitting(states.n, [
+        (support, frame.conj().T @ a)
         for support, a in (({1, 2}, HADAMARD[:, 0]), ({1, 3, 4}, HADAMARD[:, 1]))
-    ), 0.0)
+    ])
     protocol = synthesize_protocol(states, split)
     povm = protocol.alice
     assert matches_projective_basis(povm, HADAMARD)

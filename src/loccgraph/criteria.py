@@ -29,9 +29,9 @@ from .decomposition import (
     verify_decomposition,
 )
 from .errors import InvalidCover, InvalidInput, LoccGraphError, SearchBudgetExceeded
-# edge_clique_cover_number, frame, independence_number and validate_povm are
-# no longer called here; they stay bound because perfbench/layertrace.py wraps
-# the names this module binds
+# edge_clique_cover_number, find_two_clique_cover, frame, independence_number
+# and validate_povm are no longer called here; they stay bound because
+# perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
     Graph,
@@ -66,7 +66,6 @@ BOB_FIRST = "bob-first"
 
 KIND_CHORDAL_ALICE = "ChordalAliceGraph"
 KIND_CHORDAL_HOST = "ChordalBobComplement"
-KIND_QUBIT = "SingleQubitSandwich"
 KIND_SANDWICH = "ChordalSandwich"
 KIND_SCALED_DD = "ScaledDiagonalDominance"
 KIND_FEASIBLE = "FeasibleDecomposition"
@@ -80,8 +79,7 @@ KIND_UNKNOWN = "Unknown"
 _EXIT = {DISTINGUISHABLE: 0, INDISTINGUISHABLE: 10, UNKNOWN: 20}
 STATUSES = tuple(_EXIT)
 
-# the status each certificate kind proves; SingleQubitSandwich proves either,
-# as its "distinguishable" flag says
+# the status each certificate kind proves
 _PROVES = {
     KIND_CHORDAL_ALICE: DISTINGUISHABLE,
     KIND_CHORDAL_HOST: DISTINGUISHABLE,
@@ -96,7 +94,7 @@ _PROVES = {
     KIND_UNKNOWN: UNKNOWN,
 }
 
-KINDS = (*_PROVES, KIND_QUBIT)
+KINDS = tuple(_PROVES)
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,6 @@ def certificate_splitting(
     - ChordalAliceGraph, ChordalBobComplement: the peel of ga, or of the
       host, along the recorded ordering;
     - ChordalSandwich: the peel of the recorded sandwich along its ordering;
-    - SingleQubitSandwich: the peel of the union of its two cliques;
     - ScaledDiagonalDominance: dominance_split by the recorded scaling, each
       piece filed under the first recorded support holding it;
     - FeasibleDecomposition: the recorded pieces of Alice's outcome
@@ -189,13 +186,6 @@ def certificate_splitting(
     if kind == KIND_SANDWICH:
         g = Graph.from_edges(work.n, field("sandwich_edges"))
         return chordal_decompose(m, g, tol, ordering=field("ordering"))
-    if kind == KIND_QUBIT and certificate.data.get("distinguishable"):
-        # the union of the two cliques is chordal and lies between ga and
-        # the host, so its peel is an admissible splitting
-        union = Graph.from_edges(work.n, itertools.chain.from_iterable(
-            itertools.combinations(sorted(c), 2) for c in field("cliques")
-        ))
-        return chordal_decompose(m, union, tol)
     if kind == KIND_SCALED_DD:
         groups = [frozenset(s) for s in field("supports")]
         return dominance_split(m, ga, np.asarray(field("scaling"), dtype=float), groups)
@@ -246,19 +236,88 @@ def distinguishable_verdict(
     )
 
 
-def _sandwich_verdict(
+def _minimum_dimension_verdict(
     work: ProductStateSet,
     direction: str,
-    ga: Graph,
-    host: Graph,
-    chi: int,
+    graphs: StateGraphs,
+    d_eff: int,
     params: dict,
     notes: list[str],
     opt: DecideOptions,
 ) -> Optional[Verdict]:
-    """At minimum dimension a chordal sandwich decides either way: peeling
-    it gives the protocol, and its absence is the certificate. None when the
-    sandwich search is over budget."""
+    """The rungs that weigh d_eff against alpha(host) and chi(bob); None
+    when none decides. States independent in the host overlap pairwise on
+    Bob's side, so their Alice parts are orthogonal: alpha(host) <= d_eff.
+
+    MinDimNoSimplicial: call v sandwich-simplicial when N_ga[v], v and its
+    Alice-overlap neighbours, is a host clique. Let I be an independent
+    host set with |I| = d_eff; its Alice vectors are a basis of Alice's
+    span. An outcome operator silent outside a host clique S meets I in at
+    most one vector, since S holds at most one state of I. On the span it
+    is therefore a multiple of the projection onto a_i for some i in I,
+    and that outcome keeps N_ga[i] live. So the set is one-way
+    distinguishable in this direction iff N_ga[i] is a host clique for
+    every i in I, and with no sandwich-simplicial vertex it is not. The
+    rung waits for d_eff >= 3: at a qubit side chi(bob) = 2 = d_eff always
+    holds (Bob-overlapping pairs are Alice-orthogonal, and orthogonality in
+    C^2 is bipartite), so the sandwich rung decides those sets both ways.
+    """
+    ga, host = graphs.alice, graphs.bob_orthogonality()
+    alpha = chi = None
+    try:
+        # the host's complement is Bob's overlap graph, so the host's
+        # minimum-rank bounds are alpha(host) with its witness and chi(bob)
+        eta = eta_plus_bounds(host, opt.search_budget)
+        alpha, alpha_wit, chi = eta.lower, eta.lower_witness, eta.upper
+        params["alpha_host"] = alpha
+        params["chi_bob"] = chi
+    except SearchBudgetExceeded as exc:
+        notes.append(str(exc))
+    params["simplicial_host"] = tuple(sorted(simplicial_vertices(host)))
+    no_simplicial = d_eff >= 3 and not graphs.sandwich_simplicial
+    # an independent host set of size d_eff proves alpha(host) = d_eff,
+    # exact search or not
+    witness = None
+    if chi is not None:
+        params["eta_host"] = eta
+        if d_eff == chi and alpha < chi:
+            return Verdict(
+                INDISTINGUISHABLE, direction,
+                Certificate(
+                    KIND_ALPHA_CHI,
+                    {"alpha": alpha, "chi": chi,
+                     "alpha_witness": sorted(alpha_wit)},
+                ),
+                params, notes=tuple(notes),
+            )
+        if alpha == d_eff:
+            witness = alpha_wit
+    elif no_simplicial and d_eff <= opt.search_budget:
+        try:
+            witness = independent_set_of_size(
+                host, d_eff, opt.search_budget * work.n
+            )
+        except SearchBudgetExceeded as exc:
+            notes.append(str(exc))
+        else:
+            if witness is None:
+                notes.append(f"no independent host set of size {d_eff}")
+    if no_simplicial and witness is not None:
+        return Verdict(
+            INDISTINGUISHABLE, direction,
+            Certificate(
+                KIND_NO_SIMPLICIAL,
+                {"alpha": d_eff, "d_eff": d_eff,
+                 "alpha_witness": sorted(witness),
+                 "eta": d_eff,
+                 "eta_certificate": "independent set meets Gram rank"},
+            ),
+            params, notes=tuple(notes),
+        )
+    if chi != d_eff:
+        return None
+    # at minimum dimension a chordal sandwich decides either way: peeling it
+    # gives the protocol, and its absence is the certificate
     try:
         sandwich = chordal_sandwich(ga, host, opt.sandwich_budget)
     except SearchBudgetExceeded as exc:
@@ -326,98 +385,11 @@ def decide(
             params, notes, ga, host, tol,
         )
 
-    if d_eff == 2:
-        pair = find_two_clique_cover(host, ga.edges)
-        if pair is not None:
-            return distinguishable_verdict(
-                work, direction,
-                Certificate(KIND_QUBIT, {"distinguishable": True,
-                                         "cliques": [sorted(c) for c in pair]}),
-                params, notes, ga, host, tol,
-            )
-        # no two-part cover: already indistinguishable for a qubit side; at
-        # minimum dimension the sandwich certificate is the sharper one
-        try:
-            chi = chromatic_number(gb, opt.search_budget)[0]
-            params["chi_bob"] = chi
-        except SearchBudgetExceeded as exc:
-            notes.append(str(exc))
-            chi = None
-        if chi == d_eff:
-            verdict = _sandwich_verdict(
-                work, direction, ga, host, chi, params, notes, opt
-            )
-            if verdict is not None:
-                return verdict
-        return Verdict(
-            INDISTINGUISHABLE, direction,
-            Certificate(
-                KIND_QUBIT,
-                {"distinguishable": False,
-                 "maximal_cliques": len(maximal_cliques(host))},
-            ),
-            params, notes=tuple(notes),
-        )
-    else:
-        alpha = chi = None
-        try:
-            # the host's complement is Bob's overlap graph, so the host's
-            # minimum-rank bounds are alpha(host) with its witness and chi(bob)
-            eta = eta_plus_bounds(host, opt.search_budget)
-            alpha, alpha_wit, chi = eta.lower, eta.lower_witness, eta.upper
-            params["alpha_host"] = alpha
-            params["chi_bob"] = chi
-        except SearchBudgetExceeded as exc:
-            notes.append(str(exc))
-        simp = simplicial_vertices(host)
-        params["simplicial_host"] = tuple(sorted(simp))
-        # alpha(host) <= d_eff for every orthogonal product set: states
-        # independent in the host overlap pairwise on Bob's side, so their
-        # Alice parts are pairwise orthogonal. An independent host set of
-        # size d_eff therefore proves alpha(host) = d_eff, exact search or not.
-        witness = None
-        if chi is not None:
-            params["eta_host"] = eta
-            if d_eff == chi and alpha < chi:
-                return Verdict(
-                    INDISTINGUISHABLE, direction,
-                    Certificate(
-                        KIND_ALPHA_CHI,
-                        {"alpha": alpha, "chi": chi,
-                         "alpha_witness": sorted(alpha_wit)},
-                    ),
-                    params, notes=tuple(notes),
-                )
-            if alpha == d_eff:
-                witness = alpha_wit
-        elif not simp and d_eff <= opt.search_budget:
-            try:
-                witness = independent_set_of_size(
-                    host, d_eff, opt.search_budget * work.n
-                )
-            except SearchBudgetExceeded as exc:
-                notes.append(str(exc))
-            else:
-                if witness is None:
-                    notes.append(f"no independent host set of size {d_eff}")
-        if not simp and witness is not None:
-            return Verdict(
-                INDISTINGUISHABLE, direction,
-                Certificate(
-                    KIND_NO_SIMPLICIAL,
-                    {"alpha": d_eff, "d_eff": d_eff,
-                     "alpha_witness": sorted(witness),
-                     "eta": d_eff,
-                     "eta_certificate": "independent set meets Gram rank"},
-                ),
-                params, notes=tuple(notes),
-            )
-        if chi == d_eff:
-            verdict = _sandwich_verdict(
-                work, direction, ga, host, chi, params, notes, opt
-            )
-            if verdict is not None:
-                return verdict
+    verdict = _minimum_dimension_verdict(
+        work, direction, graphs, d_eff, params, notes, opt
+    )
+    if verdict is not None:
+        return verdict
 
     m = work.alice_gram()
     # every overlap edge is a host edge for an orthogonal product set, so a
@@ -702,8 +674,6 @@ def verify_certificate(
     kind = verdict.certificate.kind
     data = verdict.certificate.data
     proves = _PROVES.get(kind)
-    if kind == KIND_QUBIT:
-        proves = DISTINGUISHABLE if data.get("distinguishable") else INDISTINGUISHABLE
     check(
         "certificate proves the status",
         proves == verdict.status,
@@ -747,21 +717,6 @@ def verify_certificate(
         check("graph chordal", is_chordal(g).chordal)
         order = tuple(data.get("ordering", ()))
         check("ordering valid", is_perfect_elimination_ordering(g, order))
-    elif kind == KIND_QUBIT and data.get("distinguishable"):
-        cliques = [frozenset(c) for c in data.get("cliques", ())]
-        check("parts are admissible", all(is_clique(host, c) for c in cliques))
-        covered = set().union(*cliques) == set(range(1, work.n + 1))
-        edges_ok = all(
-            any(i in c and j in c for c in cliques) for i, j in ga.edges
-        )
-        check("parts cover states and overlaps", covered and edges_ok)
-        check("qubit side", d_eff == 2, f"d_eff {d_eff}")
-    elif kind == KIND_QUBIT:
-        check("qubit side", d_eff == 2, f"d_eff {d_eff}")
-        check(
-            "no admissible two-part cover",
-            find_two_clique_cover(host, ga.edges) is None,
-        )
     elif kind == KIND_SANDWICH:
         g = Graph.from_edges(work.n, data.get("sandwich_edges", ()))
         check("between bounds", is_subgraph(ga, g) and is_subgraph(g, host))
@@ -807,8 +762,11 @@ def verify_certificate(
         )
     elif kind == KIND_NO_SIMPLICIAL:
         # an independent host set of size d_eff attains the bound
-        # alpha(host) <= d_eff, so no exact search is needed
-        check("no simplicial vertices", not simplicial_vertices(host))
+        # alpha(host) <= d_eff, so no exact search is needed; why this and
+        # no sandwich-simplicial vertex prove the status: see
+        # _minimum_dimension_verdict
+        simp = sorted(graphs.sandwich_simplicial)
+        check("no sandwich-simplicial vertices", not simp, f"vertices {simp}")
         witness = list(data.get("alpha_witness", ()))
         in_range = len(set(witness)) == len(witness) and all(
             isinstance(i, int) and 1 <= i <= work.n for i in witness

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidCover, InvalidInput, NegativePivot, NotPSD, PatternViolation
 from .graphs import Graph, adjacency_matrix, is_chordal, is_perfect_elimination_ordering
-from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, psd_check, span_basis
+from .linalg import DEFAULT_TOL, Tolerance, eigh_desc, hermitize, psd_check, span_basis, svd
 
 
 @dataclass(frozen=True)
@@ -424,7 +424,7 @@ def faces_in_span(
         outside = np.ones(n, dtype=bool)
         outside[[i - 1 for i in s]] = False
         # the left singular vectors past the outside states' rank
-        uo, so, _ = np.linalg.svd(coords[:, outside])
+        uo, so, _ = svd(coords[:, outside])
         rank = int(np.count_nonzero(so > tol.rank_tol * so.max(initial=0.0)))
         bases.append(uo[:, rank:])
     return Faces(span, supports, tuple(bases))
@@ -518,7 +518,7 @@ def _fewer_pieces(pieces: list[tuple]) -> list[tuple]:
     if not pieces:
         return pieces
     # vec(V H V*) = (V kron conj V) vec(H) for H laid out row by row
-    u, sv, _ = np.linalg.svd(
+    u, sv, _ = svd(
         np.hstack([np.kron(f, f.conj()) for _, f in pieces]), full_matrices=False)
     image = u[:, sv > 1e-9 * sv[0]].conj().T
     while True:

@@ -24,7 +24,7 @@ from .graphs import (
     simplicial_vertices,
 )
 from .graphs import chromatic_number as _chromatic
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, svd
 from .minrank import pattern_constrained_lowrank, vectors_from_gram
 from .states import ProductStateSet
 
@@ -217,7 +217,7 @@ def _min_subset_margin(x: np.ndarray, n: int) -> float:
     for drop_a in range(n):
         for drop_b in range(drop_a + 1, n):
             keep = [i for i in range(n) if i != drop_a and i != drop_b]
-            sv = np.linalg.svd(x[:, keep], compute_uv=False)
+            sv = svd(x[:, keep], compute_uv=False)
             worst = min(worst, sv[-1])
     return float(worst)
 

@@ -199,6 +199,17 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in g.vertices if _clique_mask(g.nbrs, g.nbrs[v - 1]))
 
 
+def sandwich_simplicial_vertices(lo: Graph, hi: Graph) -> frozenset[int]:
+    """Vertices v whose closed lo-neighbourhood (v and its lo-neighbours) is
+    a clique of hi. A simplicial vertex of any graph between lo and hi is
+    one; when lo is hi they are hi's simplicial vertices."""
+    if lo.nbrs == hi.nbrs:
+        return simplicial_vertices(hi)
+    return frozenset(
+        v for v in lo.vertices if _clique_mask(hi.nbrs, lo.nbrs[v - 1] | 1 << (v - 1))
+    )
+
+
 # ---------------------------------------------------------------------------
 # chordality
 

@@ -82,6 +82,19 @@ def _rank(sv: np.ndarray, tol: Tolerance) -> int:
     return int(np.count_nonzero(sv > tol.rank_tol * sv[0]))
 
 
+def svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
+    """np.linalg.svd; where LAPACK does not converge on m (it fails on a
+    4 x 8 frame of small integers), m = U S V* is read off m* = V S U*."""
+    try:
+        return np.linalg.svd(m, full_matrices, compute_uv)
+    except np.linalg.LinAlgError:
+        out = np.linalg.svd(m.conj().T, full_matrices, compute_uv)
+    if not compute_uv:
+        return out
+    u, sv, vh = out
+    return vh.conj().T, sv, u.conj().T
+
+
 def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count singular values above rank_tol relative to the largest."""
     arr = np.asarray(m, dtype=complex)
@@ -89,14 +102,14 @@ def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
         return 0
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    return _rank(np.linalg.svd(arr, compute_uv=False), tol)
+    return _rank(svd(arr, compute_uv=False), tol)
 
 
 def thin_svd(x, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x's singular value decomposition cut to the singular values that
     numeric_rank counts: u (d x r) with orthonormal columns, those r values,
     and vh (r x n) with orthonormal rows."""
-    u, sv, vh = np.linalg.svd(as_matrix(x), full_matrices=False)
+    u, sv, vh = svd(as_matrix(x), full_matrices=False)
     r = _rank(sv, tol)
     return u[:, :r], sv[:r], vh[:r]
 

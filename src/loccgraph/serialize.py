@@ -309,7 +309,6 @@ def _numbers(value, n: int) -> list[float]:
 _CERTIFICATE_FIELDS = {
     "ordering": _indices,
     "alpha_witness": _indices,
-    "cliques": _index_lists,
     "supports": _index_lists,
     "sandwich_edges": _edges,
     "scaling": _numbers,

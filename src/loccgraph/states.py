@@ -10,11 +10,12 @@ never share an edge.
 A set is immutable, so what the decision ladder reads about it is derived
 at most once per set and kept on it: the swapped set (the same object on
 every call, whose own swapped() is this set), the overlap graphs per
-zero_tol, the admissible host per StateGraphs, the SVD of the measuring
-side's frame per rank_tol, whose left factor is an orthonormal basis of
-the span and whose width is the effective dimension, and the labels in
-sorted order (each Graph in turn keeps its chordality, maximal cliques and
-simplicial vertices; see graphs). Nothing is kept at module level and nothing derived from a
+zero_tol, the admissible host and its sandwich-simplicial vertices per
+StateGraphs, the SVD of the measuring side's frame per rank_tol, whose
+left factor is an orthonormal basis of the span and whose width is the
+effective dimension, and the labels in sorted order (each Graph in turn
+keeps its chordality, maximal cliques and simplicial vertices; see
+graphs). Nothing is kept at module level and nothing derived from a
 verdict or certificate is kept, so verify_certificate re-checks each
 certificate against the states alone. The swapped set refers back to its
 origin weakly, so keeping only the swapped set does not keep the other
@@ -31,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
-from .graphs import Graph, complement
+from .graphs import Graph, complement, sandwich_simplicial_vertices
 from .linalg import DEFAULT_TOL, Tolerance, hermitize, thin_svd
 
 
@@ -50,6 +51,12 @@ class StateGraphs:
     @cached_property
     def _host(self) -> Graph:
         return complement(self.bob)
+
+    @cached_property
+    def sandwich_simplicial(self) -> frozenset[int]:
+        """Vertices whose closed Alice neighbourhood is a host clique; the
+        MinDimNoSimplicial rung needs there to be none."""
+        return sandwich_simplicial_vertices(self.alice, self._host)
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,23 @@ PINNED_SETS = {
         [(-1, 0, 0, 1, -1), (-1, -1, 1, -1, -1), (1, 1, 1, 0, -1), (-1, 1, 0, 0, 0),
          (-1, -1, 1, 0, 1), (-1, 1, 1, 0, -1)],
     ),
+    # q7 and g4 have pairs orthogonal on both sides, so the host is larger
+    # than Alice's overlap graph: the host has no simplicial vertex, yet
+    # each is distinguishable alice-first (q7: Alice measures |+>, |->,
+    # |2>), so MinDimNoSimplicial must not fire on them
+    "q7": (
+        "alice-first", "ChordalSandwich",
+        [(1, 0, 0), (1, 1, 0), (0, 1, 0), (1, -1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1)],
+        [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1),
+         (0, 0, 1, 0), (0, 0, 1, 0)],
+    ),
+    "g4": (
+        "alice-first", "ChordalSandwich",
+        [(0, -1, -1, -1), (-1, 0, -1, 1), (1, 1, 0, 1), (-1, -1, 1, 0), (-1, 0, -1, 1),
+         (0, 0, 1, 0), (1, -1, 0, 1), (-1, 1, 0, -1)],
+        [(1, -1, 0, -1), (-1, 0, 0, 1), (1, 0, 0, 1), (-1, 1, 0, 1), (-1, -1, 0, -1),
+         (0, 0, 1, 0), (0, 0, 1, 0), (0, -1, 0, 0)],
+    ),
 }
 
 # rank-deficient sets (n > d_eff) on which a convex search over n x n Gram
@@ -413,11 +430,21 @@ FACE_SETS = {
     ),
 }
 
-# a qubit measuring side whose host has a two-clique cover: it reaches the
-# distinguishable SingleQubitSandwich rung alice-first
+# a qubit measuring side whose host is covered by the two host cliques
+# {1,2,3,5} and {1,3,4,6}: alice-first, their union is a chordal sandwich
 QUBIT_COVER = (
     [(1, 0), (1, 1), (0, 1), (1, -1), (1, 1), (1, -1)],
     [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 0)],
+)
+
+# a valid set whose 4 x 8 Alice frame numpy's SVD (OpenBLAS) does not
+# factor, though it factors the conjugate transpose; alice-first it is
+# ChordalAliceGraph
+SVD_SET = (
+    [(-1, -1, 1, -1), (1, 1, -1, 0), (1, 0, 1, 0), (1, 0, 1, 0), (0, 1, 1, 0),
+     (0, 0, 0, -1), (-1, -1, 1, 0), (0, 0, 0, -1)],
+    [(-1, -1, -1, 0), (0, -1, 1, 1), (-1, 1, 1, 1), (-1, -1, 1, -1), (-1, 0, -1, 0),
+     (-1, 1, 0, 1), (1, -1, 0, -1), (0, -1, 1, 1)],
 )
 
 

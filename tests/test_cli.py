@@ -202,7 +202,7 @@ def _write_set(tmp_path, states, name="states.json"):
     ("example1", "alice-first", "ChordalAliceGraph"),
     ("bob-complement", "bob-first", "ChordalBobComplement"),
     ("sandwich", "alice-first", "ChordalSandwich"),
-    ("qubit-cover", "alice-first", "SingleQubitSandwich"),
+    ("qubit-cover", "alice-first", "ChordalSandwich"),
     ("path-rep:8", "bob-first", "ScaledDiagonalDominance"),
     ("example3", "alice-first", "FeasibleDecomposition"),
 ])

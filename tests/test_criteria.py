@@ -27,7 +27,7 @@ from loccgraph.errors import InvalidInput, LoccGraphError
 from loccgraph.families import FAMILIES, generate
 from loccgraph.graphs import independence_number, maximal_cliques
 from loccgraph.linalg import DEFAULT_TOL
-from loccgraph.locc import BobPlan, Povm, as_projective_basis, simulate
+from loccgraph.locc import BobPlan, Povm, simulate
 from loccgraph.states import ProductStateSet
 
 
@@ -373,22 +373,6 @@ def test_certificate_must_prove_the_stated_status():
         outcome = verify_certificate(s, forged)
         assert not outcome.ok
         assert "certificate proves the status" in _failed(outcome)
-
-
-def test_qubit_certificate_proves_what_its_flag_says():
-    s = generate("example1")
-    v = decide(s)
-    for flag, status, proves in [
-        (False, INDISTINGUISHABLE, True),
-        (False, DISTINGUISHABLE, False),
-        (True, DISTINGUISHABLE, True),
-        (True, INDISTINGUISHABLE, False),
-    ]:
-        cert = Certificate(
-            "SingleQubitSandwich", {"distinguishable": flag, "cliques": [[1, 2, 3, 4]]}
-        )
-        outcome = verify_certificate(s, _forge(v, status=status, certificate=cert))
-        assert ("certificate proves the status" not in _failed(outcome)) == proves
 
 
 def test_unknown_direction_fails_verification():
@@ -748,7 +732,6 @@ _S2 = np.sqrt(2)
 _K0, _K1 = np.eye(2)
 _PLUS, _MINUS = (_K0 + _K1) / _S2, (_K0 - _K1) / _S2
 _E = np.eye(4)
-_QUBIT_COVER = brute.QUBIT_COVER
 
 
 @pytest.mark.parametrize("alice,bob,options,status,kind,data", [
@@ -757,8 +740,10 @@ _QUBIT_COVER = brute.QUBIT_COVER
         DISTINGUISHABLE, "ChordalBobComplement", {}, id="chordal-host",
     ),
     pytest.param(
-        *_QUBIT_COVER, None, DISTINGUISHABLE, "SingleQubitSandwich",
-        {"distinguishable": True, "cliques": [[1, 2, 3, 5], [1, 3, 4, 6]]},
+        # the sandwich is the union of the host cliques {1,2,3,5} and {1,3,4,6}
+        *brute.QUBIT_COVER, None, DISTINGUISHABLE, "ChordalSandwich",
+        {"sandwich_edges": [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [2, 3], [2, 5],
+                            [3, 4], [3, 5], [3, 6], [4, 6]]},
         id="qubit-cover",
     ),
     pytest.param(
@@ -766,7 +751,7 @@ _QUBIT_COVER = brute.QUBIT_COVER
         [(_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2, (_E[1] - _E[2]) / _S2,
          _E[0], (_E[0] + _E[3]) / _S2],
         DecideOptions(sandwich_budget=0),
-        INDISTINGUISHABLE, "SingleQubitSandwich", {"distinguishable": False},
+        INDISTINGUISHABLE, "SpanningObstruction", {},
         id="qubit-no-cover",
     ),
 ])
@@ -780,18 +765,6 @@ def test_rungs_no_family_reaches(alice, bob, options, status, kind, data):
     if status == DISTINGUISHABLE:
         assert v.decomposition is not None
         assert v.simulation.min_success >= 1 - 1e-9
-
-
-def test_qubit_cover_peels_to_a_projective_measurement():
-    # the peel of the union of the two cliques: each term sits inside one
-    # clique, one outcome per clique, and Alice measures a basis
-    s = ProductStateSet.from_vectors(*_QUBIT_COVER)
-    v = decide(s)
-    cliques = [frozenset(c) for c in v.certificate.data["cliques"]]
-    supports = {t.support for t in v.decomposition.terms}
-    assert all(any(t <= c for c in cliques) for t in supports)
-    assert len(v.protocol.alice.outcome_ids()) == len(supports) == 2
-    assert as_projective_basis(v.protocol.alice) is not None
 
 
 @pytest.mark.parametrize("spec", ["tiles", "bennett", "bennett-subset:2,8,6,4,9"])

@@ -8,16 +8,24 @@ import numpy as np
 import pytest
 
 import brute
+from loccgraph import ProductStateSet
 from loccgraph.cli import main
 from loccgraph.criteria import (
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
+    KIND_ALPHA_CHI,
     KIND_DUAL_WITNESS,
     KIND_FEASIBLE,
+    KIND_NO_SANDWICH,
+    KIND_NO_SIMPLICIAL,
     KIND_SPANNING,
+    Certificate,
+    Verdict,
     decide,
+    effective_dimension,
     verify_certificate,
 )
+from loccgraph.graphs import eta_plus_bounds
 from loccgraph.decomposition import feasibility_search, support_faces
 from loccgraph.graphs import maximal_cliques
 from loccgraph.serialize import (
@@ -83,3 +91,59 @@ def test_graph_rungs_agree_with_the_face_search():
         "ChordalAliceGraph", "ChordalBobComplement", "ChordalSandwich",
         "AlphaLessThanChi", "MinDimNoSimplicial", "NonChordalSandwichAtMinDim",
     }
+
+
+def _pinned(name):
+    if name == "qubit-cover":
+        return ProductStateSet.from_vectors(*brute.QUBIT_COVER), "alice-first"
+    return brute.pinned_set(name)[:2]
+
+
+@pytest.mark.parametrize("name", [*brute.PINNED_SETS, "qubit-cover"])
+def test_pinned_sets_agree_with_the_face_search(name):
+    s, direction = _pinned(name)
+    work = s if direction == "alice-first" else s.swapped()
+    assert decide(s, direction).status == _face_status(work)
+
+
+def test_the_svd_set_decides_and_verifies():
+    # numpy's SVD raised on this set's frame before the conjugate-transpose
+    # fallback
+    s = ProductStateSet.from_vectors(*brute.SVD_SET)
+    v = decide(s)
+    assert (v.status, v.certificate.kind) == (DISTINGUISHABLE, "ChordalAliceGraph")
+    outcome = verify_certificate(s, v)
+    assert outcome.ok, outcome.checks
+    assert _face_status(s) == DISTINGUISHABLE
+
+
+def _forgeries(work, direction, parameters):
+    """MinDimNoSimplicial, AlphaLessThanChi and NonChordalSandwichAtMinDim
+    verdicts built from the set's own host bounds, as decide would record
+    them had the rungs fired."""
+    host = work.build_graphs().bob_orthogonality()
+    eta = eta_plus_bounds(host)
+    d_eff = effective_dimension(work)
+    witness = sorted(eta.lower_witness)
+    certificates = [
+        Certificate(KIND_NO_SIMPLICIAL, {
+            "alpha": d_eff, "d_eff": d_eff, "alpha_witness": witness, "eta": d_eff,
+            "eta_certificate": "independent set meets Gram rank"}),
+        Certificate(KIND_ALPHA_CHI, {
+            "alpha": eta.lower, "chi": eta.upper, "alpha_witness": witness}),
+        Certificate(KIND_NO_SANDWICH, {"chi": eta.upper}),
+    ]
+    return [Verdict(INDISTINGUISHABLE, direction, c, parameters) for c in certificates]
+
+
+@pytest.mark.parametrize("name", ["qubit-cover", "q7", "g4", "sandwich"])
+def test_forged_minimum_dimension_certificates_fail_on_split_sets(name):
+    # the face search splits these sets, so no Indistinguishable certificate
+    # may pass every check
+    s, direction = _pinned(name)
+    work = s if direction == "alice-first" else s.swapped()
+    assert _face_status(work) == DISTINGUISHABLE
+    parameters = decide(s, direction).parameters
+    for forged in _forgeries(work, direction, parameters):
+        outcome = verify_certificate(s, forged)
+        assert not outcome.ok, (forged.certificate.kind, outcome.checks)

@@ -29,6 +29,7 @@ from loccgraph.graphs import (
     lex_bfs_order,
     maximal_cliques,
     path_graph,
+    sandwich_simplicial_vertices,
     simplicial_vertices,
 )
 
@@ -181,6 +182,26 @@ def test_two_clique_cover():
     assert CliqueCover(tuple(cover)).covers(path_graph(3))
     # C_4 has no two-clique cover of its four edges
     assert find_two_clique_cover(cycle_graph(4), cycle_graph(4).edges) is None
+
+
+def test_sandwich_simplicial_vertices():
+    # with lo = hi they are hi's simplicial vertices; a simplicial vertex of
+    # any chordal graph between lo and hi is one
+    rng = np.random.default_rng(5)
+    met = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        hi = brute.random_graph(n, 0.7, rng)
+        lo = Graph.from_edges(n, [e for e in sorted(hi.edges) if rng.random() < 0.6])
+        assert sandwich_simplicial_vertices(hi, hi) == simplicial_vertices(hi)
+        found = sandwich_simplicial_vertices(lo, hi)
+        assert found == {v for v in lo.vertices
+                         if is_clique(hi, {v} | lo.adjacency()[v])}
+        sandwich = brute.brute_chordal_sandwich(lo, hi)
+        if sandwich is not None:
+            met += 1
+            assert simplicial_vertices(sandwich) <= found
+    assert met > 100
 
 
 def test_chordal_sandwich_basics():

@@ -18,6 +18,8 @@ from loccgraph.linalg import (
     numeric_rank,
     orthonormal_columns,
     psd_check,
+    svd,
+    thin_svd,
 )
 
 
@@ -162,3 +164,41 @@ def test_least_squares_preimage_columns_match_vector_calls():
         least_squares_preimage(x1, np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         least_squares_preimage(x1, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("full_matrices", [True, False])
+def test_svd_falls_back_to_the_conjugate_transpose(monkeypatch, full_matrices):
+    # LAPACK failing on the matrix itself is simulated: the first call raises
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    expected = np.linalg.svd(m, full_matrices=full_matrices)
+    lapack = np.linalg.svd
+    calls = []
+
+    def flaky(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return lapack(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    u, sv, vh = svd(m, full_matrices=full_matrices)
+    assert calls == [(3, 5), (5, 3)]
+    assert u.shape == expected[0].shape and vh.shape == expected[2].shape
+    assert np.allclose(sv, expected[1])
+    k = len(sv)
+    assert np.allclose((u[:, :k] * sv) @ vh[:k], m)
+    assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]))
+    assert np.allclose(vh @ vh.conj().T, np.eye(vh.shape[0]))
+    calls.clear()  # the next call fails as well, asking for values only
+    assert np.allclose(svd(m, compute_uv=False), expected[1])
+    assert numeric_rank(m) == 3 and thin_svd(m)[1].shape == (3,)
+
+
+def test_svd_raises_when_both_factorisations_fail(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        svd(np.eye(2))

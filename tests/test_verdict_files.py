@@ -220,8 +220,6 @@ def _edit_certificate(key, change):
     pytest.param("pinned:sandwich", ALICE_FIRST,
                  _edit_certificate("sandwich_edges", lambda e: e[1:]),
                  id="sandwich-edge-removed"),
-    pytest.param("qubit-cover", ALICE_FIRST,
-                 _edit_certificate("cliques", lambda c: c[:1]), id="qubit-clique-dropped"),
 ])
 def test_forged_certificates_leave_no_protocol(spec, direction, edit):
     back, failed = _forged(spec, direction, edit)
@@ -281,14 +279,23 @@ def test_malformed_verdict_files_raise_invalid_input(edit):
 @pytest.mark.parametrize("certificate", [
     pytest.param({"kind": "ChordalSandwich", "sandwich_edges": [[1, 1]], "ordering": []},
                  id="sandwich-loop"),
-    pytest.param({"kind": "SingleQubitSandwich", "distinguishable": True,
-                  "cliques": [["a"]]}, id="qubit-strings"),
     pytest.param({"kind": "DualWitness", "witness": "none"}, id="witness-string"),
 ])
 def test_malformed_certificate_fields_raise_invalid_input(certificate):
     s = generate("example1")
     data = dict(json.loads(_write(decide(s))), certificate=certificate)
     with pytest.raises(InvalidInput):
+        verdict_from_json(data, s)
+
+
+def test_a_retired_kind_is_refused():
+    # SingleQubitSandwich verdicts were written before the sandwich rung
+    # decided qubit sides; their files now name an unknown kind
+    s = ProductStateSet.from_vectors(*brute.QUBIT_COVER)
+    data = dict(json.loads(_write(decide(s))), certificate={
+        "kind": "SingleQubitSandwich", "distinguishable": True,
+        "cliques": [[1, 2, 3, 5], [1, 3, 4, 6]]})
+    with pytest.raises(InvalidInput, match="SingleQubitSandwich"):
         verdict_from_json(data, s)
 
 
@@ -299,7 +306,6 @@ def test_missing_certificate_fields_fail_verification():
         ("example1", ALICE_FIRST, "ordering"),
         ("path-rep:8", BOB_FIRST, "scaling"),
         ("pinned:sandwich", ALICE_FIRST, "sandwich_edges"),
-        ("qubit-cover", ALICE_FIRST, "cliques"),
     ]:
         back, failed = _forged(spec, direction,
                                lambda d: d["certificate"].pop(key))

@@ -274,6 +274,7 @@ def _minimum_dimension_verdict(
     except SearchBudgetExceeded as exc:
         notes.append(str(exc))
     params["simplicial_host"] = tuple(sorted(simplicial_vertices(host)))
+    params["sandwich_simplicial"] = tuple(sorted(graphs.sandwich_simplicial))
     no_simplicial = d_eff >= 3 and not graphs.sandwich_simplicial
     # an independent host set of size d_eff proves alpha(host) = d_eff,
     # exact search or not
@@ -462,6 +463,7 @@ class AnalyzeReport:
     alpha_witness: tuple[int, ...]
     chi_bob: Optional[int]
     simplicial_host: tuple[int, ...]
+    sandwich_simplicial: tuple[int, ...]
     eta_host: Optional[object]
     maximal_cliques_host: tuple[tuple[int, ...], ...]
     notes: tuple[str, ...] = ()
@@ -495,6 +497,7 @@ def analyze(
         wit,
         chi,
         tuple(sorted(simplicial_vertices(host))),
+        tuple(sorted(graphs.sandwich_simplicial)),
         eta,
         tuple(tuple(sorted(c)) for c in maximal_cliques(host)),
         tuple(notes),

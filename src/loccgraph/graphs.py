@@ -196,18 +196,22 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
 @_kept
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood induces a clique."""
-    return frozenset(v for v in g.vertices if _clique_mask(g.nbrs, g.nbrs[v - 1]))
+    return sandwich_simplicial_vertices(g, g)
 
 
 def sandwich_simplicial_vertices(lo: Graph, hi: Graph) -> frozenset[int]:
-    """Vertices v whose closed lo-neighbourhood (v and its lo-neighbours) is
-    a clique of hi. A simplicial vertex of any graph between lo and hi is
-    one; when lo is hi they are hi's simplicial vertices."""
-    if lo.nbrs == hi.nbrs:
-        return simplicial_vertices(hi)
-    return frozenset(
-        v for v in lo.vertices if _clique_mask(hi.nbrs, lo.nbrs[v - 1] | 1 << (v - 1))
-    )
+    """Vertices v whose closed lo-neighbourhood N[v] (v and its
+    lo-neighbours) is a clique of hi. A simplicial vertex of any graph
+    between lo and hi is one; when lo is hi they are hi's simplicial
+    vertices. With C and H the adjacency matrices of lo and hi plus the
+    identity, row v of (C @ H) * C sums to the number of ordered pairs of
+    N[v] that hi joins or that coincide: |N[v]|^2 just when N[v] is a
+    hi-clique. The counts are exact in float64."""
+    c = adjacency_matrix(lo) + np.eye(lo.n)
+    h = c if hi is lo else adjacency_matrix(hi) + np.eye(hi.n)
+    size = c.sum(axis=1)
+    pairs = ((c @ h) * c).sum(axis=1)
+    return frozenset((np.flatnonzero(pairs == size * size) + 1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +220,22 @@ def sandwich_simplicial_vertices(lo: Graph, hi: Graph) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class ChordalityResult:
+    """A perfect elimination ordering, or else a hole: a chordless cycle
+    found in the graph's masks nbrs when first read, then kept. (The masks,
+    not the graph, so a graph keeping its result forms no cycle.)"""
+
     chordal: bool
     ordering: Optional[tuple[int, ...]]
-    hole: Optional[tuple[int, ...]]
+    nbrs: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def hole(self) -> Optional[tuple[int, ...]]:
+        if self.chordal:
+            return None
+        hole = find_hole(Graph._from_masks(len(self.nbrs), self.nbrs))
+        if hole is None:
+            raise RuntimeError("not chordal but no hole found; inconsistent state")
+        return hole
 
 
 def lex_bfs_order(g: Graph) -> tuple[int, ...]:
@@ -295,14 +312,12 @@ def _shortest_path_avoiding(
 
 @_kept
 def is_chordal(g: Graph) -> ChordalityResult:
-    """Lex-BFS ordering verified independently; a hole witnesses failure."""
+    """Lex-BFS ordering verified independently; a hole, found when read,
+    witnesses failure."""
     order = tuple(reversed(lex_bfs_order(g)))
     if is_perfect_elimination_ordering(g, order):
-        return ChordalityResult(True, order, None)
-    hole = find_hole(g)
-    if hole is None:
-        raise RuntimeError("ordering rejected but no hole found; inconsistent state")
-    return ChordalityResult(False, None, hole)
+        return ChordalityResult(True, order, g.nbrs)
+    return ChordalityResult(False, None, g.nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +629,10 @@ def chordal_sandwich(
         )
     seen: set[tuple[int, ...]] = set()
 
-    def search(nbrs: tuple[int, ...]) -> Optional[Graph]:
-        if nbrs in seen:
+    def search(g: Graph) -> Optional[Graph]:
+        if g.nbrs in seen:
             return None
-        seen.add(nbrs)
-        g = Graph._from_masks(g_lo.n, nbrs)
+        seen.add(g.nbrs)
         res = is_chordal(g)
         if res.chordal:
             return g
@@ -632,15 +646,15 @@ def chordal_sandwich(
         )
         for i, j in chords:
             if g_hi.has_edge(i, j) and not g.has_edge(i, j):
-                grown = list(nbrs)
+                grown = list(g.nbrs)
                 grown[i - 1] |= 1 << (j - 1)
                 grown[j - 1] |= 1 << (i - 1)
-                found = search(tuple(grown))
+                found = search(Graph._from_masks(g.n, tuple(grown)))
                 if found is not None:
                     return found
         return None
 
-    return search(g_lo.nbrs)
+    return search(g_lo)  # which keeps its chordality and hole
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .criteria import (
 )
 from .decomposition import Decomposition, support_mask, support_sets
 from .errors import InvalidCover, InvalidInput, LoccGraphError
-from .graphs import Graph
+from .graphs import ChordalityResult, Graph
 from .linalg import DEFAULT_TOL, Tolerance
 from .locc import Povm, Protocol
 from .states import ProductStateSet
@@ -237,6 +237,8 @@ def jsonify(obj: Any) -> Any:
         return obj.tolist()
     if isinstance(obj, Graph):
         return graph_to_json(obj)
+    if isinstance(obj, ChordalityResult):  # reading the hole finds it
+        return jsonify({"chordal": obj.chordal, "ordering": obj.ordering, "hole": obj.hole})
     if isinstance(obj, Protocol):
         return protocol_to_json(obj)
     if isinstance(obj, Decomposition):

@@ -10,10 +10,10 @@ never share an edge.
 A set is immutable, so what the decision ladder reads about it is derived
 at most once per set and kept on it: the swapped set (the same object on
 every call, whose own swapped() is this set), the overlap graphs per
-zero_tol, the admissible host and its sandwich-simplicial vertices per
-StateGraphs, the SVD of the measuring side's frame per rank_tol, whose
-left factor is an orthonormal basis of the span and whose width is the
-effective dimension, and the labels in sorted order (each Graph in turn
+zero_tol, the admissible host (the Alice graph itself when they are
+equal) and its sandwich-simplicial vertices per StateGraphs, the SVD of
+the measuring side's frame per rank_tol, whose left factor is an
+orthonormal basis of the span and whose width is the effective dimension, and the labels in sorted order (each Graph in turn
 keeps its chordality, maximal cliques and simplicial vertices; see
 graphs). Nothing is kept at module level and nothing derived from a
 verdict or certificate is kept, so verify_certificate re-checks each
@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
-from .graphs import Graph, complement, sandwich_simplicial_vertices
+from .graphs import Graph, complement, sandwich_simplicial_vertices, simplicial_vertices
 from .linalg import DEFAULT_TOL, Tolerance, hermitize, thin_svd
 
 
@@ -45,17 +45,21 @@ class StateGraphs:
 
     def bob_orthogonality(self) -> Graph:
         """Pairs whose Bob parts are orthogonal; admissible outcome supports
-        are exactly the cliques of this graph."""
+        are exactly the cliques of this graph. It is the Alice graph itself
+        when equal to it, so both share what a graph keeps."""
         return self._host
 
     @cached_property
     def _host(self) -> Graph:
-        return complement(self.bob)
+        host = complement(self.bob)
+        return self.alice if host.nbrs == self.alice.nbrs else host
 
     @cached_property
     def sandwich_simplicial(self) -> frozenset[int]:
         """Vertices whose closed Alice neighbourhood is a host clique; the
         MinDimNoSimplicial rung needs there to be none."""
+        if self._host is self.alice:
+            return simplicial_vertices(self.alice)
         return sandwich_simplicial_vertices(self.alice, self._host)
 
 
@@ -203,10 +207,10 @@ class ProductStateSet:
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:
         g = self.product_gram()
+        off = np.abs(np.diagonal(g) - 1.0)
         units = tuple(
-            (self.labels[i], float(abs(g[i, i] - 1.0)))
-            for i in range(self.n)
-            if abs(g[i, i] - 1.0) > 10 * tol.zero_tol
+            (self.labels[i], float(off[i]))
+            for i in np.flatnonzero(off > 10 * tol.zero_tol).tolist()
         )
         rows, cols = np.nonzero(np.triu(np.abs(g) > tol.zero_tol, k=1))
         pairs = tuple(

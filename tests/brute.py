@@ -77,6 +77,20 @@ def brute_is_chordal(g: Graph) -> bool:
     return True
 
 
+def brute_closed_cliques(lo: Graph, hi: Graph) -> frozenset[int]:
+    """Vertices v whose closed lo-neighbourhood is a hi-clique, checked
+    vertex by vertex and pair by pair on the edge sets; with lo = hi these
+    are the simplicial vertices."""
+    closed = {v: {v} for v in lo.vertices}
+    for i, j in lo.edges:
+        closed[i].add(j)
+        closed[j].add(i)
+    return frozenset(
+        v for v in lo.vertices
+        if all(pair in hi.edges for pair in itertools.combinations(sorted(closed[v]), 2))
+    )
+
+
 def brute_alpha(g: Graph) -> int:
     ind = _independent_table(_neighbour_masks(g))
     return max(mask.bit_count() for mask in range(len(ind)) if ind[mask])
@@ -340,7 +354,7 @@ SWEEP_SPECS = {
 
 
 def greedy_integer_set(d: int, n: int, rng: np.random.Generator,
-                       draws: int = 2000):
+                       draws: int = 2000, bob_values=(0, 1, -1)):
     """Orthogonal product set in C^d x C^d with {0, +1, -1} vectors, built
     greedily: each draw takes a random pair of nonzero vectors from the pool
     and keeps it when, against every kept state, it is orthogonal on at
@@ -349,17 +363,23 @@ def greedy_integer_set(d: int, n: int, rng: np.random.Generator,
 
     Unlike the sets above, its measuring side is often rank-deficient
     (n > d) and its Gram entries are small integers over norms, so it
-    reaches rungs that the full-rank generators miss.
+    reaches rungs that the full-rank generators miss. Bob's entries come
+    from bob_values; with (0, 1) his vectors overlap unless their supports
+    are disjoint, so many pairs are orthogonal on both sides.
     """
     from loccgraph import ProductStateSet
 
-    pool = np.array(
-        [v for v in itertools.product((0, 1, -1), repeat=d) if any(v)], dtype=float
-    )
+    def pool(values):
+        return np.array(
+            [v for v in itertools.product(values, repeat=d) if any(v)], dtype=float
+        )
+
+    pool_a, pool_b = pool((0, 1, -1)), pool(bob_values)
     alice: list[np.ndarray] = []
     bob: list[np.ndarray] = []
     for _ in range(draws):
-        a, b = pool[rng.integers(len(pool), size=2)]
+        i, j = rng.integers((len(pool_a), len(pool_b)))
+        a, b = pool_a[i], pool_b[j]
         if all(a @ x == 0 or b @ y == 0 for x, y in zip(alice, bob)):
             alice.append(a)
             bob.append(b)

@@ -93,6 +93,32 @@ def test_graph_rungs_agree_with_the_face_search():
     }
 
 
+def test_graph_rungs_agree_with_the_face_search_when_the_host_outgrows_alice():
+    # with Bob's vectors in {0,1}^4 most pairs with disjoint Bob supports are
+    # orthogonal on both sides too, so the host is larger than Alice's
+    # overlap graph and the sandwich-simplicial test differs from the host's
+    # own (60 draws of greedy_integer_set, seed 7, d 4, n 7-12, both ways)
+    rng = np.random.default_rng(7)
+    checked, larger = set(), 0
+    for _ in range(60):
+        s = brute.greedy_integer_set(4, int(rng.integers(7, 13)), rng, bob_values=(0, 1))
+        if s is None:
+            continue
+        for direction in ("alice-first", "bob-first"):
+            v = decide(s, direction)
+            if v.certificate.kind in (KIND_SPANNING, KIND_FEASIBLE, KIND_DUAL_WITNESS):
+                continue
+            work = s if direction == "alice-first" else s.swapped()
+            graphs = work.build_graphs()
+            larger += graphs.bob_orthogonality() is not graphs.alice
+            assert _face_status(work) == v.status, (v.certificate.kind, direction)
+            checked.add(v.certificate.kind)
+    assert larger >= 50
+    assert checked >= {
+        "ChordalAliceGraph", "MinDimNoSimplicial", "NonChordalSandwichAtMinDim",
+    }
+
+
 def _pinned(name):
     if name == "qubit-cover":
         return ProductStateSet.from_vectors(*brute.QUBIT_COVER), "alice-first"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -83,18 +84,56 @@ def test_is_chordal_outputs():
     assert res.chordal and res.ordering is not None
     assert is_perfect_elimination_ordering(path_graph(4), res.ordering)
     res = is_chordal(cycle_graph(5))
-    assert not res.chordal
-    hole = res.hole
-    assert hole is not None and len(hole) >= 4
-    # hole witness is an induced cycle: consecutive adjacent, others not
-    g = cycle_graph(5)
+    assert not res.chordal and res.ordering is None
+    _assert_induced_cycle(cycle_graph(5), res.hole)
+    # found once, then kept
+    assert res.hole is res.hole
+
+
+def _assert_induced_cycle(g, hole):
+    """hole lists distinct vertices of a chordless cycle of length >= 4:
+    consecutive members adjacent, the last to the first, no others."""
     k = len(hole)
-    for a in range(k):
-        assert g.has_edge(hole[a], hole[(a + 1) % k])
-    for a in range(k):
-        for b in range(a + 2, k):
-            if (a, b) != (0, k - 1):
-                assert not g.has_edge(hole[a], hole[b])
+    assert k >= 4 and len(set(hole)) == k
+    for a, b in itertools.combinations(range(k), 2):
+        assert g.has_edge(hole[a], hole[b]) == (b - a in (1, k - 1)), (hole, a, b)
+
+
+def test_holes_are_induced_cycles():
+    # every non-chordal graph on at most 5 vertices and 60 random graphs on
+    # 7 (seed 11); the verdict against the subset-by-subset oracle
+    rng = np.random.default_rng(11)
+    graphs = [g for n in range(1, 6) for g in brute.all_graphs(n)]
+    graphs += [brute.random_graph(7, 0.5, rng) for _ in range(60)]
+    holes = 0
+    for g in graphs:
+        res = is_chordal(g)
+        assert res.chordal == brute.brute_is_chordal(g)
+        if res.chordal:
+            assert res.hole is None
+        else:
+            _assert_induced_cycle(g, res.hole)
+            holes += 1
+    assert holes > 100
+
+
+def test_deciding_a_bullseye_orders_once_and_finds_no_hole(monkeypatch):
+    # the host is the Alice graph object, so one lex-BFS decides the
+    # chordality of both, and no rung reads a hole
+    from loccgraph import graphs as graph_module
+    from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
+    from loccgraph.families import generate
+
+    calls = collections.Counter()
+    for name in ("find_hole", "lex_bfs_order"):
+        def counting(g, _name=name, _real=getattr(graph_module, name)):
+            calls[_name] += 1
+            return _real(g)
+        monkeypatch.setattr(graph_module, name, counting)
+    s = generate("bullseye:11")
+    for direction in (ALICE_FIRST, BOB_FIRST):
+        assert decide(s, direction).certificate.kind == "MinDimNoSimplicial"
+    assert calls == {"lex_bfs_order": 2}
 
 
 def test_maximal_cliques_bull():
@@ -112,15 +151,11 @@ def test_independence_number_witness():
 
 
 def test_simplicial_vertices_match_definition():
-    # simplicial: every two neighbours are adjacent
-    for n in range(1, 6):
+    # simplicial: every two neighbours are adjacent; the matrix kernel
+    # against the vertex-by-vertex reference on every graph with n <= 6
+    for n in range(1, 7):
         for g in brute.all_graphs(n):
-            adj = g.adjacency()
-            expected = {
-                v for v in g.vertices
-                if all(g.has_edge(a, b) for a, b in itertools.combinations(adj[v], 2))
-            }
-            assert simplicial_vertices(g) == expected
+            assert simplicial_vertices(g) == brute.brute_closed_cliques(g, g)
 
 
 def test_independent_set_of_size_matches_brute_alpha():
@@ -195,8 +230,7 @@ def test_sandwich_simplicial_vertices():
         lo = Graph.from_edges(n, [e for e in sorted(hi.edges) if rng.random() < 0.6])
         assert sandwich_simplicial_vertices(hi, hi) == simplicial_vertices(hi)
         found = sandwich_simplicial_vertices(lo, hi)
-        assert found == {v for v in lo.vertices
-                         if is_clique(hi, {v} | lo.adjacency()[v])}
+        assert found == brute.brute_closed_cliques(lo, hi)
         sandwich = brute.brute_chordal_sandwich(lo, hi)
         if sandwich is not None:
             met += 1
@@ -430,7 +464,8 @@ def test_every_node_of_the_sandwich_search_passes_the_public_check(monkeypatch):
     for lo, hi in pairs:
         got = chordal_sandwich(lo, hi)
         found += got is not None
-    # one root per search, and more below the roots of some
+    # the search starts at lo itself and builds the nodes below it; each
+    # hole it reads is found in a graph rebuilt from the node's masks
     assert 0 < found < len(pairs) < len(built)
     _assert_public_check_passes(built)
 

@@ -112,6 +112,21 @@ def test_validate_orthonormal_pairs_in_row_order():
     assert [(p[0], p[1]) for p in pairs] == [("1", "2"), ("2", "4")]
 
 
+def test_validate_orthonormal_units_in_row_order():
+    # states a and c are off unit length, b is a unit vector
+    s = ProductStateSet.from_vectors(
+        [2.0 * E3[0], E3[1], 0.5 * E3[2]], [E2[0]] * 3, labels=("a", "b", "c"),
+        normalize=False,
+    )
+    g = s.product_gram()
+    expected = tuple(
+        (s.labels[i], float(abs(g[i, i] - 1.0)))
+        for i in range(s.n)
+        if abs(g[i, i] - 1.0) > 10 * Tolerance().zero_tol
+    )
+    assert s.validate_orthonormal().unit_deviations == expected == (("a", 3.0), ("c", 0.75))
+
+
 def test_swapped_roundtrip():
     s = _example1()
     t = s.swapped()
@@ -256,6 +271,29 @@ def test_derived_facts_are_kept_per_tolerance():
     assert s.alice_span(fine).shape == (2, 2) and s.alice_span(coarse).shape == (2, 1)
     assert s.alice_span(fine) is s.alice_span(fine)
     assert not s.alice_span(fine).flags.writeable
+
+
+@pytest.mark.parametrize("spec", ["bennett", "tiles", "bullseye:11"])
+def test_the_host_is_the_alice_graph_when_no_pair_is_orthogonal_on_both_sides(spec):
+    from loccgraph.families import generate
+
+    s = generate(spec)
+    for work in (s, s.swapped()):
+        graphs = work.build_graphs()
+        assert graphs.bob_orthogonality() is graphs.alice
+        assert graphs.alice == complement(graphs.bob)
+
+
+@pytest.mark.parametrize("name", ["q7", "g4"])
+def test_the_host_outgrows_the_alice_graph_when_pairs_are_orthogonal_on_both_sides(name):
+    import brute
+    from loccgraph.graphs import is_subgraph
+
+    graphs = brute.pinned_set(name)[0].build_graphs()
+    host = graphs.bob_orthogonality()
+    assert host is not graphs.alice and host == complement(graphs.bob)
+    assert is_subgraph(graphs.alice, host)
+    assert host.edge_count() > graphs.alice.edge_count()
 
 
 def test_subset_grams_are_sub_blocks():

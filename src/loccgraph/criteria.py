@@ -128,8 +128,9 @@ class DecideOptions:
 
 
 def effective_dimension(states: ProductStateSet, tol: Tolerance = DEFAULT_TOL) -> int:
-    """The rank of Alice's frame: the width of the set's alice_span."""
-    return states.alice_span(tol).shape[1]
+    """The rank of Alice's frame: the set's alice_rank, which is the width
+    of its alice_span."""
+    return states.alice_rank(tol)
 
 
 def spanning_obstruction(
@@ -261,6 +262,15 @@ def _minimum_dimension_verdict(
     rung waits for d_eff >= 3: at a qubit side chi(bob) = 2 = d_eff always
     holds (Bob-overlapping pairs are Alice-orthogonal, and orthogonality in
     C^2 is bipartite), so the sandwich rung decides those sets both ways.
+
+    NonChordalSandwichAtMinDim: at d_eff = chi(bob) no graph between ga
+    and the host is chordal. It fires only when the host is ga, where that
+    graph is ga itself and the minimum-dimension characterisation (ga
+    chordal) decides. With a larger host, the outcome cliques of a
+    protocol's first measurement join into a graph between ga and the host
+    that need not be chordal, and distinguishable sets with no chordal
+    sandwich exist (brute.PINNED_SETS "host-sandwich"), so the rung gives
+    no verdict there.
     """
     ga, host = graphs.alice, graphs.bob_orthogonality()
     alpha = chi = None
@@ -325,6 +335,12 @@ def _minimum_dimension_verdict(
         notes.append(str(exc))
         return None
     if sandwich is None:
+        if host is not ga:
+            # a protocol's first measurement then joins its outcome cliques
+            # into a graph between ga and the host that need not be chordal
+            notes.append("no chordal sandwich, but the host is larger than "
+                         "the overlap graph")
+            return None
         return Verdict(
             INDISTINGUISHABLE, direction,
             Certificate(KIND_NO_SANDWICH, {"chi": chi}),
@@ -355,6 +371,14 @@ def decide(
     graphs = work.build_graphs(tol)
     ga, gb = graphs.alice, graphs.bob
     host = graphs.bob_orthogonality()
+    chord_a = is_chordal(ga)
+    chord_h = is_chordal(host)
+    # the rank alone costs less than the span, which brings the rank with
+    # it: take the span first where a rung will read it, after a chordal
+    # graph, or past MinDimNoSimplicial, which a sandwich-simplicial vertex
+    # stops
+    if chord_a.chordal or chord_h.chordal or graphs.sandwich_simplicial:
+        work.alice_svd(tol)
     d_eff = effective_dimension(work, tol)
     notes: list[str] = []
     params: dict = {
@@ -367,9 +391,6 @@ def decide(
         "search_budget": opt.search_budget,
         "sandwich_budget": opt.sandwich_budget,
     }
-
-    chord_a = is_chordal(ga)
-    chord_h = is_chordal(host)
     params["alice_chordal"] = chord_a.chordal
     params["host_chordal"] = chord_h.chordal
 
@@ -664,6 +685,10 @@ def verify_certificate(
     graphs = work.build_graphs(tol)
     ga, gb = graphs.alice, graphs.bob
     host = graphs.bob_orthogonality()
+    kind = verdict.certificate.kind
+    if kind in (KIND_SPANNING, KIND_DUAL_WITNESS):
+        # these checks read the span, which brings the rank with it
+        work.alice_svd(tol)
     d_eff = effective_dimension(work, tol)
     search_budget = verdict.parameters.get("search_budget", DecideOptions.search_budget)
     sandwich_budget = verdict.parameters.get(
@@ -674,7 +699,6 @@ def verify_certificate(
     def check(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail))
 
-    kind = verdict.certificate.kind
     data = verdict.certificate.data
     proves = _PROVES.get(kind)
     check(
@@ -799,6 +823,8 @@ def verify_certificate(
             if kind == KIND_ALPHA_CHI:
                 check("alpha below chi", alpha < chi, f"alpha {alpha}")
             else:
+                # why the host must be ga: see _minimum_dimension_verdict
+                check("overlap graph is the host", host is ga)
                 check(
                     "no chordal sandwich",
                     chordal_sandwich(ga, host, sandwich_budget) is None,

@@ -84,9 +84,10 @@ def support_mask(supports: Sequence[Iterable[int]], n: int) -> np.ndarray:
         raise InvalidCover("supports must list integer state indices")
     members = members.astype(int)
     row = np.repeat(np.arange(len(supports)), sizes)
-    bad = np.union1d(np.flatnonzero(sizes == 0), row[(members < 1) | (members > n)])
-    if bad.size:
-        raise InvalidCover(f"support {sorted(supports[bad[0]])} out of range")
+    bad = sizes == 0
+    bad[row[(members < 1) | (members > n)]] = True
+    if bad.any():
+        raise InvalidCover(f"support {sorted(supports[bad.argmax()])} out of range")
     mask = np.zeros((len(supports), n), dtype=bool)
     mask[row, members - 1] = True
     return mask
@@ -437,7 +438,8 @@ def _layout(bases: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple]]:
     widths = np.array([w.shape[1] for w in bases])
     starts = np.cumsum(widths) - widths
     stacks = []
-    for k in np.unique(widths[widths > 0]):
+    # the distinct positive widths, in order
+    for k in np.flatnonzero(np.bincount(widths)[1:]) + 1:
         idx = starts[widths == k][:, None] + np.arange(k)
         stacks.append((idx[:, :, None], idx[:, None, :]))
     return np.concatenate(bases, axis=1), stacks

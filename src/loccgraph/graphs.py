@@ -67,10 +67,22 @@ class Graph:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or not (a == a.T).all():
             raise InvalidInput(f"need a symmetric square matrix, got shape {a.shape}")
         np.fill_diagonal(a, False)
-        rows = np.packbits(a, axis=1, bitorder="little")
-        return cls._from_masks(
-            len(a), tuple(int.from_bytes(r.tobytes(), "little") for r in rows)
-        )
+        a.setflags(write=False)
+        return cls._from_adjacency(a)
+
+    @classmethod
+    def _from_adjacency(cls, a: np.ndarray) -> "Graph":
+        """A graph from a read-only boolean matrix, symmetric with a clear
+        diagonal by construction, which it keeps as its adjacency_matrix,
+        with its edge count; only n is checked."""
+        n, width = len(a), (len(a) + 7) // 8
+        raw = np.packbits(a, axis=1, bitorder="little").tobytes()
+        g = cls._from_masks(n, tuple(
+            int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(n)
+        ))
+        g.__dict__["_adjacency_matrix"] = a
+        g.__dict__["_edge_count"] = int(np.count_nonzero(a)) // 2
+        return g
 
     @property
     def vertices(self) -> range:
@@ -96,8 +108,11 @@ class Graph:
         ]
 
     def edge_count(self) -> int:
-        """len(self.edges), counted from the masks without building them."""
-        return sum(m.bit_count() for m in self.nbrs) // 2
+        """len(self.edges), counted from the masks without building them,
+        or kept from the matrix the graph was built from."""
+        if "_edge_count" not in self.__dict__:
+            self.__dict__["_edge_count"] = sum(m.bit_count() for m in self.nbrs) // 2
+        return self.__dict__["_edge_count"]
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(m.bit_count() for m in self.nbrs))
@@ -117,12 +132,15 @@ def _kept(fn):
     return once
 
 
+@_kept
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Boolean n x n matrix, entry [v-1, w-1] set when v ~ w."""
+    """Read-only boolean n x n matrix, entry [v-1, w-1] set when v ~ w."""
     width = (g.n + 7) // 8
     raw = b"".join([m.to_bytes(width, "little") for m in g.nbrs])
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
-    return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").view(bool)
+    a = np.unpackbits(rows, axis=1, count=g.n, bitorder="little").view(bool)
+    a.setflags(write=False)
+    return a
 
 
 def _full(n: int) -> int:

@@ -105,12 +105,14 @@ def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return _rank(svd(arr, compute_uv=False), tol)
 
 
-def thin_svd(x, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def thin_svd(
+    x, tol: Tolerance = DEFAULT_TOL, rank: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x's singular value decomposition cut to the singular values that
-    numeric_rank counts: u (d x r) with orthonormal columns, those r values,
-    and vh (r x n) with orthonormal rows."""
+    numeric_rank counts, or to the given rank: u (d x r) with orthonormal
+    columns, those r values, and vh (r x n) with orthonormal rows."""
     u, sv, vh = svd(as_matrix(x), full_matrices=False)
-    r = _rank(sv, tol)
+    r = _rank(sv, tol) if rank is None else rank
     return u[:, :r], sv[:r], vh[:r]
 
 

@@ -83,7 +83,8 @@ class Povm:
         )
 
     def outcome_ids(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.outcomes).tolist())
+        # not np.unique, which imports numpy.ma on first use
+        return tuple(sorted(set(self.outcomes.tolist())))
 
     def outcome_operator(self, outcome: int) -> np.ndarray:
         pick = self.outcomes == outcome

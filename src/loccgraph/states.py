@@ -8,15 +8,23 @@ pair must be orthogonal on at least one side, so the two overlap graphs
 never share an edge.
 
 A set is immutable, so what the decision ladder reads about it is derived
-at most once per set and kept on it: the swapped set (the same object on
-every call, whose own swapped() is this set), the overlap graphs per
-zero_tol, the admissible host (the Alice graph itself when they are
-equal) and its sandwich-simplicial vertices per StateGraphs, the SVD of
-the measuring side's frame per rank_tol, whose left factor is an
-orthonormal basis of the span and whose width is the effective dimension, and the labels in sorted order (each Graph in turn
-keeps its chordality, maximal cliques and simplicial vertices; see
-graphs). Nothing is kept at module level and nothing derived from a
-verdict or certificate is kept, so verify_certificate re-checks each
+at most once per set, only when first read, and kept on it:
+
+- per zero_tol, from one pass over the magnitudes of the two Grams: the
+  orthonormality report, and the Alice, Bob and host overlap graphs (the
+  host is the Alice graph itself when they are equal), each keeping its
+  read-only adjacency matrix and edge count; with the StateGraphs, the
+  sandwich-simplicial vertices;
+- per rank_tol: the rank of the measuring side's frame, from its singular
+  values alone, and its SVD, whose left factor is an orthonormal basis of
+  the span. Whichever comes second agrees with the first: the rank is read
+  off a kept SVD, and an SVD taken after the rank is cut at it;
+- the swapped set (the same object on every call, whose own swapped() is
+  this set), and the labels in sorted order.
+
+Each Graph in turn keeps its chordality, maximal cliques and simplicial
+vertices (see graphs). Nothing is kept at module level and nothing derived
+from a verdict or certificate is kept, so verify_certificate re-checks each
 certificate against the states alone. The swapped set refers back to its
 origin weakly, so keeping only the swapped set does not keep the other
 alive.
@@ -25,15 +33,15 @@ alive.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
-from .graphs import Graph, complement, sandwich_simplicial_vertices, simplicial_vertices
-from .linalg import DEFAULT_TOL, Tolerance, hermitize, thin_svd
+from .graphs import Graph, sandwich_simplicial_vertices, simplicial_vertices
+from .linalg import DEFAULT_TOL, Tolerance, hermitize, numeric_rank, thin_svd
 
 
 @dataclass(frozen=True)
@@ -42,17 +50,17 @@ class StateGraphs:
 
     alice: Graph
     bob: Graph
+    # bob's complement, passed as the Alice graph itself when equal to it
+    host: InitVar[Graph]
+
+    def __post_init__(self, host: Graph):
+        object.__setattr__(self, "_host", host)
 
     def bob_orthogonality(self) -> Graph:
         """Pairs whose Bob parts are orthogonal; admissible outcome supports
         are exactly the cliques of this graph. It is the Alice graph itself
         when equal to it, so both share what a graph keeps."""
         return self._host
-
-    @cached_property
-    def _host(self) -> Graph:
-        host = complement(self.bob)
-        return self.alice if host.nbrs == self.alice.nbrs else host
 
     @cached_property
     def sandwich_simplicial(self) -> frozenset[int]:
@@ -68,6 +76,48 @@ class OrthonormalityReport:
     ok: bool
     unit_deviations: tuple[tuple[str, float], ...]
     nonorthogonal_pairs: tuple[tuple[str, str, float], ...]
+
+
+def _intake(
+    grams: tuple[np.ndarray, np.ndarray], labels: tuple[str, ...], zero_tol: float
+) -> tuple[OrthonormalityReport, StateGraphs]:
+    """The orthonormality report and the overlap graphs at zero_tol, from one
+    pass over the magnitudes of Alice's and Bob's Grams. The Grams are
+    Hermitian, so each graph is built from its block of one boolean array
+    without a symmetry check, and keeps that block as its adjacency matrix."""
+    ga, gb = grams
+    n = len(labels)
+    mags = np.empty((2, n, n))
+    np.abs(ga, out=mags[0])
+    np.abs(gb, out=mags[1])
+    off = np.abs(np.diagonal(ga) * np.diagonal(gb) - 1.0)
+    units = tuple(
+        (labels[i], float(off[i])) for i in np.flatnonzero(off > 10 * zero_tol).tolist()
+    )
+    # |ga gb| and |ga| |gb| differ by a few ulps, so with a margin far above
+    # that the product of the magnitudes clears every pair the product Gram
+    # would; only a set with a pair it cannot clear forms the product Gram
+    near = mags[0] * mags[1] > zero_tol * (1 - 1e-12)
+    np.fill_diagonal(near, False)
+    pairs = ()
+    if near.any():
+        g = ga * gb
+        rows, cols = np.nonzero(np.triu(np.abs(g) > zero_tol, k=1))
+        pairs = tuple(
+            (labels[i], labels[j], float(abs(g[i, j])))
+            for i, j in zip(rows.tolist(), cols.tolist())
+        )
+    # Alice's overlaps, Bob's, and Bob's orthogonality, which is the host
+    block = np.empty((3, n, n), dtype=bool)
+    np.greater(mags, zero_tol, out=block[:2])
+    np.logical_not(block[1], out=block[2])
+    diagonal = np.arange(n)
+    block[:, diagonal, diagonal] = False
+    block.setflags(write=False)
+    alice, bob = Graph._from_adjacency(block[0]), Graph._from_adjacency(block[1])
+    host = alice if np.array_equal(block[0], block[2]) else Graph._from_adjacency(block[2])
+    report = OrthonormalityReport(not units and not pairs, units, pairs)
+    return report, StateGraphs(alice, bob, host)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,22 +229,34 @@ class ProductStateSet:
     def product_gram(self) -> np.ndarray:
         return self._grams[0] * self._grams[1]
 
-    def build_graphs(self, tol: Tolerance = DEFAULT_TOL) -> StateGraphs:
-        key = ("graphs", tol.zero_tol)
+    def _overlaps(self, tol: Tolerance) -> tuple[OrthonormalityReport, StateGraphs]:
+        key = ("intake", tol.zero_tol)
         if key not in self._derived:
-            self._derived[key] = StateGraphs(
-                *(Graph.from_matrix(np.abs(g) > tol.zero_tol) for g in self._grams)
+            self._derived[key] = _intake(self._grams, self.labels, tol.zero_tol)
+        return self._derived[key]
+
+    def build_graphs(self, tol: Tolerance = DEFAULT_TOL) -> StateGraphs:
+        return self._overlaps(tol)[1]
+
+    def alice_rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
+        """The numeric rank of Alice's frame: the width of the kept SVD when
+        there is one, else counted from the singular values alone."""
+        key = ("rank", tol.rank_tol)
+        if key not in self._derived:
+            svd = self._derived.get(("svd", tol.rank_tol))
+            self._derived[key] = (
+                numeric_rank(self.alice_frame(), tol) if svd is None else len(svd[1])
             )
         return self._derived[key]
 
     def alice_svd(
         self, tol: Tolerance = DEFAULT_TOL
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Alice's frame's SVD cut to its numeric rank (linalg.thin_svd), as
-        read-only arrays."""
+        """Alice's frame's SVD cut to its numeric rank (linalg.thin_svd), or
+        to alice_rank when that is kept, as read-only arrays."""
         key = ("svd", tol.rank_tol)
         if key not in self._derived:
-            svd = thin_svd(self.alice_frame(), tol)
+            svd = thin_svd(self.alice_frame(), tol, self._derived.get(("rank", tol.rank_tol)))
             for part in svd:
                 part.setflags(write=False)
             self._derived[key] = svd
@@ -206,18 +268,7 @@ class ProductStateSet:
         return self.alice_svd(tol)[0]
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:
-        g = self.product_gram()
-        off = np.abs(np.diagonal(g) - 1.0)
-        units = tuple(
-            (self.labels[i], float(off[i]))
-            for i in np.flatnonzero(off > 10 * tol.zero_tol).tolist()
-        )
-        rows, cols = np.nonzero(np.triu(np.abs(g) > tol.zero_tol, k=1))
-        pairs = tuple(
-            (self.labels[i], self.labels[j], float(abs(g[i, j])))
-            for i, j in zip(rows.tolist(), cols.tolist())
-        )
-        return OrthonormalityReport(not units and not pairs, units, pairs)
+        return self._overlaps(tol)[0]
 
     def require_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> None:
         report = self.validate_orthonormal(tol)

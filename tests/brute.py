@@ -428,6 +428,17 @@ PINNED_SETS = {
         [(1, -1, 0, -1), (-1, 0, 0, 1), (1, 0, 0, 1), (-1, 1, 0, 1), (-1, -1, 0, -1),
          (0, 0, 1, 0), (0, 0, 1, 0), (0, -1, 0, 0)],
     ),
+    # greedy_integer_set(4, n, default_rng(17), bob_values=(0, 1)), draw 18:
+    # at minimum dimension (d_eff = chi = 4) no graph between Alice's
+    # overlap graph and the strictly larger host is chordal, yet the set is
+    # distinguishable bob-first, so NonChordalSandwichAtMinDim must not fire
+    "host-sandwich": (
+        "bob-first", "FeasibleDecomposition",
+        [(1, -1, -1, 0), (-1, -1, -1, 0), (0, 1, -1, 1), (0, 1, -1, 1), (1, 0, -1, -1),
+         (-1, -1, 0, 1), (-1, 1, 0, -1), (-1, 0, -1, -1), (-1, -1, 0, 1), (-1, 0, 1, 1)],
+        [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0),
+         (0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)],
+    ),
 }
 
 # rank-deficient sets (n > d_eff) on which a convex search over n x n Gram

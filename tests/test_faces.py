@@ -93,12 +93,12 @@ def test_graph_rungs_agree_with_the_face_search():
     }
 
 
-def test_graph_rungs_agree_with_the_face_search_when_the_host_outgrows_alice():
-    # with Bob's vectors in {0,1}^4 most pairs with disjoint Bob supports are
-    # orthogonal on both sides too, so the host is larger than Alice's
-    # overlap graph and the sandwich-simplicial test differs from the host's
-    # own (60 draws of greedy_integer_set, seed 7, d 4, n 7-12, both ways)
-    rng = np.random.default_rng(7)
+def _agree_when_the_host_outgrows_alice(seed: int):
+    """With Bob's vectors in {0,1}^4 most pairs with disjoint Bob supports
+    are orthogonal on both sides too, so the host is larger than Alice's
+    overlap graph and the sandwich-simplicial test differs from the host's
+    own (60 draws of greedy_integer_set, d 4, n 7-12, both ways)."""
+    rng = np.random.default_rng(seed)
     checked, larger = set(), 0
     for _ in range(60):
         s = brute.greedy_integer_set(4, int(rng.integers(7, 13)), rng, bob_values=(0, 1))
@@ -110,13 +110,24 @@ def test_graph_rungs_agree_with_the_face_search_when_the_host_outgrows_alice():
                 continue
             work = s if direction == "alice-first" else s.swapped()
             graphs = work.build_graphs()
-            larger += graphs.bob_orthogonality() is not graphs.alice
+            shared = graphs.bob_orthogonality() is graphs.alice
+            larger += not shared
+            # no chordal sandwich proves nothing when the host is larger
+            assert shared or v.certificate.kind != KIND_NO_SANDWICH
             assert _face_status(work) == v.status, (v.certificate.kind, direction)
             checked.add(v.certificate.kind)
     assert larger >= 50
-    assert checked >= {
-        "ChordalAliceGraph", "MinDimNoSimplicial", "NonChordalSandwichAtMinDim",
-    }
+    assert checked >= {"ChordalAliceGraph", "MinDimNoSimplicial"}
+
+
+def test_graph_rungs_agree_with_the_face_search_when_the_host_outgrows_alice():
+    _agree_when_the_host_outgrows_alice(7)
+
+
+def test_graph_rungs_agree_with_the_face_search_on_the_draws_of_host_sandwich():
+    # seed 17, draw 18 is the set pinned as host-sandwich, on which
+    # NonChordalSandwichAtMinDim used to fire
+    _agree_when_the_host_outgrows_alice(17)
 
 
 def _pinned(name):
@@ -162,7 +173,7 @@ def _forgeries(work, direction, parameters):
     return [Verdict(INDISTINGUISHABLE, direction, c, parameters) for c in certificates]
 
 
-@pytest.mark.parametrize("name", ["qubit-cover", "q7", "g4", "sandwich"])
+@pytest.mark.parametrize("name", ["qubit-cover", "q7", "g4", "sandwich", "host-sandwich"])
 def test_forged_minimum_dimension_certificates_fail_on_split_sets(name):
     # the face search splits these sets, so no Indistinguishable certificate
     # may pass every check
@@ -173,3 +184,14 @@ def test_forged_minimum_dimension_certificates_fail_on_split_sets(name):
     for forged in _forgeries(work, direction, parameters):
         outcome = verify_certificate(s, forged)
         assert not outcome.ok, (forged.certificate.kind, outcome.checks)
+
+
+def test_a_forged_sandwich_absence_fails_only_for_the_larger_host():
+    # at minimum dimension no graph between Alice's overlap graph and the
+    # larger host is chordal, so every other check of the forgery passes
+    s, direction = _pinned("host-sandwich")
+    forged = _forgeries(s.swapped(), direction, decide(s, direction).parameters)[2]
+    outcome = verify_certificate(s, forged)
+    assert {name for name, ok, _ in outcome.checks if not ok} == {
+        "overlap graph is the host"
+    }

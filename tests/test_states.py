@@ -7,7 +7,7 @@ import pytest
 
 from loccgraph.criteria import decide
 from loccgraph.errors import InvalidInput, NotMutuallyOrthogonal
-from loccgraph.graphs import complement
+from loccgraph.graphs import Graph, adjacency_matrix, complement
 from loccgraph.linalg import Tolerance
 from loccgraph.locc import simulate
 from loccgraph.serialize import (
@@ -16,7 +16,7 @@ from loccgraph.serialize import (
     states_from_json,
     states_to_json,
 )
-from loccgraph.states import ProductStateSet
+from loccgraph.states import OrthonormalityReport, ProductStateSet
 
 E2 = np.eye(2, dtype=complex)
 E3 = np.eye(3, dtype=complex)
@@ -311,3 +311,54 @@ def test_subset_grams_are_sub_blocks():
     for bad in ((), ("2", "2")):
         with pytest.raises(InvalidInput):
             s.subset(bad)
+
+
+def _reference_intake(s: ProductStateSet, tol: Tolerance):
+    """The report and graphs as built one fact at a time: each overlap graph
+    through Graph.from_matrix, the host as the complement of Bob's, and the
+    report from the product Gram."""
+    alice, bob = (Graph.from_matrix(np.abs(g) > tol.zero_tol)
+                  for g in (s.alice_gram(), s.bob_gram()))
+    g = s.product_gram()
+    off = np.abs(np.diagonal(g) - 1.0)
+    units = tuple((s.labels[i], float(off[i]))
+                  for i in np.flatnonzero(off > 10 * tol.zero_tol))
+    rows, cols = np.nonzero(np.triu(np.abs(g) > tol.zero_tol, k=1))
+    pairs = tuple((s.labels[i], s.labels[j], float(abs(g[i, j])))
+                  for i, j in zip(rows, cols))
+    return OrthonormalityReport(not units and not pairs, units, pairs), alice, bob, complement(bob)
+
+
+def _near_tolerance_part(d: int, rng: np.random.Generator, zero_tol: float) -> np.ndarray:
+    """A basis vector plus a random vector scaled so that overlaps land
+    near zero_tol, near its square root (so that products of overlaps land
+    near it) or well clear of it."""
+    scale = rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1 / zero_tol ** 0.5, 1e4, 1e9])
+    noise = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return np.eye(d)[rng.integers(d)] + scale * zero_tol * noise / np.linalg.norm(noise)
+
+
+def test_the_intake_matches_building_each_fact_alone():
+    rng = np.random.default_rng(5)
+    near = shared = 0
+    for trial in range(240):
+        tol = Tolerance(zero_tol=float(rng.choice([1e-9, 1e-7])), rank_tol=1e-7)
+        n, d_a, d_b = (int(x) for x in rng.integers((1, 1, 1), (10, 5, 5)))
+        s = ProductStateSet.from_vectors(
+            [_near_tolerance_part(d_a, rng, tol.zero_tol) for _ in range(n)],
+            [_near_tolerance_part(d_b, rng, tol.zero_tol) for _ in range(n)],
+            normalize=bool(trial % 4),
+        )
+        report, alice, bob, host = _reference_intake(s, tol)
+        graphs = s.build_graphs(tol)
+        assert s.validate_orthonormal(tol) == report, trial
+        assert (graphs.alice, graphs.bob, graphs.bob_orthogonality()) == (alice, bob, host)
+        assert (graphs.bob_orthogonality() is graphs.alice) == (host == alice), trial
+        for got, want in ((graphs.alice, alice), (graphs.bob, bob)):
+            assert np.array_equal(adjacency_matrix(got), adjacency_matrix(want))
+            assert got.edge_count() == len(want.edges)
+        magnitudes = np.abs([s.alice_gram(), s.bob_gram(), s.product_gram()])
+        near += bool(((magnitudes > tol.zero_tol / 3) & (magnitudes < 3 * tol.zero_tol)).any())
+        shared += host == alice
+    # the sets reach the threshold and both kinds of host
+    assert near >= 100 and 20 <= shared <= 220

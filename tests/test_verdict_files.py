@@ -4,12 +4,17 @@ without raising."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import brute
-from loccgraph import ProductStateSet
+import loccgraph
+from loccgraph import ProductStateSet, states
 from loccgraph.criteria import (
     ALICE_FIRST,
     BOB_FIRST,
@@ -22,7 +27,6 @@ from loccgraph.criteria import (
 )
 from loccgraph.errors import InvalidInput
 from loccgraph.families import generate
-from loccgraph.graphs import Graph
 from loccgraph.linalg import numeric_rank
 from loccgraph.serialize import (
     protocol_to_json,
@@ -455,23 +459,36 @@ def test_a_forgery_fails_after_a_valid_decide_on_the_same_set(spec, direction, e
 
 
 def _count_derivations(monkeypatch, frame: np.ndarray) -> dict:
-    """Count overlap-graph builds and SVDs of the given measuring frame."""
-    counts = {"graphs": 0, "frame_svds": 0}
-    from_matrix = Graph.from_matrix.__func__
+    """Count the intake passes (orthonormality report and overlap graphs)
+    and, of the given measuring frame, the rank derivations (singular values
+    alone) and the full SVDs."""
+    counts = {"intake": 0, "ranks": 0, "svds": 0}
+    intake = states._intake
     svd = np.linalg.svd
 
-    def counting_from_matrix(cls, a):
-        counts["graphs"] += 1
-        return from_matrix(cls, a)
+    def counting_intake(*args):
+        counts["intake"] += 1
+        return intake(*args)
 
-    def counting_svd(a, *args, **kwargs):
+    def counting_svd(a, full_matrices=True, compute_uv=True, **kwargs):
         if np.shape(a) == frame.shape and np.array_equal(a, frame):
-            counts["frame_svds"] += 1
-        return svd(a, *args, **kwargs)
+            counts["svds" if compute_uv else "ranks"] += 1
+        return svd(a, full_matrices, compute_uv, **kwargs)
 
-    monkeypatch.setattr(Graph, "from_matrix", classmethod(counting_from_matrix))
+    monkeypatch.setattr(states, "_intake", counting_intake)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return counts
+
+
+# (rank derivations, SVDs) of the measuring frame: the chordal rungs, and
+# the rungs past MinDimNoSimplicial when a vertex is sandwich-simplicial,
+# read the span with the rank; with no such vertex the rank comes first,
+# and the span follows when the rung does not fire because alpha(host) is
+# below d_eff
+_FRAME_DERIVATIONS = {
+    "example1": (0, 1), "path-rep:8": (1, 1), "example3": (1, 1),
+    "cycle-rep:6": (1, 1), "pentagon-path": (0, 1), "bennett": (1, 0),
+}
 
 
 @pytest.mark.parametrize("spec,direction", [
@@ -489,5 +506,42 @@ def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
     v = decide(s, direction)
     back = verdict_from_json(json.loads(_write(v)), s)
     assert verify_certificate(s, back).ok
-    # one overlap graph per side, one SVD of the measuring frame
-    assert counts == {"graphs": 2, "frame_svds": 1}
+    ranks, svds = _FRAME_DERIVATIONS[spec]
+    assert counts == {"intake": 1, "ranks": ranks, "svds": svds}
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_a_bullseye_is_decided_and_verified_without_its_span(monkeypatch, direction):
+    # MinDimNoSimplicial reads only the rank
+    s = generate("bullseye:11")
+    frame = (s if direction == ALICE_FIRST else s.swapped()).alice_frame()
+    counts = _count_derivations(monkeypatch, frame)
+    v = decide(s, direction)
+    assert v.certificate.kind == "MinDimNoSimplicial"
+    assert verify_certificate(s, verdict_from_json(json.loads(_write(v)), s)).ok
+    assert counts == {"intake": 1, "ranks": 1, "svds": 0}
+
+
+def test_deciding_and_verifying_leaves_numpy_ma_unimported():
+    # numpy imports numpy.ma on the first np.unique or np.union1d, which
+    # took most of a fresh process's first decide; these two sets reached it
+    code = """if True:
+        import json, sys
+        from loccgraph.criteria import decide, verify_certificate
+        from loccgraph.families import generate
+        from loccgraph.serialize import verdict_from_json, verdict_to_json
+        for spec, direction in (("path-rep:8", "bob-first"), ("example3", "alice-first")):
+            s = generate(spec)
+            v = decide(s, direction)
+            assert verify_certificate(s, v).ok
+            back = verdict_from_json(json.loads(json.dumps(verdict_to_json(v))), s)
+            assert verify_certificate(s, back).ok
+        print("numpy.ma" in sys.modules)
+    """
+    src = str(Path(loccgraph.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -431,34 +431,36 @@ def faces_in_span(
     return Faces(span, supports, tuple(bases))
 
 
-def _layout(bases: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple]]:
-    """The face bases side by side as one r x K matrix B, so that the sum of
-    W_S F_S W_S* is B F B* for the block-diagonal F; with the (row, column)
-    indices that cut F's blocks out as one (blocks, k, k) stack per size k."""
+def _by_width(bases: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The nonempty face bases grouped by width k: for each k in increasing
+    order, the positions of its faces and their bases as one (m, r, k)
+    stack."""
     widths = np.array([w.shape[1] for w in bases])
-    starts = np.cumsum(widths) - widths
-    stacks = []
-    # the distinct positive widths, in order
-    for k in np.flatnonzero(np.bincount(widths)[1:]) + 1:
-        idx = starts[widths == k][:, None] + np.arange(k)
-        stacks.append((idx[:, :, None], idx[:, None, :]))
-    return np.concatenate(bases, axis=1), stacks
+    at_width = (np.flatnonzero(widths == k) for k in range(1, widths.max(initial=0) + 1))
+    return [(at, np.stack([bases[i] for i in at])) for at in at_width if at.size]
 
 
-def _block_ceiling(g: np.ndarray, stacks: Sequence[tuple]) -> float:
-    """The largest eigenvalue of any diagonal block of g (0 for none)."""
-    return max((float(np.linalg.eigvalsh(g[cut])[:, -1].max()) for cut in stacks),
-               default=0.0)
+def _face_blocks(stacks: Sequence[tuple], y: np.ndarray) -> list[np.ndarray]:
+    """W_S* y W_S for every face, as one (m, k, k) stack per width."""
+    return [w.conj().transpose(0, 2, 1) @ y @ w for _, w in stacks]
 
 
-def _clip_blocks(f: np.ndarray, stacks: Sequence[tuple]) -> np.ndarray:
-    """The block-diagonal part of f with each block's negative eigenvalues
-    set to zero: the nearest point of the product of PSD cones."""
-    out = np.zeros_like(f)
-    for cut in stacks:
-        w, v = np.linalg.eigh(f[cut])
-        out[cut] = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return out
+def _face_sum(stacks: Sequence[tuple], blocks: Sequence[np.ndarray], r: int) -> np.ndarray:
+    """sum_S W_S F_S W_S*, the blocks F_S given as one stack per width."""
+    return sum((np.tensordot(w @ f, w.conj(), axes=([0, 2], [0, 2]))
+                for (_, w), f in zip(stacks, blocks)), np.zeros((r, r), dtype=complex))
+
+
+def _lowest(blocks: Iterable[np.ndarray]) -> float:
+    """The lowest eigenvalue of any block in the stacks (0 for none)."""
+    return min((float(np.linalg.eigvalsh(b)[:, 0].min()) for b in blocks), default=0.0)
+
+
+def _psd_part(f: np.ndarray) -> np.ndarray:
+    """Each block of the stack with its negative eigenvalues set to zero:
+    the nearest point of the product of PSD cones."""
+    w, v = np.linalg.eigh(f)
+    return (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -497,11 +499,7 @@ def dual_witness(faces: Faces, z, tol: Tolerance = DEFAULT_TOL) -> DualWitness:
     read on the span as Y = U* z U. The figures do not depend on which
     orthonormal bases of the span and faces were computed."""
     y = hermitize(faces.span.conj().T @ np.asarray(z, dtype=complex) @ faces.span)
-    lowest = min(
-        (float(np.linalg.eigvalsh(w.conj().T @ y @ w)[0]) for w in faces.bases if w.size),
-        default=0.0,
-    )
-    return _witness(y, lowest, tol)
+    return _witness(y, _lowest(_face_blocks(_by_width(faces.bases), y)), tol)
 
 
 def _fewer_pieces(pieces: list[tuple]) -> list[tuple]:
@@ -576,8 +574,9 @@ def feasibility_search(
 
     Minimises 1/2 ||I - sum_S W_S F_S W_S*||^2 over PSD blocks F_S by
     accelerated projected gradient steps (FISTA, Beck & Teboulle 2009) of
-    length 1 / lambda_max(sum_S W_S W_S*), from F = 0. The search stops at
-    the first of:
+    length 1 / lambda_max(sum_S W_S W_S*), from F = 0. It keeps one
+    k_S x k_S block per face, so its memory is O(sum_S k_S^2 + r K + r^2)
+    for K = sum_S k_S. The search stops at the first of:
 
     - gap ||R|| <= 1e-11 * sqrt(r), R the residual: converged. Each
       block's eigenvectors above max(10 gap, zero_tol), reduced in rank by
@@ -595,18 +594,17 @@ def feasibility_search(
     """
     r = faces.d_eff
     gap_tol = 1e-11 * np.sqrt(r)
-    eye = np.eye(r)
-    basis, stacks = _layout(faces.bases)
-    basis_h = basis.conj().T
+    eye = np.eye(r, dtype=complex)
+    stacks = _by_width(faces.bases)
     # lambda_max is 1 or more unless every face is empty (then Y = -I holds
     # after one idle step)
-    step = 1.0 / max(1.0, float(np.linalg.norm(basis, 2)) ** 2)
+    spread = _face_sum(stacks, [np.eye(w.shape[2]) for _, w in stacks], r)
+    step = 1.0 / max(1.0, float(np.linalg.eigvalsh(spread)[-1]))
 
-    # the residual R and the face blocks of B* R B (the negated gradient),
-    # at the iterate and, by linearity, at the extrapolated point
-    blocks = np.zeros((basis.shape[1],) * 2, dtype=complex)
-    res = eye.astype(complex)
-    grad = basis_h @ basis
+    # the blocks F_S, the residual R and the blocks W_S* R W_S (the negated
+    # gradient), at the iterate and, by linearity, at the extrapolated point
+    res, grad = eye, _face_blocks(stacks, eye)
+    blocks = [np.zeros_like(g) for g in grad]
     ahead, ahead_grad = blocks, grad
     gap = float(np.sqrt(r))
     iterations = 0
@@ -617,19 +615,19 @@ def feasibility_search(
         # eigenvalues
         y = -res / gap
         if iterations and float(np.trace(y).real) < 0.0:
-            candidate = _witness(y, -_block_ceiling(grad, stacks) / gap, tol)
+            candidate = _witness(y, _lowest(-g / gap for g in grad), tol)
             if candidate.holds:
                 witness = candidate
                 break
         if iterations >= max_iter:
             break
-        new = _clip_blocks(ahead + step * ahead_grad, stacks)
+        new = [_psd_part(a + step * g) for a, g in zip(ahead, ahead_grad)]
         following = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
         beta = (momentum - 1.0) / following
-        new_res = eye - basis @ new @ basis_h
-        new_grad = basis_h @ new_res @ basis
-        ahead = new + beta * (new - blocks)
-        ahead_grad = (1.0 + beta) * new_grad - beta * grad
+        new_res = eye - _face_sum(stacks, new, r)
+        new_grad = _face_blocks(stacks, new_res)
+        ahead = [f + beta * (f - b) for f, b in zip(new, blocks)]
+        ahead_grad = [(1.0 + beta) * g_new - beta * g for g_new, g in zip(new_grad, grad)]
         blocks, res, grad, momentum = new, new_res, new_grad, following
         gap = float(np.linalg.norm(res))
         iterations += 1
@@ -637,14 +635,13 @@ def feasibility_search(
     pieces = []
     if gap <= gap_tol:
         floor = max(10 * gap, tol.zero_tol)
-        start = 0
-        for support, w_s in zip(faces.supports, faces.bases):
-            end = start + w_s.shape[1]
-            w, v = eigh_desc(blocks[start:end, start:end])
-            start = end
+        by_face = {i: f for (at, _), fs in zip(stacks, blocks) for i, f in zip(at, fs)}
+        for i in sorted(by_face):
+            w, v = eigh_desc(by_face[i])
             keep = w > floor
             if keep.any():
-                pieces.append((support, w_s @ (v[:, keep] * np.sqrt(w[keep]))))
+                piece = faces.bases[i] @ (v[:, keep] * np.sqrt(w[keep]))
+                pieces.append((faces.supports[i], piece))
     pieces = _fewer_pieces(pieces)
     vectors = np.hstack([np.zeros((r, 0))] + [f for _, f in pieces]).T @ faces.span.T
     weights = np.linalg.norm(vectors, axis=1) ** 2

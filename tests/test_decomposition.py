@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,72 @@ def test_feasibility_search_stops_at_its_iteration_budget():
     assert result.iterations == 3 and result.gap > 0
     assert not result.converged
     assert not result.supports and result.witness is None
+
+
+def test_feasibility_search_lists_pieces_in_the_order_of_the_supports():
+    # states e1, e2, e3 and (e1 + e2)/sqrt 2: the faces of {1,2,4}, {4} and
+    # {3,4} are span{e1, e2}, nothing and e3, so keeping the blocks in one
+    # stack per width (1, then 2) must not reorder the pieces
+    x = np.array([[1.0, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
+    x[:, 3] /= np.sqrt(2.0)
+    supports = [frozenset({1, 2, 4}), frozenset({4}), frozenset({3, 4})]
+    faces = support_faces(x, supports)
+    assert [w.shape[1] for w in faces.bases] == [2, 0, 1]
+    result = feasibility_search(faces)
+    assert result.converged
+    assert result.supports == (supports[0], supports[0], supports[2])
+    rep = verify_decomposition(x.T @ x, _pushed(x, result), rel_bound=1e-9)
+    assert rep.ok
+
+
+def _bob_first_host_faces(spec):
+    """The faces of the maximal host cliques of spec, bob-first: the convex
+    end's search space with no graph rung tried first."""
+    work = generate(spec).swapped()
+    return support_faces(
+        work.alice_frame(), maximal_cliques(work.build_graphs().bob_orthogonality()))
+
+
+def test_feasibility_search_keeps_memory_to_the_face_blocks():
+    # path-rep:20 bob-first: 265 maximal host cliques whose faces total
+    # K = 2,254 columns in a span of dimension 20. One K x K complex array
+    # alone takes 78 MiB; the blocks, sum_S k_S^2 entries, and the r x K
+    # face bases take a few MiB.
+    faces = _bob_first_host_faces("path-rep:20")
+    assert sum(w.shape[1] for w in faces.bases) == 2254
+    tracemalloc.start()
+    try:
+        result = feasibility_search(faces, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 3 and not result.converged
+    assert peak < 32 * 2**20
+
+
+_HALVES = np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3))
+_WITNESS_FACES = {
+    # the infeasible cases above
+    "triangle": lambda: support_faces(
+        _frame(np.ones((3, 3))), [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]),
+    "uncovered entry": lambda: support_faces(
+        _frame(_HALVES), [frozenset({1, 2}), frozenset({2, 3})]),
+    "uncovered vertex": lambda: support_faces(_frame(np.eye(3)), [frozenset({1, 2})]),
+    "pentagon-path bob-first": lambda: _bob_first_host_faces("pentagon-path"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WITNESS_FACES))
+def test_the_searchs_witness_reads_the_same_from_dual_witness(case):
+    # the search tests its iterate on the gradient blocks, the verifier
+    # recomputes the face blocks of the lifted witness
+    faces = _WITNESS_FACES[case]()
+    found = feasibility_search(faces).witness
+    assert found is not None and found.holds
+    again = dual_witness(faces, faces.lift(found.matrix))
+    bound = 1e-12 * max(1.0, abs(found.value))
+    assert abs(again.shift - found.shift) <= bound
+    assert abs(again.value - found.value) <= bound
 
 
 def test_random_chordal_roundtrips():

@@ -655,9 +655,7 @@ def _non_measurements(
     misnamed = (owner < 0) | ((same & (owner[:, None] == owner[None, :])).sum(axis=1) > 1)
     overlap = outcome_overlaps(protocol.bob_basis, outcomes).max(axis=1, initial=0.0)
     flawed = misnamed | (overlap > 10 * tol.rank_tol)
-    # each outcome's first column stands for it
-    first = ~np.tril(same, -1).any(axis=1)
-    return outcomes[first & (same & flawed).any(axis=1)].tolist()
+    return list(dict.fromkeys(outcomes[(same & flawed).any(axis=1)].tolist()))
 
 
 @dataclass(frozen=True)

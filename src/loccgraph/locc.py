@@ -128,9 +128,8 @@ class Protocol:
 
     @property
     def bob(self) -> tuple[BobPlan, ...]:
-        ids, first = np.unique(self.bob_outcomes, return_index=True)
         plans = []
-        for outcome in ids[np.argsort(first)].tolist():
+        for outcome in dict.fromkeys(self.bob_outcomes.tolist()):
             pick = self.bob_outcomes == outcome
             plans.append(BobPlan(outcome, self.bob_basis[:, pick],
                                  tuple(self.bob_labels[pick].tolist())))
@@ -157,13 +156,14 @@ def outcome_numbers(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One outcome per distinct row of the boolean supports, numbered 1, 2,
     ... in order of first appearance: each row's outcome, and the first row
     of each outcome."""
-    packed = np.ascontiguousarray(np.packbits(supports, axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(len(order), dtype=int)
-    number[order] = np.arange(1, len(order) + 1)
-    return number[inverse.reshape(-1)], first[order]
+    packed = np.packbits(supports, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1).tolist()
+    first: dict[bytes, int] = {}
+    for row, key in enumerate(keys):
+        first.setdefault(key, row)
+    number = {key: k for k, key in enumerate(first, 1)}
+    return (np.array([number[key] for key in keys], dtype=int),
+            np.array(list(first.values()), dtype=int))
 
 
 def outcome_overlaps(basis: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
@@ -188,7 +188,7 @@ def _bob_plans(
     cols = states.bob[member]
     basis = (cols / np.linalg.norm(cols, axis=1, keepdims=True)).T
     outcomes = outcome + 1
-    labels = np.asarray(states.labels)[member]
+    labels = states.label_array()[member]
     off = outcome_overlaps(basis, outcomes)
     flawed = off.max(axis=1, initial=0.0) > 100 * tol.zero_tol
     if flawed.any():
@@ -262,8 +262,11 @@ def povm_to_decomposition(
 
 
 def _inside(povm: Povm, n: int) -> np.ndarray:
-    """The supports as a k x n mask: states past the mask's width are in
-    no support, and support entries past n name no state."""
+    """The supports as a k x n mask (the POVM's own when n wide): states
+    past the mask's width are in no support, and support entries past n
+    name no state."""
+    if povm.supports.shape[1] == n:
+        return povm.supports
     width = min(n, povm.supports.shape[1])
     inside = np.zeros((len(povm.supports), n), dtype=bool)
     inside[:, :width] = povm.supports[:, :width]
@@ -280,9 +283,7 @@ def _alice_probabilities(
 
 
 def _completeness_deviation(povm: Povm) -> float:
-    gap = povm.total()
-    gap[np.diag_indices(povm.dim)] -= 1.0
-    return float(np.abs(np.linalg.eigvalsh(gap)).max())
+    return float(np.abs(np.linalg.eigvalsh(povm.total() - np.eye(povm.dim))).max())
 
 
 def validate_povm(

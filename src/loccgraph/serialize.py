@@ -100,9 +100,7 @@ def states_from_json(data: dict) -> ProductStateSet:
             f"do not match dA={da}, dB={db}"
         )
     labels = tuple(str(entry.get("label", k + 1)) for k, entry in enumerate(entries))
-    return ProductStateSet.from_vectors(
-        sides["A"], sides["B"], labels=labels, normalize=False
-    )
+    return ProductStateSet(sides["A"], sides["B"], labels)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ at most once per set, only when first read, and kept on it:
   the span. Whichever comes second agrees with the first: the rank is read
   off a kept SVD, and an SVD taken after the rank is cut at it;
 - the swapped set (the same object on every call, whose own swapped() is
-  this set), and the labels in sorted order.
+  this set), and the labels as a read-only array with each label's
+  position.
 
 Each Graph in turn keeps its chordality, maximal cliques and simplicial
 vertices (see graphs). Nothing is kept at module level and nothing derived
@@ -203,18 +204,23 @@ class ProductStateSet:
         except ValueError:
             raise InvalidInput(f"no state labeled {label!r}") from None
 
+    def _label_index(self) -> tuple[np.ndarray, dict[str, int]]:
+        """The labels as a read-only array, and each label's 0-based position."""
+        if "labels" not in self._derived:
+            names = np.asarray(self.labels)
+            names.setflags(write=False)
+            self._derived["labels"] = (names, {l: i for i, l in enumerate(self.labels)})
+        return self._derived["labels"]
+
+    def label_array(self) -> np.ndarray:
+        """The labels as a read-only array of strings."""
+        return self._label_index()[0]
+
     def label_positions(self, labels) -> np.ndarray:
         """0-based index of the state each label names, -1 where none does."""
-        if "labels" not in self._derived:
-            order = np.argsort(self.labels)
-            names = np.asarray(self.labels)[order]
-            names.setflags(write=False)
-            order.setflags(write=False)
-            self._derived["labels"] = (names, order)
-        names, order = self._derived["labels"]
-        labels = np.asarray(labels, dtype=str)
-        at = np.searchsorted(names, labels).clip(max=self.n - 1)
-        return np.where(names[at] == labels, order[at], -1)
+        at = self._label_index()[1]
+        names = np.asarray(labels, dtype=str).reshape(-1).tolist()
+        return np.array([at.get(l, -1) for l in names], dtype=int)
 
     def alice_frame(self) -> np.ndarray:
         """Alice's vectors as the columns of a read-only d x n view."""

@@ -92,6 +92,27 @@ def test_chordal_decompose_rejects_non_psd():
         chordal_decompose(m, g)
 
 
+@pytest.mark.parametrize("ordering", [None, (2, 1, 3)])
+def test_chordal_decompose_rejects_a_matrix_whose_factorisation_fails_late(
+    ordering, monkeypatch
+):
+    # positive diagonal and a factorisable leading block, pivots 1 and 0.19,
+    # but the last pivot 1 - 0.81 / 0.19 is negative: the factorisation
+    # fails at the end and the eigensolve names the least eigenvalue,
+    # 1 - 0.9 sqrt(2); (2, 1, 3) is no perfect elimination ordering of P3,
+    # and NotPSD still comes first
+    m = np.array([[1, .9, 0], [.9, 1, .9], [0, .9, 1]])
+    np.linalg.cholesky(m[:2, :2])
+    errors = []
+    for loop in (False, True):
+        if loop:
+            _peel_by_loop(monkeypatch)
+        with pytest.raises(NotPSD) as info:
+            chordal_decompose(m, path_graph(3), ordering=ordering)
+        errors.append(str(info.value))
+    assert errors == [f"matrix has eigenvalue {1 - 0.9 * np.sqrt(2):.3g}"] * 2
+
+
 def test_chordal_decompose_rejects_non_chordal_graph():
     g = cycle_graph(4)
     m = np.eye(4) + 0.3 * np.array([
@@ -394,14 +415,19 @@ def test_verify_decomposition_bad_supports_match_term_loop():
         brute.splitting(4, [({0, 9}, np.zeros(4))])
 
 
-def test_dominance_split_rebuilds_an_h_matrix():
-    # a 5-cycle with a complex phase: not chordal, and dominant only after
-    # scaling, since row 1 carries more off-diagonal weight than its diagonal
+def _scaled_five_cycle() -> tuple[np.ndarray, Graph]:
+    """A 5-cycle with a complex phase: not chordal, and dominant only after
+    scaling, since row 1 carries more off-diagonal weight than its diagonal."""
     g = cycle_graph(5)
     m = np.eye(5, dtype=complex)
     weights = [0.6j, 0.3, 0.3, 0.3, 0.6]
     for (i, j), w in zip([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], weights):
         m[i - 1, j - 1], m[j - 1, i - 1] = w, np.conj(w)
+    return m, g
+
+
+def test_dominance_split_rebuilds_an_h_matrix():
+    m, g = _scaled_five_cycle()
     c = comparison_matrix(m, g)
     assert (c @ np.ones(5))[0] < 0
     x = dominance_scaling(m, g)
@@ -411,6 +437,20 @@ def test_dominance_split_rebuilds_an_h_matrix():
     assert {t.support for t in dec.terms} == set(groups)
     rep = verify_decomposition(m, dec, host=g)
     assert rep.ok and rep.rel_residual < 1e-14
+
+
+def test_dominance_scaling_forms_the_comparison_matrix_once(monkeypatch):
+    # the solve and the margin test read the same matrix
+    from loccgraph import decomposition
+
+    m, g = _scaled_five_cycle()
+    formed = []
+    form = decomposition.comparison_matrix
+    monkeypatch.setattr(decomposition, "comparison_matrix",
+                        lambda *args: formed.append(args) or form(*args))
+    x = dominance_scaling(m, g)
+    assert len(formed) == 1
+    assert (decomposition.dominance_slack(m, g, x) > 0).all()
 
 
 def test_dominance_scaling_refuses_a_non_h_matrix():

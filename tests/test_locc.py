@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
@@ -17,6 +19,7 @@ from loccgraph.graphs import maximal_cliques
 from loccgraph.locc import (
     as_projective_basis,
     matches_projective_basis,
+    outcome_numbers,
     povm_to_decomposition,
     simulate,
     synthesize_protocol,
@@ -144,6 +147,27 @@ def test_one_outcome_per_support():
         members = [states.labels[i - 1] for i in sorted(support_of[plan.outcome])]
         assert list(plan.labels[: len(members)]) == members
     assert simulate(states, protocol).min_success >= 1 - 1e-9
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_outcome_numbers_follow_first_appearance(data):
+    # a few distinct rows of 1 to 130 columns (up to 17 packed bytes),
+    # repeated in any order; np.unique over the rows, renumbered in order
+    # of first appearance, gives each row's outcome and each outcome's
+    # first row
+    width = data.draw(st.integers(1, 130))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=24))
+    mask = np.array([rows[i] for i in picks], dtype=bool).reshape(len(picks), width)
+    numbers, firsts = outcome_numbers(mask)
+    _, first, inverse = np.unique(mask, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=int)
+    number[order] = np.arange(1, len(order) + 1)
+    assert numbers.tolist() == number[inverse.reshape(-1)].tolist()
+    assert firsts.tolist() == first[order].tolist()
 
 
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])

@@ -147,6 +147,19 @@ def test_subset_preserves_order_and_labels():
         s.subset(("1", "9"))
 
 
+def test_label_positions_give_minus_one_for_labels_the_set_lacks():
+    s = _example1()
+    named = ProductStateSet(s.alice, s.bob, ("w", "x", "y", "z"))
+    assert named.label_positions(["y", "ww", "w", "", "z"]).tolist() == [2, -1, 0, -1, 3]
+    # labels read off another set: "1" to "4" name no state here
+    assert named.label_positions(s.label_array()).tolist() == [-1] * 4
+    assert s.label_positions(named.label_array()).tolist() == [-1] * 4
+    assert s.label_positions(s.label_array()).tolist() == [0, 1, 2, 3]
+    assert named.label_positions([]).tolist() == []
+    assert not named.label_array().flags.writeable
+    assert named.label_array().tolist() == list(named.labels)
+
+
 def test_unnormalized_input_fails_validation_when_not_normalizing():
     s = ProductStateSet.from_vectors(
         [2.0 * E2[0], E2[1]], [E2[0], E2[1]], normalize=False

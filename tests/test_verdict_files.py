@@ -14,7 +14,7 @@ import pytest
 
 import brute
 import loccgraph
-from loccgraph import ProductStateSet, states
+from loccgraph import ProductStateSet, decomposition, states
 from loccgraph.criteria import (
     ALICE_FIRST,
     BOB_FIRST,
@@ -508,6 +508,33 @@ def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
     assert verify_certificate(s, back).ok
     ranks, svds = _FRAME_DERIVATIONS[spec]
     assert counts == {"intake": 1, "ranks": ranks, "svds": svds}
+
+
+@pytest.mark.parametrize("source,eigensolves", [
+    ("random", 0),                           # 8 states in C^8
+    ("example1", 1),                         # 4 states in C^2
+    ("bennett-subset:1,2,3,4,5,6,8", 1),     # 7 states in C^3
+])
+def test_a_peel_runs_the_psd_eigensolve_only_when_its_factorisation_fails(
+    monkeypatch, source, eigensolves
+):
+    # a completed Cholesky factorisation proves the Gram PSD; a singular
+    # Gram fails it and takes the eigensolve before the elimination loop
+    if source == "random":
+        s, _ = brute.random_product_instance(8, np.random.default_rng(2))
+    else:
+        s = generate(source)
+    checks = []
+    check = decomposition.psd_check
+    monkeypatch.setattr(decomposition, "psd_check",
+                        lambda *args: checks.append(args) or check(*args))
+    v = decide(s, ALICE_FIRST)
+    assert v.certificate.kind == "ChordalAliceGraph"
+    assert len(checks) == eigensolves
+    # reading the file back peels again; verifying does not peel
+    back = verdict_from_json(json.loads(_write(v)), s)
+    assert verify_certificate(s, back).ok
+    assert len(checks) == 2 * eigensolves
 
 
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])

@@ -303,7 +303,7 @@ def _minimum_dimension_verdict(
             )
         if alpha == d_eff:
             witness = alpha_wit
-    elif no_simplicial and d_eff <= opt.search_budget:
+    elif no_simplicial:
         try:
             witness = independent_set_of_size(
                 host, d_eff, opt.search_budget * work.n

@@ -365,72 +365,109 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(sorted((frozenset(_bits(c)) for c in out), key=sorted))
 
 
+def clique_search(
+    g: Graph, k: Optional[int] = None, node_budget: Optional[int] = None
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """A maximum clique of g, or with k some clique of k vertices (empty when
+    there is none), and the classes (masks) of the colouring that bounded
+    the search, as many as chi(g) or more.
+
+    Bitset branch and bound (Tomita & Kameda 2007; San Segundo et al. 2011).
+    g is coloured once, first fit by decreasing degree (Welsh-Powell). The
+    search dives from the last class, bounded by the classes that still
+    meet its candidates, and colours them again only after a branch fails.
+    It cuts a branch whose size plus bound cannot beat the best clique (or
+    reach k), stops at a clique as large as the colouring (or k), and raises
+    SearchBudgetExceeded past node_budget branches.
+    """
+    nbrs = g.nbrs
+    by_degree: dict[int, int] = {}
+    for v, m in enumerate(nbrs):
+        d = m.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = _first_fit(nbrs, [by_degree[d] for d in sorted(by_degree, reverse=True)])
+    cap = len(classes) if k is None else k
+    best, found, nodes = (0 if k is None else k - 1), 0, 0
+    # each of cls[:top] meets cand in an independent set; a parent waits on
+    # the stack with its branch vertex already taken out of its candidates
+    size, picked, cand, cls, top = 0, 0, _full(g.n), classes, len(classes)
+    stack: list[tuple[int, int, int, list[int], int]] = []
+    while cap > 0:
+        while top and not cls[top - 1] & cand:
+            top -= 1
+        if size + top <= best:
+            if not stack:
+                break
+            size, picked, cand, cls, top = stack.pop()
+        else:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise SearchBudgetExceeded(f"clique search limited to {node_budget} nodes")
+            low = cls[top - 1] & cand
+            low &= -low
+            # the rest of its class sees none of it, so the child's bound is top - 1
+            child = cand & nbrs[low.bit_length() - 1]
+            if child and size + 1 < cap:
+                stack.append((size, picked, cand ^ low, cls, top))
+                size, picked, cand, top = size + 1, picked | low, child, top - 1
+                continue
+            if size + 1 > best:
+                best, found = size + 1, picked | low
+                if best == cap:
+                    break
+            cand ^= low
+        cls = _first_fit(nbrs, [m for c in cls[:top] if (m := c & cand)])
+        top = len(cls)
+    return frozenset(_bits(found)), tuple(classes)
+
+
+def _first_fit(nbrs: Sequence[int], groups: list[int]) -> list[int]:
+    """Classes of the first-fit colouring of the vertices of groups (disjoint
+    nonempty masks) taken group by group, lowest first in each, built a
+    class at a time. Taken class by class, a proper colouring's vertices
+    need no more classes than it had (Culberson 1992)."""
+    out = []
+    while groups:
+        new = blocked = 0
+        for grp in groups:
+            free = grp & ~blocked
+            while free:
+                low = free & -free
+                new |= low
+                blocked |= nbrs[low.bit_length() - 1]
+                free &= ~(blocked | low)
+        out.append(new)
+        groups = [rest for grp in groups if (rest := grp & ~new)]
+    return out
+
+
 def independence_number(g: Graph, budget: int = 40) -> tuple[int, frozenset[int]]:
-    """Exact maximum independent set by branch and bound."""
+    """Exact maximum independent set: a maximum clique of the complement.
+    Graphs with more than budget vertices are refused."""
     if g.n > budget:
         raise SearchBudgetExceeded(f"independence search limited to n <= {budget}")
-    nbrs = g.nbrs
-    best_size = 0
-    best_set = 0
-
-    def expand(cand: int, size: int, picked: int):
-        nonlocal best_size, best_set
-        if size + cand.bit_count() <= best_size:
-            return
-        if cand == 0:
-            best_size, best_set = size, picked
-            return
-        v = max(_bits(cand), key=lambda u: ((cand & nbrs[u - 1]).bit_count(), -u))
-        vbit = 1 << (v - 1)
-        expand(cand & ~nbrs[v - 1] & ~vbit, size + 1, picked | vbit)
-        expand(cand & ~vbit, size, picked)
-
-    expand(_full(g.n), 0, 0)
-    return best_size, frozenset(_bits(best_set))
+    clique, _ = clique_search(complement(g))
+    return len(clique), clique
 
 
 def independent_set_of_size(
     g: Graph, k: int, node_budget: int
 ) -> Optional[frozenset[int]]:
-    """Some independent set of exactly k vertices, or None when none exists.
-
-    Depth-first search that branches on the candidate of lowest degree among
-    the candidates and includes it first, so sparse regions fill the set
-    greedily before any backtracking. A branch is cut once its candidates
-    cannot reach k. Raises SearchBudgetExceeded after node_budget branch
-    nodes without an answer either way.
-    """
-    nbrs = g.nbrs
-    stack = [(_full(g.n), 0, 0)]
-    nodes = 0
-    while stack:
-        cand, size, picked = stack.pop()
-        if size >= k:
-            return frozenset(_bits(picked))
-        if size + cand.bit_count() < k:
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"independent set search for size {k} limited to {node_budget} nodes"
-            )
-        v = min(_bits(cand), key=lambda u: ((cand & nbrs[u - 1]).bit_count(), u))
-        vbit = 1 << (v - 1)
-        stack.append((cand & ~vbit, size, picked))
-        stack.append((cand & ~nbrs[v - 1] & ~vbit, size + 1, picked | vbit))
-    return None
+    """Some independent set of k vertices, a clique of the complement, or
+    None when none exists; SearchBudgetExceeded past node_budget branches."""
+    clique, _ = clique_search(complement(g), k, node_budget)
+    return clique if len(clique) == k else None
 
 
-def _coloring(g: Graph, k: int) -> Optional[dict[int, int]]:
-    """A proper colouring with colours 1..k, or None when there is none.
+def _coloring(g: Graph, k: int) -> Optional[list[int]]:
+    """The classes (masks) of a proper colouring with colours 1..k, or None
+    when there is none.
 
     Backtracking in DSATUR order: the next vertex has the most distinct
     colours among its neighbours, then the highest degree, then the lowest
-    index, and takes the lowest colour that fits first. With k >= n the
-    first branch never fails, so it is the greedy DSATUR colouring.
+    index, and takes the lowest colour that fits first.
     """
     nbrs = g.nbrs
-    color: dict[int, int] = {}
     classes = [0] * k  # classes[c-1]: the vertices coloured c
 
     def rec(left: int, top: int) -> bool:
@@ -449,38 +486,35 @@ def _coloring(g: Graph, k: int) -> Optional[dict[int, int]]:
         for c in range(1, min(k, top + 1) + 1):
             if classes[c - 1] & nbrs[v - 1]:
                 continue
-            color[v] = c
             classes[c - 1] |= vbit
             if rec(left ^ vbit, max(top, c)):
                 return True
-            del color[v]
             classes[c - 1] ^= vbit
         return False
 
-    return dict(color) if rec(_full(g.n), 0) else None
+    return classes if rec(_full(g.n), 0) else None
 
 
 def chromatic_number(g: Graph, budget: int = 40) -> tuple[int, dict[int, int]]:
-    """Exact chromatic number with a proper colouring witness."""
+    """Exact chromatic number with a colouring witness, from one clique
+    search of g. Graphs with more than budget vertices are refused."""
     if g.n > budget:
         raise SearchBudgetExceeded(f"colouring search limited to n <= {budget}")
-    omega, _ = independence_number(complement(g), budget)
-    return _chromatic_from(g, omega)
+    return _chromatic_from(g, *clique_search(g))
 
 
-def _chromatic_from(g: Graph, omega: int) -> tuple[int, dict[int, int]]:
-    """Chromatic number of g with a colouring witness, given its clique
-    number omega: the greedy colouring when it uses omega colours, else the
-    fewest colours from omega up that admit one."""
-    greedy = _coloring(g, g.n)
-    upper = max(greedy.values())
-    if upper == omega:
-        return upper, greedy
-    for k in range(omega, upper):
-        witness = _coloring(g, k)
-        if witness is not None:
-            return k, witness
-    return upper, greedy
+def _chromatic_from(
+    g: Graph, clique: frozenset[int], classes: tuple[int, ...]
+) -> tuple[int, dict[int, int]]:
+    """chi(g) with a colouring witness, from a maximum clique and a proper
+    colouring's classes: those when they are as many as the clique's
+    vertices, else the fewest colours from there up that admit one."""
+    for k in range(len(clique), len(classes)):
+        exact = _coloring(g, k)
+        if exact is not None:
+            classes = exact
+            break
+    return len(classes), {v: i for i, c in enumerate(classes, 1) for v in _bits(c)}
 
 
 @dataclass(frozen=True)
@@ -689,15 +723,21 @@ class EtaBounds:
 
 
 def eta_plus_bounds(g: Graph, budget: int = 40) -> EtaBounds:
-    """Outer bounds on the invertible-diagonal PSD minimum rank.
+    """Outer bounds on the invertible-diagonal PSD minimum rank, from one
+    clique search of g's complement.
 
-    Lower bound: independence number. Upper bound: chromatic number of the
-    complement, whose clique number is that same independence number.
-    Certified when they coincide.
+    Lower bound: independence number, the complement's clique number, with
+    the clique as witness. Upper bound: chromatic number of the complement,
+    which the search's colouring meets or an exact colouring search settles.
+    Certified when they coincide. Graphs with more than budget vertices are
+    refused.
     """
-    lower, witness = independence_number(g, budget)
-    upper, coloring = _chromatic_from(complement(g), lower)
-    return EtaBounds(lower, witness, upper, coloring, lower == upper)
+    if g.n > budget:
+        raise SearchBudgetExceeded(f"independence search limited to n <= {budget}")
+    co = complement(g)
+    clique, classes = clique_search(co)
+    upper, coloring = _chromatic_from(co, clique, classes)
+    return EtaBounds(len(clique), clique, upper, coloring, len(clique) == upper)
 
 
 # ---------------------------------------------------------------------------

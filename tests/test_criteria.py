@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from loccgraph.families import FAMILIES, generate
 from loccgraph.graphs import independence_number, maximal_cliques
 from loccgraph.linalg import DEFAULT_TOL
 from loccgraph.locc import BobPlan, Povm, simulate
+from loccgraph.serialize import verdict_to_json
 from loccgraph.states import ProductStateSet
 
 
@@ -225,8 +227,10 @@ def test_analyze_report_contents():
 
 def test_search_budget_degrades_gracefully():
     # starving the independence search must never flip the answer; the
-    # verdict falls back to a rung that needs no search and says so
-    v = decide(generate("bennett"), options=DecideOptions(search_budget=2))
+    # verdict falls back to a rung that needs no search and says so. With
+    # search_budget 0 the exact search refuses the nine states and the
+    # capped search for an independent host set has no nodes to spend
+    v = decide(generate("bennett"), options=DecideOptions(search_budget=0))
     assert v.status == INDISTINGUISHABLE
     assert v.certificate.kind == "SpanningObstruction"
     assert any("limited" in note for note in v.notes)
@@ -246,6 +250,21 @@ def test_rings_past_exact_search_carry_witness(spec, direction):
     assert len(v.certificate.data["alpha_witness"]) == d_eff
     outcome = verify_certificate(s, v)
     assert outcome.ok, outcome.checks
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+@pytest.mark.parametrize("spec", ["bullseye:45", "bullseye:81"])
+def test_rings_past_the_search_budget_carry_witness(spec, direction):
+    # d_eff = 45 and 81 exceed search_budget; the search for an independent
+    # host set of size d_eff is bounded by its nodes, not by d_eff, so the
+    # minimum-dimension rung still fires, with a verdict well under 1 kB
+    s = generate(spec)
+    v = decide(s, direction)
+    assert (v.status, v.certificate.kind) == (INDISTINGUISHABLE, "MinDimNoSimplicial")
+    assert v.parameters["d_eff"] > DecideOptions().search_budget
+    outcome = verify_certificate(s, v)
+    assert outcome.ok, outcome.checks
+    assert len(json.dumps(verdict_to_json(v))) < 1000
 
 
 def _checks(states, verdict, witness):
@@ -770,19 +789,18 @@ def test_rungs_no_family_reaches(alice, bob, options, status, kind, data):
 @pytest.mark.parametrize("spec", ["tiles", "bennett", "bennett-subset:2,8,6,4,9"])
 def test_decide_runs_one_independence_search_per_eta_bound(monkeypatch, spec):
     # the upper bound is chi(complement(host)), whose clique number is the
-    # lower bound alpha(host); the search for it is not run a second time
-    import loccgraph.criteria as criteria
+    # lower bound alpha(host); one clique search of Bob's overlap graph, the
+    # host's complement, yields both, and no other search runs
     import loccgraph.graphs as graphs
 
     searched = []
-    original = graphs.independence_number
+    original = graphs.clique_search
 
-    def counting(g, budget=40):
+    def counting(g, *args):
         searched.append(g)
-        return original(g, budget)
+        return original(g, *args)
 
-    for module in (graphs, criteria):
-        monkeypatch.setattr(module, "independence_number", counting)
+    monkeypatch.setattr(graphs, "clique_search", counting)
     v = decide(generate(spec))
     assert "eta_host" in v.parameters
     assert len(searched) == 1
@@ -862,21 +880,19 @@ def test_singular_peels_decide_and_verify(spec, direction, monkeypatch):
 def test_verify_runs_one_independence_search_for_alpha_below_chi(monkeypatch, direction):
     # verify's AlphaLessThanChi check reads alpha(host) and chi(bob) off one
     # eta_plus_bounds call: chi(bob) is chi(complement(host)), whose clique
-    # number is alpha(host), so the search for it is not run twice
-    import loccgraph.criteria as criteria
+    # number is alpha(host), so one clique search of Bob's graph gives both
     import loccgraph.graphs as graphs
 
     s = generate("tiles")
     v = decide(s, direction)
     assert v.certificate.kind == "AlphaLessThanChi"
     searched = []
-    original = graphs.independence_number
+    original = graphs.clique_search
 
-    def counting(g, budget=40):
+    def counting(g, *args):
         searched.append(g)
-        return original(g, budget)
+        return original(g, *args)
 
-    for module in (graphs, criteria):
-        monkeypatch.setattr(module, "independence_number", counting)
+    monkeypatch.setattr(graphs, "clique_search", counting)
     assert verify_certificate(s, v).ok
     assert len(searched) == 1

@@ -1,8 +1,11 @@
 import collections
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from loccgraph.errors import InvalidInput, SearchBudgetExceeded
@@ -12,6 +15,7 @@ from loccgraph.graphs import (
     adjacency_matrix,
     chordal_sandwich,
     chromatic_number,
+    clique_search,
     complement,
     complete_graph,
     cycle_graph,
@@ -178,9 +182,52 @@ def test_independent_set_of_size_budget():
     # C_7 has no independent 4-set, and proving it takes more than one node
     with pytest.raises(SearchBudgetExceeded):
         independent_set_of_size(cycle_graph(7), 4, node_budget=1)
-    # lowest degree first walks a long cycle greedily, one node per member
+    # the colour-once dive walks a long cycle greedily, one node per member
     found = independent_set_of_size(cycle_graph(97), 48, node_budget=48)
-    assert found == frozenset(range(1, 97, 2))
+    assert found == frozenset(range(3, 98, 2))
+
+
+def test_capped_search_runs_deeper_than_the_recursion_limit():
+    # the search keeps its own stack: a clique of k vertices deeper than
+    # Python's recursion limit is found, one node per member
+    k = sys.getrecursionlimit() + 200
+    found = independent_set_of_size(empty_graph(k + 5), k, node_budget=k)
+    assert found is not None and len(found) == k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_clique_search_matches_brute_force(n, p, seed):
+    g = brute.random_graph(n, p, np.random.default_rng(seed))
+    co = complement(g)
+    alpha = brute.brute_alpha(g)
+    size, witness = independence_number(g)
+    assert size == len(witness) == alpha
+    assert not any(g.has_edge(u, v) for u, v in itertools.combinations(witness, 2))
+    chi, coloring = chromatic_number(g)
+    assert chi == brute.brute_chromatic(g) == max(coloring.values())
+    assert set(coloring) == set(g.vertices)
+    assert all(coloring[u] != coloring[v] for u, v in g.edges)
+    # the search's colour classes partition the vertices into independent sets
+    _, classes = clique_search(co)
+    assert sorted(v for c in classes for v in _members(c)) == list(g.vertices)
+    assert not any(co.has_edge(u, v) for c in classes
+                   for u, v in itertools.combinations(_members(c), 2))
+    for k in range(1, n + 2):
+        # every node adds a vertex to a distinct clique: at most 2^n nodes
+        found = independent_set_of_size(g, k, node_budget=2 ** n)
+        assert (found is not None) == (alpha >= k)
+        if found is not None:
+            assert len(found) == k
+            assert not any(g.has_edge(u, v) for u, v in itertools.combinations(found, 2))
+        if k <= len(classes):
+            # the colouring cannot rule k out, so the search needs a node
+            with pytest.raises(SearchBudgetExceeded):
+                clique_search(co, k, node_budget=0)
+
+
+def _members(mask: int) -> list[int]:
+    return [v + 1 for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def test_chromatic_number_coloring():
@@ -491,19 +538,22 @@ def test_is_subgraph_is_edge_set_inclusion():
 
 
 def test_eta_bounds_run_one_independence_search(monkeypatch):
+    # one clique search of the complement gives alpha(g) and bounds
+    # chi(complement(g)); the exact colouring search that C_5 needs past
+    # that bound is not a second clique search
     import loccgraph.graphs as graphs
 
     searched = []
-    original = graphs.independence_number
+    original = graphs.clique_search
 
-    def counting(g, budget=40):
+    def counting(g, *args):
         searched.append(g)
-        return original(g, budget)
+        return original(g, *args)
 
-    monkeypatch.setattr(graphs, "independence_number", counting)
+    monkeypatch.setattr(graphs, "clique_search", counting)
     for g in (cycle_graph(5), path_graph(4), cycle_graph(7), complement(path_graph(7))):
         searched.clear()
         b = eta_plus_bounds(g)
-        assert searched == [g]
+        assert searched == [complement(g)]
         assert b.upper == chromatic_number(complement(g))[0]
-        assert b.lower == original(g)[0]
+        assert b.lower == independence_number(g)[0]

@@ -181,12 +181,14 @@ def certificate_splitting(
         return certificate.data[key]
 
     m = work.alice_gram()
+    # more states than Alice's dimension: a singular Gram, not worth factorising
+    singular = work.n > work.d_alice
     if kind in (KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST):
         g = ga if kind == KIND_CHORDAL_ALICE else host
-        return chordal_decompose(m, g, tol, ordering=field("ordering"))
+        return chordal_decompose(m, g, tol, ordering=field("ordering"), _singular=singular)
     if kind == KIND_SANDWICH:
         g = Graph.from_edges(work.n, field("sandwich_edges"))
-        return chordal_decompose(m, g, tol, ordering=field("ordering"))
+        return chordal_decompose(m, g, tol, ordering=field("ordering"), _singular=singular)
     if kind == KIND_SCALED_DD:
         groups = [frozenset(s) for s in field("supports")]
         return dominance_split(m, ga, np.asarray(field("scaling"), dtype=float), groups)

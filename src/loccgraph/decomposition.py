@@ -102,6 +102,7 @@ def support_sets(mask: np.ndarray) -> tuple[frozenset[int], ...]:
 
 def _pattern_leaks(m: np.ndarray, adj: np.ndarray, bound: float) -> list[tuple[int, int, float]]:
     off = (np.abs(m) > bound) & ~adj
+    np.fill_diagonal(off, False)
     if not off.any():
         return []
     rows, cols = np.nonzero(np.triu(off, k=1))
@@ -116,6 +117,8 @@ def chordal_decompose(
     g: Graph,
     tol: Tolerance = DEFAULT_TOL,
     ordering: Optional[Sequence[int]] = None,
+    *,
+    _singular: bool = False,
 ) -> Decomposition:
     """Peel m into rank-one terms supported on cliques of chordal g.
 
@@ -137,9 +140,10 @@ def chordal_decompose(
     fails or a pivot is at most that floor does the PSD check's eigensolve
     run: a matrix with an eigenvalue below -psd_tol raises NotPSD, and a
     singular one (more states than the rank of their span) takes the
-    elimination loop, which skips each vertex whose pivot vanishes. Both
-    routes end in _cut_to_cliques. NotPSD takes precedence over a graph
-    or ordering that admits no peel.
+    elimination loop, which skips each vertex whose pivot vanishes; a
+    caller that knows m singular passes _singular to skip the factorisation.
+    Both routes end in _cut_to_cliques. NotPSD takes precedence over a
+    graph or ordering that admits no peel.
     """
     m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (g.n, g.n):
@@ -163,7 +167,8 @@ def chordal_decompose(
     pieces = None
     if not misfit:
         order = np.asarray(ordering, dtype=int) - 1
-        pieces = _cholesky_pieces(m, order, tol.zero_tol * scale)
+        if not _singular:
+            pieces = _cholesky_pieces(m, order, tol.zero_tol * scale)
     if pieces is None:
         ok, min_eig = psd_check(m, tol)
         if not ok:

@@ -170,7 +170,9 @@ def outcome_overlaps(basis: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """|B* B - I| for Bob's columns B, on the pairs of columns that answer
     the same outcome, and zero on the other pairs."""
     same = outcomes[:, None] == outcomes[None, :]
-    return np.abs(basis.conj().T @ basis - np.eye(len(outcomes))) * same
+    overlaps = basis.conj().T @ basis
+    overlaps.flat[::len(outcomes) + 1] -= 1
+    return np.abs(overlaps) * same
 
 
 def _bob_plans(
@@ -215,7 +217,9 @@ def synthesize_protocol(
     outcome of its support; Bob's reply depends only on that support. The
     pieces then sum to the identity on the span of Alice's states; whatever
     is missing on the orthogonal complement is appended to the last
-    outcome, where no state can trigger it.
+    outcome, where no state can trigger it. The eigenvalues of I minus the
+    pieces show whether anything is missing; only then are its directions
+    computed.
     """
     if dec.n != states.n:
         raise InvalidInput(f"splitting over {dec.n} states, set has {states.n}")
@@ -226,17 +230,22 @@ def synthesize_protocol(
     )
     outcomes, firsts = outcome_numbers(dec.supports)
     weights = mus ** 2
-    w, v = eigh_desc(np.eye(states.d_alice) - (phis * weights) @ phis.conj().T)
-    if w[-1] < -10 * tol.psd_tol:
-        raise NotPSD(f"splitting overshoots the identity by {-w[-1]:.3g}")
-    fill = w > tol.zero_tol
-    extra = int(fill.sum())
-    povm = Povm(
-        np.concatenate([phis.T, v[:, fill].T]),
-        np.concatenate([weights, w[fill]]),
-        np.concatenate([outcomes, np.repeat(outcomes[-1:], extra)]),
-        np.concatenate([dec.supports, np.repeat(dec.supports[-1:], extra, axis=0)]),
-    )
+    missing = np.eye(states.d_alice) - (phis * weights) @ phis.conj().T
+    w = np.linalg.eigvalsh(missing)
+    if w[0] < -10 * tol.psd_tol:
+        raise NotPSD(f"splitting overshoots the identity by {-w[0]:.3g}")
+    if w[-1] <= tol.zero_tol:
+        povm = Povm(phis.T, weights, outcomes, dec.supports)
+    else:
+        w, v = eigh_desc(missing)
+        fill = w > tol.zero_tol
+        extra = int(fill.sum())
+        povm = Povm(
+            np.concatenate([phis.T, v[:, fill].T]),
+            np.concatenate([weights, w[fill]]),
+            np.concatenate([outcomes, np.repeat(outcomes[-1:], extra)]),
+            np.concatenate([dec.supports, np.repeat(dec.supports[-1:], extra, axis=0)]),
+        )
     return Protocol(povm, *_bob_plans(states, dec.supports[firsts], tol))
 
 
@@ -283,7 +292,9 @@ def _alice_probabilities(
 
 
 def _completeness_deviation(povm: Povm) -> float:
-    return float(np.abs(np.linalg.eigvalsh(povm.total() - np.eye(povm.dim))).max())
+    deviation = povm.total()
+    deviation.flat[::povm.dim + 1] -= 1
+    return float(np.abs(np.linalg.eigvalsh(deviation)).max())
 
 
 def validate_povm(

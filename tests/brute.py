@@ -502,6 +502,28 @@ def splitting(n: int, pieces, residual: float = 0.0) -> Decomposition:
     return Decomposition(vectors, support_mask(supports, n), residual)
 
 
+def reference_lift(states, dec):
+    """synthesize_protocol as first written: the whole eigendecomposition of
+    I minus the lifted pieces, every direction above zero_tol appended to
+    the last outcome, and each POVM array a concatenated copy."""
+    from loccgraph.linalg import DEFAULT_TOL as tol, eigh_desc, svd_preimage
+    from loccgraph.locc import Povm, Protocol, _bob_plans, outcome_numbers
+
+    phis, mus = svd_preimage(states.alice_frame(), states.alice_svd(tol), dec.vectors.T, tol)
+    outcomes, firsts = outcome_numbers(dec.supports)
+    weights = mus ** 2
+    w, v = eigh_desc(np.eye(states.d_alice) - (phis * weights) @ phis.conj().T)
+    fill = w > tol.zero_tol
+    extra = int(fill.sum())
+    povm = Povm(
+        np.concatenate([phis.T, v[:, fill].T]),
+        np.concatenate([weights, w[fill]]),
+        np.concatenate([outcomes, np.repeat(outcomes[-1:], extra)]),
+        np.concatenate([dec.supports, np.repeat(dec.supports[-1:], extra, axis=0)]),
+    )
+    return Protocol(povm, *_bob_plans(states, dec.supports[firsts], tol))
+
+
 def reference_simulation(states, protocol) -> dict:
     """The protocol run element by element, straight from its definition:
     state i fires element e with probability w_e |<d_e, a_i>|^2; an element

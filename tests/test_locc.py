@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
+from loccgraph import ProductStateSet
+from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide, verify_certificate
 from loccgraph.decomposition import (
     Decomposition,
     chordal_decompose,
@@ -190,6 +191,69 @@ def test_sweep_plans_are_their_supports_columns(direction, monkeypatch):
             members = sorted(support_of[plan.outcome])
             assert plan.labels == tuple(work.labels[i - 1] for i in members)
             assert plan.basis.shape == (work.d_bob, len(members))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_lift_matches_the_reference_bit_for_bit():
+    # the built-in families both ways and seed-1 random chordal sets: the
+    # POVM, Bob's columns and the simulation report are those of the lift
+    # that always took the whole eigendecomposition and copied every array
+    cases = [(generate(spec), direction) for specs in brute.SWEEP_SPECS.values()
+             for spec in specs for direction in (ALICE_FIRST, BOB_FIRST)]
+    rng = np.random.default_rng(1)
+    cases += [(brute.random_product_instance(int(rng.integers(5, 11)), rng)[0], ALICE_FIRST)
+              for _ in range(10)]
+    lifted = 0
+    for states, direction in cases:
+        v = decide(states, direction)
+        if v.protocol is None:
+            continue
+        work = states if direction == ALICE_FIRST else states.swapped()
+        ref = brute.reference_lift(work, v.decomposition)
+        for name in ("directions", "weights", "outcomes", "supports"):
+            assert _same_bits(getattr(v.protocol.alice, name), getattr(ref.alice, name))
+        for name in ("bob_basis", "bob_outcomes", "bob_labels"):
+            assert _same_bits(getattr(v.protocol, name), getattr(ref, name))
+        assert v.simulation == simulate(work, ref)
+        lifted += 1
+    assert lifted == 27
+
+
+def _padded(states: ProductStateSet) -> ProductStateSet:
+    """The set with a zero coordinate appended to every Alice vector."""
+    return ProductStateSet.from_vectors(
+        [np.append(a, 0) for a in states.alice], list(states.bob), states.labels)
+
+
+@pytest.mark.parametrize("source,direction,padded,eigenvectors", [
+    ("random", ALICE_FIRST, False, 0),      # 8 states spanning C^8
+    ("path-rep:8", BOB_FIRST, False, 0),    # 8 states spanning C^8
+    ("random", ALICE_FIRST, True, 1),       # the same 8 states in C^9
+    ("example1", ALICE_FIRST, True, 1),     # 4 states spanning C^2, in C^3
+])
+def test_a_lift_takes_eigenvectors_only_to_fill_what_the_states_leave_empty(
+    lapack_calls, source, direction, padded, eigenvectors
+):
+    if source == "random":
+        s, _ = brute.random_product_instance(8, np.random.default_rng(2))
+    else:
+        s = generate(source)
+    if padded:
+        s = _padded(s)
+    v = decide(s, direction)
+    assert verify_certificate(s, v).ok
+    work = s if direction == ALICE_FIRST else s.swapped()
+    lapack_calls.clear()
+    povm = synthesize_protocol(work, v.decomposition).alice
+    assert (lapack_calls["eigvalsh"], lapack_calls["eigh"]) == (1, eigenvectors)
+    # the fill elements, past the lifted pieces, are silent on every state
+    fill = slice(len(v.decomposition.vectors), None)
+    assert len(povm.weights[fill]) == (work.d_alice - np.linalg.matrix_rank(work.alice))
+    silent = povm.weights[fill, None] * np.abs(povm.directions[fill].conj() @ work.alice.T) ** 2
+    assert silent.max(initial=0.0) <= 1e-12
 
 
 def test_simulate_matches_operator_reference():

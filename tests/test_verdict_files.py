@@ -516,10 +516,13 @@ def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
     ("bennett-subset:1,2,3,4,5,6,8", 1),     # 7 states in C^3
 ])
 def test_a_peel_runs_the_psd_eigensolve_only_when_its_factorisation_fails(
-    monkeypatch, source, eigensolves
+    monkeypatch, lapack_calls, source, eigensolves
 ):
-    # a completed Cholesky factorisation proves the Gram PSD; a singular
-    # Gram fails it and takes the eigensolve before the elimination loop
+    # a completed Cholesky factorisation proves the Gram PSD; a Gram that is
+    # singular by its shape (more states than Alice's dimension) is not
+    # factorised at all and takes the eigensolve before the elimination
+    # loop, so each peel here runs exactly one of the two
+    factorisations = 1 - eigensolves
     if source == "random":
         s, _ = brute.random_product_instance(8, np.random.default_rng(2))
     else:
@@ -531,10 +534,12 @@ def test_a_peel_runs_the_psd_eigensolve_only_when_its_factorisation_fails(
     v = decide(s, ALICE_FIRST)
     assert v.certificate.kind == "ChordalAliceGraph"
     assert len(checks) == eigensolves
+    assert lapack_calls["cholesky"] == factorisations
     # reading the file back peels again; verifying does not peel
     back = verdict_from_json(json.loads(_write(v)), s)
     assert verify_certificate(s, back).ok
     assert len(checks) == 2 * eigensolves
+    assert lapack_calls["cholesky"] == 2 * factorisations
 
 
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])

@@ -37,12 +37,12 @@ from .graphs import (  # noqa: F401
     Graph,
     chordal_sandwich,
     chromatic_number,
+    clique_search,
     edge_clique_cover_number,
     eta_plus_bounds,
     find_two_clique_cover,
     greedy_clique_cover,
     independence_number,
-    independent_set_of_size,
     is_chordal,
     is_clique,
     is_perfect_elimination_ordering,
@@ -181,7 +181,8 @@ def certificate_splitting(
         return certificate.data[key]
 
     m = work.alice_gram()
-    # more states than Alice's dimension: a singular Gram, not worth factorising
+    # more states than Alice's dimension: a singular Gram, PSD as X*X, so
+    # neither factorised nor eigensolved before the peel's elimination loop
     singular = work.n > work.d_alice
     if kind in (KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST):
         g = ga if kind == KIND_CHORDAL_ALICE else host
@@ -306,13 +307,14 @@ def _minimum_dimension_verdict(
         if alpha == d_eff:
             witness = alpha_wit
     elif no_simplicial:
+        # the host's complement is Bob's overlap graph, so an independent
+        # host set is a clique of gb
         try:
-            witness = independent_set_of_size(
-                host, d_eff, opt.search_budget * work.n
-            )
+            found, _ = clique_search(graphs.bob, d_eff, opt.search_budget * work.n)
         except SearchBudgetExceeded as exc:
             notes.append(str(exc))
         else:
+            witness = found or None
             if witness is None:
                 notes.append(f"no independent host set of size {d_eff}")
     if no_simplicial and witness is not None:

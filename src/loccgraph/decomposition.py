@@ -140,10 +140,11 @@ def chordal_decompose(
     fails or a pivot is at most that floor does the PSD check's eigensolve
     run: a matrix with an eigenvalue below -psd_tol raises NotPSD, and a
     singular one (more states than the rank of their span) takes the
-    elimination loop, which skips each vertex whose pivot vanishes; a
-    caller that knows m singular passes _singular to skip the factorisation.
-    Both routes end in _cut_to_cliques. NotPSD takes precedence over a
-    graph or ordering that admits no peel.
+    elimination loop, which skips each vertex whose pivot vanishes. A
+    caller whose m is a Gram, PSD by construction, and singular passes
+    _singular to go straight to that loop, which still raises NegativePivot
+    below -psd_tol. Both routes end in _cut_to_cliques. Without _singular,
+    NotPSD takes precedence over a graph or ordering that admits no peel.
     """
     m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (g.n, g.n):
@@ -170,9 +171,10 @@ def chordal_decompose(
         if not _singular:
             pieces = _cholesky_pieces(m, order, tol.zero_tol * scale)
     if pieces is None:
-        ok, min_eig = psd_check(m, tol)
-        if not ok:
-            raise NotPSD(f"matrix has eigenvalue {min_eig:.3g}")
+        if not _singular:
+            ok, min_eig = psd_check(m, tol)
+            if not ok:
+                raise NotPSD(f"matrix has eigenvalue {min_eig:.3g}")
         if misfit:
             raise PatternViolation(misfit)
         pieces = _eliminated_pieces(m, order, tol, scale)

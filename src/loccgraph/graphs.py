@@ -75,11 +75,11 @@ class Graph:
         """A graph from a read-only boolean matrix, symmetric with a clear
         diagonal by construction, which it keeps as its adjacency_matrix,
         with its edge count; only n is checked."""
-        n, width = len(a), (len(a) + 7) // 8
-        raw = np.packbits(a, axis=1, bitorder="little").tobytes()
-        g = cls._from_masks(n, tuple(
-            int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(n)
-        ))
+        rows = np.packbits(a, axis=1, bitorder="little")
+        # each packed row as one bytes object, read as a little-endian int
+        raw = rows.view(f"V{rows.shape[1]}").ravel().tolist()
+        nbrs = tuple(map(int.from_bytes, raw, itertools.repeat("little")))
+        g = cls._from_masks(len(a), nbrs)
         g.__dict__["_adjacency_matrix"] = a
         g.__dict__["_edge_count"] = int(np.count_nonzero(a)) // 2
         return g
@@ -256,22 +256,43 @@ class ChordalityResult:
         return hole
 
 
-def lex_bfs_order(g: Graph) -> tuple[int, ...]:
-    """Lexicographic BFS visit order; ties go to the smallest vertex.
+def _lex_bfs(g: Graph):
+    """Lexicographic BFS, ties to the smallest vertex: each vertex as it is
+    visited, with its visited neighbours and the latest of them (0 if none).
 
     Partition refinement: the unvisited vertices sit in cells ordered by
     decreasing label, and visiting v moves v's neighbours in each cell
-    ahead of the rest of that cell.
+    ahead of the rest of that cell. A cell's vertices share their visited
+    neighbours, and the latest of them is kept in the bits above the n
+    vertex bits.
     """
-    cells = [_full(g.n)]
-    order: list[int] = []
+    n, nbrs = g.n, g.nbrs
+    full = _full(n)
+    cells, seen = [full], 0
     while cells:
         low = cells[0] & -cells[0]
-        order.append(low.bit_length())
+        v = low.bit_length()
+        nb = nbrs[v - 1]
+        yield v, nb & seen, cells[0] >> n
+        seen |= low
         cells[0] ^= low
-        nb = g.nbrs[order[-1] - 1]
-        cells = [part for cell in cells for part in (cell & nb, cell & ~nb) if part]
-    return tuple(order)
+        if not cells[0] & full:
+            del cells[0]
+        if nb & ~seen:
+            tag, refined = v << n, []
+            for cell in cells:
+                inside = cell & nb
+                if inside:
+                    refined.append(inside | tag)
+                    cell ^= inside
+                if cell & full:
+                    refined.append(cell)
+            cells = refined
+
+
+def lex_bfs_order(g: Graph) -> tuple[int, ...]:
+    """Lexicographic BFS visit order; ties go to the smallest vertex."""
+    return tuple(v for v, _, _ in _lex_bfs(g))
 
 
 def is_perfect_elimination_ordering(g: Graph, order: Sequence[int]) -> bool:
@@ -330,12 +351,19 @@ def _shortest_path_avoiding(
 
 @_kept
 def is_chordal(g: Graph) -> ChordalityResult:
-    """Lex-BFS ordering verified independently; a hole, found when read,
-    witnesses failure."""
-    order = tuple(reversed(lex_bfs_order(g)))
-    if is_perfect_elimination_ordering(g, order):
-        return ChordalityResult(True, order, g.nbrs)
-    return ChordalityResult(False, None, g.nbrs)
+    """One lex-BFS pass with the Rose-Tarjan-Lueker test ("Algorithmic
+    aspects of vertex elimination on graphs", 1976): the reversed visit
+    order is a perfect elimination ordering iff each vertex's visited
+    neighbours, less the latest of them, are neighbours of that latest one.
+    A graph is chordal iff its lex-BFS order passes, so the pass stops at
+    the first vertex that fails; a hole, found when read, witnesses that."""
+    nbrs = g.nbrs
+    order = []
+    for v, earlier, latest in _lex_bfs(g):
+        if earlier and earlier & ~nbrs[latest - 1] != 1 << (latest - 1):
+            return ChordalityResult(False, None, nbrs)
+        order.append(v)
+    return ChordalityResult(True, tuple(reversed(order)), nbrs)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
 from .graphs import Graph, sandwich_simplicial_vertices, simplicial_vertices
-from .linalg import DEFAULT_TOL, Tolerance, hermitize, numeric_rank, thin_svd
+from .linalg import DEFAULT_TOL, Tolerance, numeric_rank, thin_svd
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,10 @@ class ProductStateSet:
             zero = np.flatnonzero(np.linalg.norm(x, axis=1) == 0.0)
             if zero.size:
                 raise ZeroVector(f"{side} part of state {labels[zero[0]]} is zero")
-        grams = (hermitize(a.conj() @ a.T), hermitize(b.conj() @ b.T))
+        grams = (a.conj() @ a.T, b.conj() @ b.T)
+        for g in grams:  # its Hermitian part, formed in place
+            np.add(g, g.conj().T, out=g)
+            g *= 0.5
         for x in (a, b, *grams):
             x.setflags(write=False)
         object.__setattr__(self, "alice", a)

@@ -77,6 +77,29 @@ def brute_is_chordal(g: Graph) -> bool:
     return True
 
 
+def reference_lex_bfs_order(g: Graph) -> tuple[int, ...]:
+    """Lexicographic BFS visit order, ties to the smallest vertex, by
+    partition refinement that splits every cell at every visit: the order
+    graphs.lex_bfs_order and is_chordal must keep."""
+    cells = [(1 << g.n) - 1]
+    order: list[int] = []
+    while cells:
+        low = cells[0] & -cells[0]
+        order.append(low.bit_length())
+        cells[0] ^= low
+        nb = g.nbrs[order[-1] - 1]
+        cells = [part for cell in cells for part in (cell & nb, cell & ~nb) if part]
+    return tuple(order)
+
+
+def reference_masks(a: np.ndarray) -> tuple[int, ...]:
+    """Neighbour masks of the boolean matrix a, each row's slice of the
+    packed bytes read as a little-endian int."""
+    n, width = len(a), (len(a) + 7) // 8
+    raw = np.packbits(a, axis=1, bitorder="little").tobytes()
+    return tuple(int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(n))
+
+
 def brute_closed_cliques(lo: Graph, hi: Graph) -> frozenset[int]:
     """Vertices v whose closed lo-neighbourhood is a hi-clique, checked
     vertex by vertex and pair by pair on the edge sets; with lo = hi these

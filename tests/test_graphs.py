@@ -122,14 +122,14 @@ def test_holes_are_induced_cycles():
 
 
 def test_deciding_a_bullseye_orders_once_and_finds_no_hole(monkeypatch):
-    # the host is the Alice graph object, so one lex-BFS decides the
+    # the host is the Alice graph object, so one lex-BFS pass decides the
     # chordality of both, and no rung reads a hole
     from loccgraph import graphs as graph_module
     from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
     from loccgraph.families import generate
 
     calls = collections.Counter()
-    for name in ("find_hole", "lex_bfs_order"):
+    for name in ("find_hole", "_lex_bfs"):
         def counting(g, _name=name, _real=getattr(graph_module, name)):
             calls[_name] += 1
             return _real(g)
@@ -137,7 +137,82 @@ def test_deciding_a_bullseye_orders_once_and_finds_no_hole(monkeypatch):
     s = generate("bullseye:11")
     for direction in (ALICE_FIRST, BOB_FIRST):
         assert decide(s, direction).certificate.kind == "MinDimNoSimplicial"
-    assert calls == {"lex_bfs_order": 2}
+    assert calls == {"_lex_bfs": 2}
+
+
+def test_deciding_a_bullseye_builds_no_complement(monkeypatch):
+    # the witness search runs on Bob's overlap graph, the host's complement,
+    # and n = 177 is past the exact alpha search's budget
+    from loccgraph import graphs as graph_module
+    from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
+    from loccgraph.families import generate
+
+    s = generate("bullseye:45")
+    built = []
+    real = graph_module.complement
+    monkeypatch.setattr(graph_module, "complement", lambda g: built.append(g) or real(g))
+    for direction in (ALICE_FIRST, BOB_FIRST):
+        assert decide(s, direction).certificate.kind == "MinDimNoSimplicial"
+    assert built == []
+
+
+def _chordality_oracle_corpus():
+    """2,000 random graphs and 400 random chordal ones on at most 14
+    vertices (seed 53), then cycles, paths and bullseye overlap graphs on
+    63 to 161 vertices: each graph with whether the brute oracle runs."""
+    rng = np.random.default_rng(53)
+    for _ in range(2000):
+        yield brute.random_graph(int(rng.integers(1, 15)), float(rng.random()), rng), True
+    for _ in range(400):
+        yield brute.random_chordal(int(rng.integers(1, 15)), rng), True
+    from loccgraph.families import generate
+    bullseye = {d: generate(f"bullseye:{d}").build_graphs() for d in (17, 33, 41)}
+    for n in (63, 64, 65, 129, 161):
+        yield cycle_graph(n), False
+        yield path_graph(n), False
+        # bullseye:d has 4d - 3 states; n = 63, 64 are induced subgraphs
+        graphs = bullseye[min(d for d in bullseye if 4 * d - 3 >= n)]
+        for g in (graphs.alice, graphs.bob, graphs.bob_orthogonality()):
+            yield Graph._from_masks(n, tuple(m & (1 << n) - 1 for m in g.nbrs[:n])), False
+
+
+def test_one_pass_chordality_matches_the_oracles():
+    # against the subset-by-subset oracle, networkx, and the two-pass
+    # reference: the reversed lex-BFS order of the old refinement, then the
+    # full pairwise perfect elimination check; a chordal graph's ordering
+    # is that reversed order
+    import networkx as nx
+
+    chordal = holes = 0
+    for g, small in _chordality_oracle_corpus():
+        res = is_chordal(g)
+        reference = tuple(reversed(brute.reference_lex_bfs_order(g)))
+        assert lex_bfs_order(g) == reference[::-1]
+        two_pass = is_perfect_elimination_ordering(g, reference)
+        assert res.chordal == two_pass, (g.n, g.nbrs)
+        assert res.ordering == (reference if two_pass else None)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(g.vertices)
+        nxg.add_edges_from(g.edge_list())
+        assert res.chordal == nx.is_chordal(nxg)
+        if small:
+            assert res.chordal == brute.brute_is_chordal(g)
+        chordal += res.chordal
+        holes += not res.chordal
+    assert chordal > 1000 and holes > 800
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 128, 129, 200])
+def test_masks_from_a_matrix_match_the_byte_slices(n):
+    rng = np.random.default_rng(n)
+    for p in (0.0, 0.3, 0.7, 1.0):
+        a = np.triu(rng.random((n, n)) < p, k=1)
+        a = a | a.T
+        a.setflags(write=False)
+        g = Graph._from_adjacency(a)
+        assert g.nbrs == brute.reference_masks(a)
+        assert all(type(m) is int for m in g.nbrs)
+        assert Graph(n, g.nbrs) == g and adjacency_matrix(g) is a
 
 
 def test_maximal_cliques_bull():

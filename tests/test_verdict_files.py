@@ -14,7 +14,7 @@ import pytest
 
 import brute
 import loccgraph
-from loccgraph import ProductStateSet, decomposition, states
+from loccgraph import ProductStateSet, criteria, decomposition, states
 from loccgraph.criteria import (
     ALICE_FIRST,
     BOB_FIRST,
@@ -510,36 +510,50 @@ def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
     assert counts == {"intake": 1, "ranks": ranks, "svds": svds}
 
 
-@pytest.mark.parametrize("source,eigensolves", [
-    ("random", 0),                           # 8 states in C^8
+@pytest.mark.parametrize("source,singular", [
+    ("random", 0),                           # 8 states spanning C^8
     ("example1", 1),                         # 4 states in C^2
     ("bennett-subset:1,2,3,4,5,6,8", 1),     # 7 states in C^3
+    ("example1 in C^4", 0),                  # 4 states spanning C^2, in C^4
 ])
 def test_a_peel_runs_the_psd_eigensolve_only_when_its_factorisation_fails(
-    monkeypatch, lapack_calls, source, eigensolves
+    monkeypatch, lapack_calls, source, singular
 ):
-    # a completed Cholesky factorisation proves the Gram PSD; a Gram that is
-    # singular by its shape (more states than Alice's dimension) is not
-    # factorised at all and takes the eigensolve before the elimination
-    # loop, so each peel here runs exactly one of the two
-    factorisations = 1 - eigensolves
+    # a completed Cholesky factorisation proves the Gram PSD. A Gram that is
+    # singular by its shape (more states than Alice's dimension) is PSD as
+    # X*X: it is neither factorised nor eigensolved before the elimination
+    # loop. Only a factorisation that fails takes the PSD check's eigensolve.
     if source == "random":
         s, _ = brute.random_product_instance(8, np.random.default_rng(2))
+    elif source == "example1 in C^4":
+        e = generate("example1")
+        s = ProductStateSet.from_vectors(
+            [np.append(a, (0, 0)) for a in e.alice], list(e.bob), e.labels)
     else:
         s = generate(source)
-    checks = []
-    check = decomposition.psd_check
+    assert (s.n > s.d_alice) == singular
+    fails = int(source == "example1 in C^4")
+    checks, peels = [], []
+    check, peel = decomposition.psd_check, criteria.chordal_decompose
     monkeypatch.setattr(decomposition, "psd_check",
                         lambda *args: checks.append(args) or check(*args))
+
+    def counted(*args, **kwargs):
+        before = lapack_calls.copy()
+        out = peel(*args, **kwargs)
+        peels.append(tuple(lapack_calls[k] - before[k] for k in ("cholesky", "eigvalsh", "eigh")))
+        return out
+
+    monkeypatch.setattr(criteria, "chordal_decompose", counted)
     v = decide(s, ALICE_FIRST)
     assert v.certificate.kind == "ChordalAliceGraph"
-    assert len(checks) == eigensolves
-    assert lapack_calls["cholesky"] == factorisations
+    assert peels == [(1 - singular, fails, 0)]
+    assert len(checks) == fails
     # reading the file back peels again; verifying does not peel
     back = verdict_from_json(json.loads(_write(v)), s)
     assert verify_certificate(s, back).ok
-    assert len(checks) == 2 * eigensolves
-    assert lapack_calls["cholesky"] == 2 * factorisations
+    assert peels == [(1 - singular, fails, 0)] * 2
+    assert len(checks) == 2 * fails
 
 
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])

@@ -44,7 +44,6 @@ from .graphs import (
     eta_plus_bounds,
     find_isomorphism,
     independence_number,
-    independent_set_of_size,
     is_chordal,
     maximal_cliques,
     path_graph,
@@ -104,7 +103,6 @@ __all__ = [
     "find_isomorphism",
     "generate",
     "independence_number",
-    "independent_set_of_size",
     "is_chordal",
     "maximal_cliques",
     "parse_family",

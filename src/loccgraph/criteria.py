@@ -29,16 +29,17 @@ from .decomposition import (
     verify_decomposition,
 )
 from .errors import InvalidCover, InvalidInput, LoccGraphError, SearchBudgetExceeded
-# edge_clique_cover_number, find_two_clique_cover, frame, independence_number
-# and validate_povm are no longer called here; they stay bound because
-# perfbench/layertrace.py wraps the names this module binds
+# chromatic_number, edge_clique_cover_number, eta_plus_bounds,
+# find_two_clique_cover, frame, independence_number and validate_povm are no
+# longer called here; they stay bound because perfbench/layertrace.py wraps
+# the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
     Graph,
     chordal_sandwich,
     chromatic_number,
-    clique_search,
     edge_clique_cover_number,
+    eta_bounds_of_complement,
     eta_plus_bounds,
     find_two_clique_cover,
     greedy_clique_cover,
@@ -124,6 +125,8 @@ class DecideOptions:
     tol: Tolerance = DEFAULT_TOL
     max_iter: int = 60000
     sandwich_budget: int = 25
+    # nodes per state: each exact graph search spends at most
+    # search_budget * n nodes
     search_budget: int = 40
 
 
@@ -252,6 +255,9 @@ def _minimum_dimension_verdict(
     """The rungs that weigh d_eff against alpha(host) and chi(bob); None
     when none decides. States independent in the host overlap pairwise on
     Bob's side, so their Alice parts are orthogonal: alpha(host) <= d_eff.
+    All three rungs read one search of Bob's overlap graph, the host's
+    complement, for alpha(host), its witness and chi(bob); none fires when
+    that search runs past search_budget · n nodes.
 
     MinDimNoSimplicial: call v sandwich-simplicial when N_ga[v], v and its
     Alice-overlap neighbours, is a host clique. Let I be an independent
@@ -276,54 +282,39 @@ def _minimum_dimension_verdict(
     no verdict there.
     """
     ga, host = graphs.alice, graphs.bob_orthogonality()
-    alpha = chi = None
+    eta = None
     try:
         # the host's complement is Bob's overlap graph, so the host's
         # minimum-rank bounds are alpha(host) with its witness and chi(bob)
-        eta = eta_plus_bounds(host, opt.search_budget)
-        alpha, alpha_wit, chi = eta.lower, eta.lower_witness, eta.upper
-        params["alpha_host"] = alpha
-        params["chi_bob"] = chi
+        eta = eta_bounds_of_complement(graphs.bob, opt.search_budget)
+        params["alpha_host"] = eta.lower
+        params["chi_bob"] = eta.upper
     except SearchBudgetExceeded as exc:
         notes.append(str(exc))
     params["simplicial_host"] = tuple(sorted(simplicial_vertices(host)))
     params["sandwich_simplicial"] = tuple(sorted(graphs.sandwich_simplicial))
-    no_simplicial = d_eff >= 3 and not graphs.sandwich_simplicial
-    # an independent host set of size d_eff proves alpha(host) = d_eff,
-    # exact search or not
-    witness = None
-    if chi is not None:
-        params["eta_host"] = eta
-        if d_eff == chi and alpha < chi:
-            return Verdict(
-                INDISTINGUISHABLE, direction,
-                Certificate(
-                    KIND_ALPHA_CHI,
-                    {"alpha": alpha, "chi": chi,
-                     "alpha_witness": sorted(alpha_wit)},
-                ),
-                params, notes=tuple(notes),
-            )
-        if alpha == d_eff:
-            witness = alpha_wit
-    elif no_simplicial:
-        # the host's complement is Bob's overlap graph, so an independent
-        # host set is a clique of gb
-        try:
-            found, _ = clique_search(graphs.bob, d_eff, opt.search_budget * work.n)
-        except SearchBudgetExceeded as exc:
-            notes.append(str(exc))
-        else:
-            witness = found or None
-            if witness is None:
-                notes.append(f"no independent host set of size {d_eff}")
-    if no_simplicial and witness is not None:
+    if eta is None:
+        return None
+    params["eta_host"] = eta
+    alpha, chi = eta.lower, eta.upper
+    if d_eff == chi and alpha < chi:
+        return Verdict(
+            INDISTINGUISHABLE, direction,
+            Certificate(
+                KIND_ALPHA_CHI,
+                {"alpha": alpha, "chi": chi,
+                 "alpha_witness": sorted(eta.lower_witness)},
+            ),
+            params, notes=tuple(notes),
+        )
+    # an independent host set of size d_eff proves alpha(host) = d_eff
+    if alpha == d_eff >= 3 and not graphs.sandwich_simplicial:
         return Verdict(
             INDISTINGUISHABLE, direction,
             Certificate(
                 KIND_NO_SIMPLICIAL,
                 {"alpha": d_eff, "d_eff": d_eff,
-                 "alpha_witness": sorted(witness),
+                 "alpha_witness": sorted(eta.lower_witness),
                  "eta": d_eff,
                  "eta_certificate": "independent set meets Gram rank"},
             ),
@@ -507,7 +498,7 @@ def analyze(
     try:
         # the host's complement is Bob's overlap graph, so eta's bounds are
         # alpha(host) with its witness and chi(bob)
-        eta = eta_plus_bounds(host, budget)
+        eta = eta_bounds_of_complement(graphs.bob, budget)
         alpha, wit, chi = eta.lower, tuple(sorted(eta.lower_witness)), eta.upper
     except SearchBudgetExceeded as exc:
         notes.append(str(exc))
@@ -568,7 +559,7 @@ def converse_theorem_checks(
     notes: list[str] = []
     try:
         # eta's bounds are alpha(host) and chi(complement(host)) = chi(bob)
-        eta = eta_plus_bounds(host, budget)
+        eta = eta_bounds_of_complement(graphs.bob, budget)
     except SearchBudgetExceeded as exc:
         return ConverseReport(
             False, d_eff, None, None, None, (), (), 0, False, notes=(str(exc),)
@@ -814,13 +805,10 @@ def verify_certificate(
         check("witness spans effective space", rank == d_eff, f"rank {rank}")
     elif kind in (KIND_ALPHA_CHI, KIND_NO_SANDWICH):
         try:
-            if kind == KIND_ALPHA_CHI:
-                # the host's complement is Bob's overlap graph, so one
-                # search for alpha(host) gives both bounds
-                eta = eta_plus_bounds(host, search_budget)
-                alpha, chi = eta.lower, eta.upper
-            else:
-                chi, _ = chromatic_number(gb, search_budget)
+            # the host's complement is Bob's overlap graph, so one search of
+            # it gives alpha(host) and chi(bob)
+            eta = eta_bounds_of_complement(gb, search_budget)
+            alpha, chi = eta.lower, eta.upper
             check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
             if kind == KIND_ALPHA_CHI:
                 check("alpha below chi", alpha < chi, f"alpha {alpha}")

@@ -394,19 +394,19 @@ def maximal_cliques(g: Graph) -> tuple[frozenset[int], ...]:
 
 
 def clique_search(
-    g: Graph, k: Optional[int] = None, node_budget: Optional[int] = None
+    g: Graph, node_budget: int
 ) -> tuple[frozenset[int], tuple[int, ...]]:
-    """A maximum clique of g, or with k some clique of k vertices (empty when
-    there is none), and the classes (masks) of the colouring that bounded
-    the search, as many as chi(g) or more.
+    """A maximum clique of g, and the classes (masks) of the colouring that
+    bounded the search, as many as chi(g) or more.
 
     Bitset branch and bound (Tomita & Kameda 2007; San Segundo et al. 2011).
     g is coloured once, first fit by decreasing degree (Welsh-Powell). The
     search dives from the last class, bounded by the classes that still
     meet its candidates, and colours them again only after a branch fails.
-    It cuts a branch whose size plus bound cannot beat the best clique (or
-    reach k), stops at a clique as large as the colouring (or k), and raises
-    SearchBudgetExceeded past node_budget branches.
+    It cuts a branch whose size plus bound cannot beat the best clique,
+    stops at a clique as large as the colouring, and raises
+    SearchBudgetExceeded past node_budget branches. It keeps its own stack,
+    so a dive may run deeper than Python's recursion limit.
     """
     nbrs = g.nbrs
     by_degree: dict[int, int] = {}
@@ -414,13 +414,13 @@ def clique_search(
         d = m.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     classes = _first_fit(nbrs, [by_degree[d] for d in sorted(by_degree, reverse=True)])
-    cap = len(classes) if k is None else k
-    best, found, nodes = (0 if k is None else k - 1), 0, 0
+    cap = len(classes)
+    best, found, nodes = 0, 0, 0
     # each of cls[:top] meets cand in an independent set; a parent waits on
     # the stack with its branch vertex already taken out of its candidates
     size, picked, cand, cls, top = 0, 0, _full(g.n), classes, len(classes)
     stack: list[tuple[int, int, int, list[int], int]] = []
-    while cap > 0:
+    while True:
         while top and not cls[top - 1] & cand:
             top -= 1
         if size + top <= best:
@@ -429,7 +429,7 @@ def clique_search(
             size, picked, cand, cls, top = stack.pop()
         else:
             nodes += 1
-            if node_budget is not None and nodes > node_budget:
+            if nodes > node_budget:
                 raise SearchBudgetExceeded(f"clique search limited to {node_budget} nodes")
             low = cls[top - 1] & cand
             low &= -low
@@ -470,78 +470,70 @@ def _first_fit(nbrs: Sequence[int], groups: list[int]) -> list[int]:
 
 
 def independence_number(g: Graph, budget: int = 40) -> tuple[int, frozenset[int]]:
-    """Exact maximum independent set: a maximum clique of the complement.
-    Graphs with more than budget vertices are refused."""
-    if g.n > budget:
-        raise SearchBudgetExceeded(f"independence search limited to n <= {budget}")
-    clique, _ = clique_search(complement(g))
+    """Exact maximum independent set: a maximum clique of the complement,
+    found within budget · n search nodes."""
+    clique, _ = clique_search(complement(g), budget * g.n)
     return len(clique), clique
 
 
-def independent_set_of_size(
-    g: Graph, k: int, node_budget: int
-) -> Optional[frozenset[int]]:
-    """Some independent set of k vertices, a clique of the complement, or
-    None when none exists; SearchBudgetExceeded past node_budget branches."""
-    clique, _ = clique_search(complement(g), k, node_budget)
-    return clique if len(clique) == k else None
+def _clique_and_colouring(
+    g: Graph, budget: int
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """A maximum clique of g and the classes (masks) of a colouring with
+    chi(g) colours; the clique search and the colouring search below each
+    spend at most budget · n nodes.
 
-
-def _coloring(g: Graph, k: int) -> Optional[list[int]]:
-    """The classes (masks) of a proper colouring with colours 1..k, or None
-    when there is none.
-
-    Backtracking in DSATUR order: the next vertex has the most distinct
-    colours among its neighbours, then the highest degree, then the lowest
-    index, and takes the lowest colour that fits first.
+    The clique search's colouring is exact when it has as many classes as
+    the clique has vertices. Otherwise k colours are tried from the
+    clique's size up, by backtracking in DSATUR order: the next vertex has
+    the most distinct colours among its neighbours, then the highest
+    degree, then the lowest index, and takes the lowest colour that fits
+    first. The backtracking keeps its own stack, one entry per coloured
+    vertex, and counts a node per colour it gives.
     """
-    nbrs = g.nbrs
-    classes = [0] * k  # classes[c-1]: the vertices coloured c
-
-    def rec(left: int, top: int) -> bool:
-        # top: the highest colour in use
+    limit = budget * g.n
+    clique, classes = clique_search(g, limit)
+    nbrs, nodes = g.nbrs, 0
+    for k in range(len(clique), len(classes)):
+        col = [0] * k  # col[c-1]: the vertices coloured c
+        # each coloured vertex, its colour and the highest colour in use
+        # before it; v is 0 until the next vertex is chosen, c the last
+        # colour it tried
+        stack: list[tuple[int, int, int]] = []
+        left, top, v, c = _full(g.n), 0, 0, 0
+        while left:
+            if not v:
+                v = max(_bits(left), key=lambda u: (
+                    sum(1 for m in col[:top] if m & nbrs[u - 1]),
+                    nbrs[u - 1].bit_count(),
+                    -u,
+                ))
+            c = next((d for d in range(c + 1, min(k, top + 1) + 1)
+                      if not col[d - 1] & nbrs[v - 1]), 0)
+            if c:
+                nodes += 1
+                if nodes > limit:
+                    raise SearchBudgetExceeded(f"colouring search limited to {limit} nodes")
+                col[c - 1] |= 1 << (v - 1)
+                left ^= 1 << (v - 1)
+                stack.append((v, c, top))
+                top, v, c = max(top, c), 0, 0
+            elif stack:
+                v, c, top = stack.pop()
+                col[c - 1] ^= 1 << (v - 1)
+                left |= 1 << (v - 1)
+            else:
+                break
         if not left:
-            return True
-        v = max(
-            _bits(left),
-            key=lambda u: (
-                sum(1 for m in classes[:top] if m & nbrs[u - 1]),
-                nbrs[u - 1].bit_count(),
-                -u,
-            ),
-        )
-        vbit = 1 << (v - 1)
-        for c in range(1, min(k, top + 1) + 1):
-            if classes[c - 1] & nbrs[v - 1]:
-                continue
-            classes[c - 1] |= vbit
-            if rec(left ^ vbit, max(top, c)):
-                return True
-            classes[c - 1] ^= vbit
-        return False
-
-    return classes if rec(_full(g.n), 0) else None
+            return clique, tuple(col)
+    return clique, classes
 
 
 def chromatic_number(g: Graph, budget: int = 40) -> tuple[int, dict[int, int]]:
-    """Exact chromatic number with a colouring witness, from one clique
-    search of g. Graphs with more than budget vertices are refused."""
-    if g.n > budget:
-        raise SearchBudgetExceeded(f"colouring search limited to n <= {budget}")
-    return _chromatic_from(g, *clique_search(g))
-
-
-def _chromatic_from(
-    g: Graph, clique: frozenset[int], classes: tuple[int, ...]
-) -> tuple[int, dict[int, int]]:
-    """chi(g) with a colouring witness, from a maximum clique and a proper
-    colouring's classes: those when they are as many as the clique's
-    vertices, else the fewest colours from there up that admit one."""
-    for k in range(len(clique), len(classes)):
-        exact = _coloring(g, k)
-        if exact is not None:
-            classes = exact
-            break
+    """Exact chromatic number with a colouring witness (each vertex to its
+    colour in 1..chi), from one clique search of g and, when its colouring
+    is not exact, one colouring search, each within budget · n nodes."""
+    _, classes = _clique_and_colouring(g, budget)
     return len(classes), {v: i for i, c in enumerate(classes, 1) for v in _bits(c)}
 
 
@@ -746,8 +738,15 @@ class EtaBounds:
     lower: int
     lower_witness: frozenset[int]
     upper: int
-    upper_coloring: dict[int, int] = field(compare=False)
     certified: bool = False
+
+
+def eta_bounds_of_complement(g: Graph, budget: int = 40) -> EtaBounds:
+    """eta_plus_bounds(complement(g)) without building the complement: the
+    clique number of g with a maximum clique, and chi(g), from one clique
+    search of g (see chromatic_number for the budget)."""
+    clique, classes = _clique_and_colouring(g, budget)
+    return EtaBounds(len(clique), clique, len(classes), len(clique) == len(classes))
 
 
 def eta_plus_bounds(g: Graph, budget: int = 40) -> EtaBounds:
@@ -757,15 +756,10 @@ def eta_plus_bounds(g: Graph, budget: int = 40) -> EtaBounds:
     Lower bound: independence number, the complement's clique number, with
     the clique as witness. Upper bound: chromatic number of the complement,
     which the search's colouring meets or an exact colouring search settles.
-    Certified when they coincide. Graphs with more than budget vertices are
-    refused.
+    Certified when they coincide. Each search spends at most budget · n
+    nodes.
     """
-    if g.n > budget:
-        raise SearchBudgetExceeded(f"independence search limited to n <= {budget}")
-    co = complement(g)
-    clique, classes = clique_search(co)
-    upper, coloring = _chromatic_from(co, clique, classes)
-    return EtaBounds(len(clique), clique, upper, coloring, len(clique) == upper)
+    return eta_bounds_of_complement(complement(g), budget)
 
 
 # ---------------------------------------------------------------------------

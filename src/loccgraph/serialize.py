@@ -257,7 +257,10 @@ def jsonify(obj: Any) -> Any:
 
 def verdict_to_json(verdict: Verdict) -> dict:
     """The verdict without its splitting, protocol and simulation, which
-    verdict_from_json re-derives from the certificate."""
+    verdict_from_json re-derives from the certificate, and without the
+    eta_host parameter, whose bounds alpha_host and chi_bob repeat and
+    whose witness the certificate carries where a rung reads it."""
+    params = {k: v for k, v in verdict.parameters.items() if k != "eta_host"}
     return {
         "status": verdict.status,
         "direction": verdict.direction,
@@ -265,7 +268,7 @@ def verdict_to_json(verdict: Verdict) -> dict:
             "kind": verdict.certificate.kind,
             **{k: jsonify(v) for k, v in verdict.certificate.data.items()},
         },
-        "parameters": jsonify(verdict.parameters),
+        "parameters": jsonify(params),
         "notes": list(verdict.notes),
         "exit_code": verdict.exit_code,
     }

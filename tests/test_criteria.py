@@ -228,8 +228,8 @@ def test_analyze_report_contents():
 def test_search_budget_degrades_gracefully():
     # starving the independence search must never flip the answer; the
     # verdict falls back to a rung that needs no search and says so. With
-    # search_budget 0 the exact search refuses the nine states and the
-    # capped search for an independent host set has no nodes to spend
+    # search_budget 0 the search for alpha(host) and chi(bob) has no nodes
+    # to spend
     v = decide(generate("bennett"), options=DecideOptions(search_budget=0))
     assert v.status == INDISTINGUISHABLE
     assert v.certificate.kind == "SpanningObstruction"
@@ -239,13 +239,16 @@ def test_search_budget_degrades_gracefully():
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
 @pytest.mark.parametrize("spec", ["bullseye:11", "bullseye-recursive:7"])
 def test_rings_past_exact_search_carry_witness(spec, direction):
-    # n = 41 and 49 lie beyond the exact independence search; an independent
-    # host set of size d_eff still certifies the minimum-dimension rung
+    # n = 41 and 49 exceed search_budget (40); the search counts nodes, not
+    # vertices, so it gives alpha(host) and chi(bob) here too, and an
+    # independent host set of size d_eff certifies the rung
     s = generate(spec)
     v = decide(s, direction)
     assert v.status == INDISTINGUISHABLE
     assert v.certificate.kind == "MinDimNoSimplicial"
     d_eff = v.parameters["d_eff"]
+    assert v.parameters["alpha_host"] == v.parameters["chi_bob"] == d_eff
+    assert not any("limited" in note for note in v.notes)
     assert v.certificate.data["alpha"] == d_eff
     assert len(v.certificate.data["alpha_witness"]) == d_eff
     outcome = verify_certificate(s, v)
@@ -255,9 +258,9 @@ def test_rings_past_exact_search_carry_witness(spec, direction):
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
 @pytest.mark.parametrize("spec", ["bullseye:45", "bullseye:81"])
 def test_rings_past_the_search_budget_carry_witness(spec, direction):
-    # d_eff = 45 and 81 exceed search_budget; the search for an independent
-    # host set of size d_eff is bounded by its nodes, not by d_eff, so the
-    # minimum-dimension rung still fires, with a verdict well under 1 kB
+    # d_eff = 45 and 81 exceed search_budget; the search for alpha(host) is
+    # bounded by its nodes, not by d_eff, so the minimum-dimension rung
+    # still fires, with a verdict well under 1 kB
     s = generate(spec)
     v = decide(s, direction)
     assert (v.status, v.certificate.kind) == (INDISTINGUISHABLE, "MinDimNoSimplicial")
@@ -415,13 +418,13 @@ def test_verification_uses_the_recorded_budgets(monkeypatch):
     v = decide(s, options=DecideOptions(search_budget=6))
     assert v.certificate.kind == "AlphaLessThanChi"
     budgets = []
-    original = criteria.eta_plus_bounds
+    original = criteria.eta_bounds_of_complement
 
     def spy(g, budget=40):
         budgets.append(budget)
         return original(g, budget)
 
-    monkeypatch.setattr(criteria, "eta_plus_bounds", spy)
+    monkeypatch.setattr(criteria, "eta_bounds_of_complement", spy)
     assert verify_certificate(s, v).ok
     assert budgets == [6]
 
@@ -439,7 +442,7 @@ def test_exhausted_budget_fails_a_check_instead_of_raising(spec):
     # tiles carries AlphaLessThanChi, example2 NonChordalSandwichAtMinDim
     s = generate(spec)
     v = decide(s)
-    outcome = verify_certificate(s, _forge(v, search_budget=2))
+    outcome = verify_certificate(s, _forge(v, search_budget=0))
     assert not outcome.ok
     assert "search within budget" in _failed(outcome)
 
@@ -879,8 +882,9 @@ def test_singular_peels_decide_and_verify(spec, direction, monkeypatch):
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
 def test_verify_runs_one_independence_search_for_alpha_below_chi(monkeypatch, direction):
     # verify's AlphaLessThanChi check reads alpha(host) and chi(bob) off one
-    # eta_plus_bounds call: chi(bob) is chi(complement(host)), whose clique
-    # number is alpha(host), so one clique search of Bob's graph gives both
+    # eta_bounds_of_complement call: chi(bob) is chi(complement(host)), whose
+    # clique number is alpha(host), so one clique search of Bob's graph
+    # gives both
     import loccgraph.graphs as graphs
 
     s = generate("tiles")

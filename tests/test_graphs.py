@@ -26,7 +26,6 @@ from loccgraph.graphs import (
     find_two_clique_cover,
     greedy_clique_cover,
     independence_number,
-    independent_set_of_size,
     is_chordal,
     is_clique,
     is_perfect_elimination_ordering,
@@ -141,8 +140,8 @@ def test_deciding_a_bullseye_orders_once_and_finds_no_hole(monkeypatch):
 
 
 def test_deciding_a_bullseye_builds_no_complement(monkeypatch):
-    # the witness search runs on Bob's overlap graph, the host's complement,
-    # and n = 177 is past the exact alpha search's budget
+    # the search for alpha(host), its witness and chi(bob) runs on Bob's
+    # overlap graph, the host's complement, at n = 177 as at any size
     from loccgraph import graphs as graph_module
     from loccgraph.criteria import ALICE_FIRST, BOB_FIRST, decide
     from loccgraph.families import generate
@@ -237,37 +236,30 @@ def test_simplicial_vertices_match_definition():
             assert simplicial_vertices(g) == brute.brute_closed_cliques(g, g)
 
 
-def test_independent_set_of_size_matches_brute_alpha():
-    for n in range(1, 6):
-        for g in brute.all_graphs(n):
-            alpha = brute.brute_alpha(g)
-            for k in range(n + 2):
-                # a search tree of depth n has fewer than 2^(n+1) nodes
-                found = independent_set_of_size(g, k, node_budget=2 ** (n + 1))
-                if k > alpha:
-                    assert found is None
-                    continue
-                assert found is not None and len(found) == k
-                assert all(
-                    not g.has_edge(u, v) for u, v in itertools.combinations(found, 2)
-                )
-
-
-def test_independent_set_of_size_budget():
-    # C_7 has no independent 4-set, and proving it takes more than one node
+def test_independence_number_budget():
+    # budget 0 allows no node, and every search takes at least one
     with pytest.raises(SearchBudgetExceeded):
-        independent_set_of_size(cycle_graph(7), 4, node_budget=1)
-    # the colour-once dive walks a long cycle greedily, one node per member
-    found = independent_set_of_size(cycle_graph(97), 48, node_budget=48)
-    assert found == frozenset(range(3, 98, 2))
+        independence_number(cycle_graph(7), budget=0)
 
 
 def test_capped_search_runs_deeper_than_the_recursion_limit():
     # the search keeps its own stack: a clique of k vertices deeper than
     # Python's recursion limit is found, one node per member
     k = sys.getrecursionlimit() + 200
-    found = independent_set_of_size(empty_graph(k + 5), k, node_budget=k)
-    assert found is not None and len(found) == k
+    assert independence_number(empty_graph(k)) == (k, frozenset(range(1, k + 1)))
+
+
+def test_colouring_search_runs_deeper_than_the_recursion_limit():
+    # an even cycle plus a disjoint C_5: the search's colouring has three
+    # classes and its clique two, so the exact colouring search tries two
+    # colours, colouring the whole cycle before the C_5 fails
+    n = sys.getrecursionlimit() + 200
+    n += n % 2
+    g = Graph.from_edges(n + 5, [*cycle_graph(n).edge_list(),
+                                 *((n + u, n + v) for u, v in cycle_graph(5).edge_list())])
+    chi, coloring = chromatic_number(g)
+    assert chi == 3
+    assert all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -283,22 +275,12 @@ def test_clique_search_matches_brute_force(n, p, seed):
     assert chi == brute.brute_chromatic(g) == max(coloring.values())
     assert set(coloring) == set(g.vertices)
     assert all(coloring[u] != coloring[v] for u, v in g.edges)
-    # the search's colour classes partition the vertices into independent sets
-    _, classes = clique_search(co)
+    # the search's colour classes partition the vertices into independent
+    # sets; every node adds a vertex to a distinct clique: at most 2^n nodes
+    _, classes = clique_search(co, 2 ** n)
     assert sorted(v for c in classes for v in _members(c)) == list(g.vertices)
     assert not any(co.has_edge(u, v) for c in classes
                    for u, v in itertools.combinations(_members(c), 2))
-    for k in range(1, n + 2):
-        # every node adds a vertex to a distinct clique: at most 2^n nodes
-        found = independent_set_of_size(g, k, node_budget=2 ** n)
-        assert (found is not None) == (alpha >= k)
-        if found is not None:
-            assert len(found) == k
-            assert not any(g.has_edge(u, v) for u, v in itertools.combinations(found, 2))
-        if k <= len(classes):
-            # the colouring cannot rule k out, so the search needs a node
-            with pytest.raises(SearchBudgetExceeded):
-                clique_search(co, k, node_budget=0)
 
 
 def _members(mask: int) -> list[int]:

@@ -30,9 +30,9 @@ from .decomposition import (
 )
 from .errors import InvalidCover, InvalidInput, LoccGraphError, SearchBudgetExceeded
 # chromatic_number, edge_clique_cover_number, eta_plus_bounds,
-# find_two_clique_cover, frame, independence_number and validate_povm are no
-# longer called here; they stay bound because perfbench/layertrace.py wraps
-# the names this module binds
+# find_two_clique_cover, frame, independence_number, synthesize_protocol and
+# validate_povm are no longer called here; they stay bound because
+# perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
     Graph,
@@ -53,7 +53,7 @@ from .graphs import (  # noqa: F401
 )
 from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank  # noqa: F401
 from .locc import (  # noqa: F401
-    Povm, Protocol, ProtocolReport, matches_projective_basis, outcome_numbers,
+    Povm, Protocol, ProtocolReport, _lift, matches_projective_basis, outcome_numbers,
     outcome_overlaps, povm_to_decomposition, simulate, synthesize_protocol, validate_povm,
 )
 from .states import ProductStateSet, StateGraphs
@@ -184,8 +184,9 @@ def certificate_splitting(
         return certificate.data[key]
 
     m = work.alice_gram()
-    # more states than Alice's dimension: a singular Gram, PSD as X*X, so
-    # neither factorised nor eigensolved before the peel's elimination loop
+    # the Gram is exactly Hermitian, so the peel takes it as it is; with
+    # more states than Alice's dimension it is singular, PSD as X*X, so
+    # neither factorised nor eigensolved before the elimination loop
     singular = work.n > work.d_alice
     if kind in (KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST):
         g = ga if kind == KIND_CHORDAL_ALICE else host
@@ -194,8 +195,8 @@ def certificate_splitting(
         g = Graph.from_edges(work.n, field("sandwich_edges"))
         return chordal_decompose(m, g, tol, ordering=field("ordering"), _singular=singular)
     if kind == KIND_SCALED_DD:
-        groups = [frozenset(s) for s in field("supports")]
-        return dominance_split(m, ga, np.asarray(field("scaling"), dtype=float), groups)
+        scaling = np.asarray(field("scaling"), dtype=float)
+        return dominance_split(m, ga, scaling, field("supports"))
     if kind == KIND_FEASIBLE:
         try:
             supports = support_mask(field("supports"), work.n)
@@ -227,8 +228,10 @@ def distinguishable_verdict(
     """Every Distinguishable verdict: the Gram splitting its certificate
     fixes, the protocol it lifts to and that protocol's simulation."""
     dec = certificate_splitting(work, certificate, ga, host, tol)
-    protocol = synthesize_protocol(work, dec, tol)
-    sim = simulate(work, protocol, tol)
+    # the lift's eigensolve gives the completeness deviation too, unless
+    # the lift appended a fill
+    protocol, deviation = _lift(work, dec, tol)
+    sim = simulate(work, protocol, tol, _deviation=deviation)
     params = dict(params)
     params["min_success"] = sim.min_success
     return Verdict(
@@ -659,6 +662,24 @@ class VerificationOutcome:
     checks: tuple[tuple[str, bool, str], ...]
 
 
+def _host_cliques(host: Graph, supports) -> bool:
+    """Whether every support is a non-empty clique of host that names its
+    states by int indices in 1..n; one pass over each support."""
+    for support in supports:
+        members = 0
+        for v in support:
+            if not (isinstance(v, int) and 1 <= v <= host.n):
+                return False
+            bit = 1 << (v - 1)
+            # v sees every member named before it, itself aside
+            if members & ~bit & ~host.nbrs[v - 1]:
+                return False
+            members |= bit
+        if not members:
+            return False
+    return True
+
+
 def verify_certificate(
     states: ProductStateSet,
     verdict: Verdict,
@@ -771,15 +792,8 @@ def verify_certificate(
                 f"least slack {slack.min():.3g}",
             )
         check("overlaps admissible", is_subgraph(ga, host))
-        supports = [list(s) for s in data.get("supports", ())]
-        in_range = all(
-            s and all(isinstance(i, int) and 1 <= i <= work.n for i in s)
-            for s in supports
-        )
-        check(
-            "supports are host cliques",
-            in_range and all(is_clique(host, s) for s in supports),
-        )
+        check("supports are host cliques",
+              _host_cliques(host, data.get("supports", ())))
     elif kind == KIND_NO_SIMPLICIAL:
         # an independent host set of size d_eff attains the bound
         # alpha(host) <= d_eff, so no exact search is needed; why this and

@@ -118,7 +118,7 @@ def chordal_decompose(
     tol: Tolerance = DEFAULT_TOL,
     ordering: Optional[Sequence[int]] = None,
     *,
-    _singular: bool = False,
+    _singular: Optional[bool] = None,
 ) -> Decomposition:
     """Peel m into rank-one terms supported on cliques of chordal g.
 
@@ -140,13 +140,19 @@ def chordal_decompose(
     fails or a pivot is at most that floor does the PSD check's eigensolve
     run: a matrix with an eigenvalue below -psd_tol raises NotPSD, and a
     singular one (more states than the rank of their span) takes the
-    elimination loop, which skips each vertex whose pivot vanishes. A
-    caller whose m is a Gram, PSD by construction, and singular passes
-    _singular to go straight to that loop, which still raises NegativePivot
-    below -psd_tol. Both routes end in _cut_to_cliques. Without _singular,
-    NotPSD takes precedence over a graph or ordering that admits no peel.
+    elimination loop, which skips each vertex whose pivot vanishes. Both
+    routes end in _cut_to_cliques.
+
+    Outside callers leave _singular unset: m may be any array-like, its
+    Hermitian part is peeled, and NotPSD takes precedence over a graph or
+    ordering that admits no peel. A caller whose m is a complex Gram,
+    exactly Hermitian and PSD by construction, passes _singular, whether
+    it is singular by its shape, and m is peeled as it is. A singular Gram
+    goes straight to the elimination loop, which still raises NegativePivot
+    below -psd_tol.
     """
-    m = hermitize(np.asarray(m, dtype=complex))
+    if _singular is None:
+        m = hermitize(np.asarray(m, dtype=complex))
     if m.shape != (g.n, g.n):
         raise PatternViolation(f"matrix shape {m.shape} does not match n={g.n}")
     scale = max(1.0, float(np.linalg.norm(m)))
@@ -302,7 +308,7 @@ def dominance_scaling(
 
 
 def dominance_split(
-    m: np.ndarray, g: Graph, x: np.ndarray, groups: Sequence[frozenset[int]]
+    m: np.ndarray, g: Graph, x: np.ndarray, groups: Sequence[Iterable[int]]
 ) -> Decomposition:
     """Split m into rank-one PSD pieces on the edges of g and the vertices,
     given a dominance scaling x (see dominance_scaling).
@@ -321,7 +327,8 @@ def dominance_split(
     if x.shape != (n,) or not (np.isfinite(x).all() and (x > 0).all()):
         raise InvalidCover(f"scaling needs {n} positive entries")
     member = support_mask(groups, n)
-    i, j = np.array(g.edge_list(), dtype=int).reshape(-1, 2).T - 1
+    # the edges ij, i < j, in the order of g.edge_list()
+    i, j = np.nonzero(np.triu(adjacency_matrix(g), 1))
     rows = len(i)
     vectors = np.zeros((rows + n, n), dtype=complex)
     mag = np.abs(m[i, j])

@@ -634,14 +634,20 @@ def greedy_clique_cover(g: Graph) -> tuple[frozenset[int], ...]:
             clique = 1 << (v - 1) | 1 << (w - 1)
             common = g.nbrs[v - 1] & g.nbrs[w - 1]
             while common:
-                u = max(
-                    _bits(common),
-                    key=lambda u: ((left[u - 1] & clique).bit_count(), -u),
-                )
-                if not left[u - 1] & clique:
+                # the common neighbour closing the most uncovered edges,
+                # the lowest of those
+                best = most = 0
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    count = (left[low.bit_length() - 1] & clique).bit_count()
+                    if count > most:
+                        best, most = low, count
+                if not most:
                     break
-                clique |= 1 << (u - 1)
-                common &= g.nbrs[u - 1]
+                clique |= best
+                common &= g.nbrs[best.bit_length() - 1]
             for u in _bits(clique):
                 left[u - 1] &= ~clique
             cover.append(frozenset(_bits(clique)))

@@ -5,7 +5,10 @@ in their declared support, plus Bob's reply to each outcome: the
 orthonormal Bob vectors of the states that outcome leaves, the rest of
 Bob's space giving up. Protocols are synthesized from Gram splittings, one
 outcome per distinct support (each rank-one piece lifts to a POVM element
-through a least-squares preimage), and checked by exact simulation.
+through a least-squares preimage), and checked by exact simulation. The
+eigenvalues of the lifted elements' sum minus the identity are both the
+lift's test for a fill and the simulation's completeness check, so a
+decision lifts and simulates with one eigensolve when nothing is filled.
 
 Both halves are kept as arrays, one row per POVM element and one column
 per Bob vector; PovmElement and BobPlan are views of them, built when
@@ -217,10 +220,20 @@ def synthesize_protocol(
     outcome of its support; Bob's reply depends only on that support. The
     pieces then sum to the identity on the span of Alice's states; whatever
     is missing on the orthogonal complement is appended to the last
-    outcome, where no state can trigger it. The eigenvalues of I minus the
-    pieces show whether anything is missing; only then are its directions
-    computed.
+    outcome, where no state can trigger it. The eigenvalues of the pieces'
+    sum minus I, the matrix whose largest |eigenvalue| simulate reports as
+    the completeness deviation, show whether anything is missing; only then
+    are its directions computed.
     """
+    return _lift(states, dec, tol)[0]
+
+
+def _lift(
+    states: ProductStateSet, dec: Decomposition, tol: Tolerance
+) -> tuple[Protocol, Optional[float]]:
+    """synthesize_protocol, with the completeness deviation of the POVM
+    when nothing was appended (read off the eigenvalues that tested the
+    fill), else None."""
     if dec.n != states.n:
         raise InvalidInput(f"splitting over {dec.n} states, set has {states.n}")
     if not len(dec.vectors):
@@ -230,14 +243,13 @@ def synthesize_protocol(
     )
     outcomes, firsts = outcome_numbers(dec.supports)
     weights = mus ** 2
-    missing = np.eye(states.d_alice) - (phis * weights) @ phis.conj().T
-    w = np.linalg.eigvalsh(missing)
-    if w[0] < -10 * tol.psd_tol:
-        raise NotPSD(f"splitting overshoots the identity by {-w[0]:.3g}")
-    if w[-1] <= tol.zero_tol:
-        povm = Povm(phis.T, weights, outcomes, dec.supports)
-    else:
-        w, v = eigh_desc(missing)
+    povm = Povm(phis.T, weights, outcomes, dec.supports)
+    w = np.linalg.eigvalsh(_deviation(povm))
+    if w[-1] > 10 * tol.psd_tol:
+        raise NotPSD(f"splitting overshoots the identity by {w[-1]:.3g}")
+    deviation = float(np.abs(w).max())
+    if w[0] < -tol.zero_tol:
+        w, v = eigh_desc(np.eye(states.d_alice) - povm.total())
         fill = w > tol.zero_tol
         extra = int(fill.sum())
         povm = Povm(
@@ -246,7 +258,8 @@ def synthesize_protocol(
             np.concatenate([outcomes, np.repeat(outcomes[-1:], extra)]),
             np.concatenate([dec.supports, np.repeat(dec.supports[-1:], extra, axis=0)]),
         )
-    return Protocol(povm, *_bob_plans(states, dec.supports[firsts], tol))
+        deviation = None
+    return Protocol(povm, *_bob_plans(states, dec.supports[firsts], tol)), deviation
 
 
 def povm_to_decomposition(
@@ -291,10 +304,15 @@ def _alice_probabilities(
     return probs, _inside(povm, states.n)
 
 
-def _completeness_deviation(povm: Povm) -> float:
+def _deviation(povm: Povm) -> np.ndarray:
+    """The elements' sum minus the identity."""
     deviation = povm.total()
     deviation.flat[::povm.dim + 1] -= 1
-    return float(np.abs(np.linalg.eigvalsh(deviation)).max())
+    return deviation
+
+
+def _completeness_deviation(povm: Povm) -> float:
+    return float(np.abs(np.linalg.eigvalsh(_deviation(povm))).max())
 
 
 def validate_povm(
@@ -318,14 +336,22 @@ def validate_povm(
 
 
 def simulate(
-    states: ProductStateSet, protocol: Protocol, tol: Tolerance = DEFAULT_TOL
+    states: ProductStateSet,
+    protocol: Protocol,
+    tol: Tolerance = DEFAULT_TOL,
+    *,
+    _deviation: Optional[float] = None,
 ) -> ProtocolReport:
     """Exact outcome statistics of the two-round protocol on each state:
     Alice's element probabilities summed per outcome, times the weight of
     each state on Bob's columns of that outcome labelled with it. A column
     whose label names no state counts for none; an outcome without columns
-    gives up."""
+    gives up. The completeness deviation is the largest |eigenvalue| of the
+    elements' sum minus I; the lift, which takes those eigenvalues, passes
+    it as _deviation."""
     povm = protocol.alice
+    if _deviation is None:
+        _deviation = _completeness_deviation(povm)
     probs, inside = _alice_probabilities(povm, states)
     owner = states.label_positions(protocol.bob_labels)
     named = np.flatnonzero(owner >= 0)
@@ -342,7 +368,7 @@ def simulate(
     return ProtocolReport(
         per_state,
         float(success.min()),
-        _completeness_deviation(povm),
+        _deviation,
         float(probs[~inside].max(initial=0.0)),
     )
 

@@ -144,29 +144,22 @@ def brute_edge_clique_cover(g: Graph) -> int:
     """Smallest set of cliques covering every vertex and every edge."""
     nbr = _neighbour_masks(g)
     n = g.n
-    # clique[mask]: the vertices of mask (bit v - 1 for vertex v) are
-    # pairwise adjacent, i.e. the lowest one is adjacent to all the others
-    # and the others form a clique
-    clique = [True] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        clique[mask] = clique[rest] and rest & ~nbr[low.bit_length() - 1] == 0
-    # each maximal clique as one mask: a bit per vertex it holds, then a bit
-    # per edge it holds, so a set of cliques covers when the OR is all ones
-    edge_pairs = sorted(g.edges)
-    maximal = []
-    for mask in range(1, 1 << n):
-        if not clique[mask] or any(
-            not mask >> k & 1 and clique[mask | 1 << k] for k in range(n)
-        ):
-            continue
-        edges = sum(
-            1 << k for k, (i, j) in enumerate(edge_pairs)
-            if mask >> (i - 1) & 1 and mask >> (j - 1) & 1
-        )
-        maximal.append(mask | edges << n)
-    everything = (1 << (n + len(edge_pairs))) - 1
+    # every clique (bit v - 1 for vertex v) with the vertices adjacent to
+    # all of its members, built by adding vertices in increasing order: a
+    # clique takes v exactly when v is adjacent to all of its members. A
+    # clique is maximal when no vertex is adjacent to all of its members.
+    # Each clique also keeps its rows: bit (v - 1) * n for each member v
+    cliques = [(0, (1 << n) - 1, 0)]
+    for v in range(n):
+        cliques += [(mask | 1 << v, common & nbr[v], rows | 1 << v * n)
+                    for mask, common, rows in cliques if common >> v & 1]
+    # each maximal clique as an n x n grid of bits, bit u * n + w set when
+    # u and w (0-based, u == w included) are both in it: the clique's mask
+    # in each of its rows, so a set of cliques covers every vertex and
+    # every edge when the OR of their grids is the grid of the closed
+    # neighbourhoods
+    maximal = [mask * rows for mask, common, rows in cliques if not common]
+    everything = sum((nbr[v] | 1 << v) << (v * n) for v in range(n))
     # ecc can exceed n (complete bipartite), but never the number of
     # maximal cliques: taking all of them is always a cover
     for count in range(1, len(maximal) + 1):
@@ -545,6 +538,60 @@ def reference_lift(states, dec):
         np.concatenate([dec.supports, np.repeat(dec.supports[-1:], extra, axis=0)]),
     )
     return Protocol(povm, *_bob_plans(states, dec.supports[firsts], tol))
+
+
+def reference_greedy_clique_cover(g: Graph) -> tuple[frozenset[int], ...]:
+    """graphs.greedy_clique_cover as first written: each candidate common
+    neighbour scored by a max over its bits, most uncovered edges closed
+    first, then the lowest vertex."""
+    from loccgraph.graphs import _bits
+
+    left = list(g.nbrs)
+    cover: list[frozenset[int]] = []
+    for v in g.vertices:
+        if not g.nbrs[v - 1]:
+            cover.append(frozenset({v}))
+        while left[v - 1]:
+            w = (left[v - 1] & -left[v - 1]).bit_length()
+            clique = 1 << (v - 1) | 1 << (w - 1)
+            common = g.nbrs[v - 1] & g.nbrs[w - 1]
+            while common:
+                u = max(
+                    _bits(common),
+                    key=lambda u: ((left[u - 1] & clique).bit_count(), -u),
+                )
+                if not left[u - 1] & clique:
+                    break
+                clique |= 1 << (u - 1)
+                common &= g.nbrs[u - 1]
+            for u in _bits(clique):
+                left[u - 1] &= ~clique
+            cover.append(frozenset(_bits(clique)))
+    return tuple(cover)
+
+
+def reference_dominance_split(m: np.ndarray, g: Graph, x: np.ndarray, groups):
+    """decomposition.dominance_split as first written: the edges read from
+    g.edge_list() and each group made a frozenset."""
+    from loccgraph.decomposition import comparison_matrix
+
+    m = np.asarray(m, dtype=complex)
+    n = g.n
+    x = np.asarray(x, dtype=float)
+    member = support_mask([frozenset(s) for s in groups], n)
+    i, j = np.array(g.edge_list(), dtype=int).reshape(-1, 2).T - 1
+    rows = len(i)
+    vectors = np.zeros((rows + n, n), dtype=complex)
+    mag = np.abs(m[i, j])
+    head = np.sqrt(mag * x[j] / x[i])
+    vectors[np.arange(rows), i] = head
+    vectors[np.arange(rows), j] = m[i, j].conj() / head
+    rest = comparison_matrix(m, g) @ x / x
+    vectors[rows + np.arange(n), np.arange(n)] = np.sqrt(np.maximum(rest, 0.0))
+    holds = np.concatenate([member[:, i] & member[:, j], member], axis=1)
+    owner = np.argmax(holds, axis=0)
+    residual = float(np.linalg.norm(m - vectors.T @ vectors.conj()))
+    return Decomposition(vectors, member[owner], residual)
 
 
 def reference_simulation(states, protocol) -> dict:

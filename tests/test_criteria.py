@@ -584,6 +584,30 @@ def test_tampered_dominance_certificate_fails_its_check():
         assert _failed(outcome) == {check}
 
 
+def test_dominance_supports_name_states_by_int_index_in_range():
+    # each support must be a non-empty host clique of int indices in 1..n.
+    # A bool is an int: True names state 1 and False no state. A repeat
+    # names its state once
+    s = generate("path-rep:8")
+    v = decide(s, BOB_FIRST)
+    supports = v.certificate.data["supports"]
+    k = next(k for k, c in enumerate(supports) if 1 in c)
+    with_one = [[True if i == 1 else i for i in supports[k]]]
+    for edit, ok in [
+        (supports + [[]], False),
+        (supports + [[0]], False),
+        (supports + [[s.n + 1]], False),
+        (supports + [[1, s.n + 1]], False),
+        (supports + [[float(i) for i in supports[0]]], False),
+        (supports + [[np.int64(1)]], False),
+        (supports + [[False]], False),
+        (supports[:k] + with_one + supports[k + 1:], True),
+        (supports + [supports[0] + supports[0][:1]], True),
+    ]:
+        outcome = verify_certificate(s, _with_dominance(v, supports=edit))
+        assert _failed(outcome) == (set() if ok else {"supports are host cliques"})
+
+
 def test_singular_comparison_matrix_falls_through_to_the_convex_search():
     from loccgraph.decomposition import comparison_matrix, dominance_scaling
 

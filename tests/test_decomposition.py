@@ -439,6 +439,28 @@ def test_dominance_split_rebuilds_an_h_matrix():
     assert rep.ok and rep.rel_residual < 1e-14
 
 
+def test_dominance_split_matches_the_reference_bit_for_bit():
+    # the edges read off the kept adjacency matrix and the recorded supports
+    # taken as lists give the pieces, supports and residual of the split
+    # that read g.edge_list() and made each group a frozenset
+    from loccgraph.criteria import BOB_FIRST, decide
+
+    sets = [(generate(f"path-rep:{n}"), BOB_FIRST) for n in (8, 12, 16)]
+    sets += [(brute.random_dominant_instance(n, np.random.default_rng(seed))[0], "alice-first")
+             for seed, n in ((1, 6), (2, 8), (3, 10), (4, 12))]
+    for states, direction in sets:
+        v = decide(states, direction)
+        assert v.certificate.kind == "ScaledDiagonalDominance"
+        work = states if direction == "alice-first" else states.swapped()
+        args = (work.alice_gram(), work.build_graphs().alice,
+                np.asarray(v.certificate.data["scaling"]), v.certificate.data["supports"])
+        ref = brute.reference_dominance_split(*args)
+        for dec in (dominance_split(*args), v.decomposition):
+            for a, b in ((dec.vectors, ref.vectors), (dec.supports, ref.supports)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert dec.residual == ref.residual
+
+
 def test_dominance_scaling_forms_the_comparison_matrix_once(monkeypatch):
     # the solve and the margin test read the same matrix
     from loccgraph import decomposition

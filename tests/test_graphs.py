@@ -435,6 +435,23 @@ def test_greedy_clique_cover_covers_every_edge_and_vertex():
     assert greedy_clique_cover(empty_graph(2)) == (frozenset({1}), frozenset({2}))
 
 
+def test_greedy_clique_cover_matches_the_reference():
+    # the same cliques in the same order as the cover that scored each
+    # candidate through a max over its bits: seeded random graphs, and the
+    # measuring side's overlap graph of every sweep set, both ways
+    from loccgraph.families import generate
+
+    rng = np.random.default_rng(31)
+    graphs = [brute.random_graph(int(rng.integers(1, 41)), p, rng)
+              for p in np.linspace(0.1, 0.9, 9) for _ in range(12)]
+    for specs in brute.SWEEP_SPECS.values():
+        for spec in specs:
+            s = generate(spec)
+            graphs += [s.build_graphs().alice, s.swapped().build_graphs().alice]
+    for g in graphs:
+        assert greedy_clique_cover(g) == brute.reference_greedy_clique_cover(g)
+
+
 def test_random_chordal_generator_is_chordal():
     rng = np.random.default_rng(3)
     for _ in range(25):

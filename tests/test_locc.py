@@ -256,6 +256,36 @@ def test_a_lift_takes_eigenvectors_only_to_fill_what_the_states_leave_empty(
     assert silent.max(initial=0.0) <= 1e-12
 
 
+@pytest.mark.parametrize("source,direction,padded,decide_calls", [
+    ("random", ALICE_FIRST, False, (1, 0)),        # chordal peel, no fill
+    ("path-rep:8", BOB_FIRST, False, (1, 0)),      # dominance split, no fill
+    ("cycle-rep:8", BOB_FIRST, False, (1, 0)),     # dominance split, no fill
+    ("example1", ALICE_FIRST, False, (1, 0)),      # singular peel, no fill
+    ("random", ALICE_FIRST, True, (2, 1)),         # a fill
+    ("example1", ALICE_FIRST, True, (2, 1)),       # a fill
+])
+def test_a_decision_without_a_fill_reads_completeness_off_the_lift(
+    lapack_calls, source, direction, padded, decide_calls
+):
+    # the lift's eigenvalues of the elements' sum minus I test for a fill
+    # and give the simulation's completeness deviation; with a fill the
+    # filled POVM takes its own eigensolve. verify takes its own one
+    if source == "random":
+        s, _ = brute.random_product_instance(8, np.random.default_rng(2))
+    else:
+        s = generate(source)
+    if padded:
+        s = _padded(s)
+    lapack_calls.clear()
+    v = decide(s, direction)
+    assert (lapack_calls["eigvalsh"], lapack_calls["eigh"]) == decide_calls
+    lapack_calls.clear()
+    assert verify_certificate(s, v).ok
+    assert (lapack_calls["eigvalsh"], lapack_calls["eigh"]) == (1, 0)
+    work = s if direction == ALICE_FIRST else s.swapped()
+    assert v.simulation == simulate(work, v.protocol)
+
+
 def test_simulate_matches_operator_reference():
     # Alice measures |+> (outcome 1) or |-> (outcome 2), the Gram matrix
     # split accordingly; outcome 1 declares {1, 2} but state 4 = |+> also

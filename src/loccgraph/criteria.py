@@ -53,8 +53,8 @@ from .graphs import (  # noqa: F401
 )
 from .linalg import DEFAULT_TOL, Tolerance, frame, numeric_rank  # noqa: F401
 from .locc import (  # noqa: F401
-    Povm, Protocol, ProtocolReport, _lift, matches_projective_basis, outcome_numbers,
-    outcome_overlaps, povm_to_decomposition, simulate, synthesize_protocol, validate_povm,
+    Povm, Protocol, ProtocolReport, _lift, check_protocol, matches_projective_basis,
+    outcome_numbers, povm_to_decomposition, simulate, synthesize_protocol, validate_povm,
 )
 from .states import ProductStateSet, StateGraphs
 
@@ -392,18 +392,12 @@ def decide(
     params["alice_chordal"] = chord_a.chordal
     params["host_chordal"] = chord_h.chordal
 
-    if chord_a.chordal:
-        return distinguishable_verdict(
-            work, direction,
-            Certificate(KIND_CHORDAL_ALICE, {"ordering": list(chord_a.ordering)}),
-            params, notes, ga, host, tol,
-        )
-    if chord_h.chordal:
-        return distinguishable_verdict(
-            work, direction,
-            Certificate(KIND_CHORDAL_HOST, {"ordering": list(chord_h.ordering)}),
-            params, notes, ga, host, tol,
-        )
+    for kind, chord in ((KIND_CHORDAL_ALICE, chord_a), (KIND_CHORDAL_HOST, chord_h)):
+        if chord.chordal:
+            return distinguishable_verdict(
+                work, direction, Certificate(kind, {"ordering": list(chord.ordering)}),
+                params, notes, ga, host, tol,
+            )
 
     verdict = _minimum_dimension_verdict(
         work, direction, graphs, d_eff, params, notes, opt
@@ -638,24 +632,6 @@ def converse_theorem_checks(
 # certificate re-verification
 
 
-def _non_measurements(
-    protocol: Protocol, states: ProductStateSet, tol: Tolerance
-) -> list[int]:
-    """The outcomes, in the order Bob's columns first name them, whose
-    columns are not orthonormal or not each labelled with a different one
-    of the states. One Gram of all Bob columns side by side, masked to the
-    pairs that share an outcome; its side is the column count (191 for
-    path-rep:40 bob-first)."""
-    outcomes = protocol.bob_outcomes
-    same = outcomes[:, None] == outcomes[None, :]
-    owner = states.label_positions(protocol.bob_labels)
-    # a label that names no state, or a state its outcome names twice
-    misnamed = (owner < 0) | ((same & (owner[:, None] == owner[None, :])).sum(axis=1) > 1)
-    overlap = outcome_overlaps(protocol.bob_basis, outcomes).max(axis=1, initial=0.0)
-    flawed = misnamed | (overlap > 10 * tol.rank_tol)
-    return list(dict.fromkeys(outcomes[(same & flawed).any(axis=1)].tolist()))
-
-
 @dataclass(frozen=True)
 class VerificationOutcome:
     ok: bool
@@ -663,20 +639,21 @@ class VerificationOutcome:
 
 
 def _host_cliques(host: Graph, supports) -> bool:
-    """Whether every support is a non-empty clique of host that names its
-    states by int indices in 1..n; one pass over each support."""
-    for support in supports:
-        members = 0
-        for v in support:
-            if not (isinstance(v, int) and 1 <= v <= host.n):
+    """Whether supports is a collection of non-empty cliques of host, each
+    naming its states by int indices in 1..n; one pass over each support."""
+    try:
+        for support in supports:
+            members = 0
+            for v in support:
+                bit = 1 << (v - 1) if isinstance(v, int) and 1 <= v <= host.n else 0
+                # v sees every member named before it, itself aside
+                if not bit or members & ~bit & ~host.nbrs[v - 1]:
+                    return False
+                members |= bit
+            if not members:
                 return False
-            bit = 1 << (v - 1)
-            # v sees every member named before it, itself aside
-            if members & ~bit & ~host.nbrs[v - 1]:
-                return False
-            members |= bit
-        if not members:
-            return False
+    except TypeError:  # supports, or a support, is not iterable
+        return False
     return True
 
 
@@ -689,7 +666,10 @@ def verify_certificate(
     """Re-derive everything a verdict asserts, from the states alone.
 
     The searches run with the budgets the verdict records (the defaults when
-    it records none); a search over its budget fails its check.
+    it records none); a search over its budget fails its check. A protocol
+    is checked in one pass, check_protocol: Bob's plans, then, only if all
+    are measurements, the simulation. An ordering equal to the one
+    is_chordal keeps on the graph is proved; any other is checked pairwise.
     """
     if verdict.direction not in (ALICE_FIRST, BOB_FIRST):
         return VerificationOutcome(
@@ -724,7 +704,7 @@ def verify_certificate(
     if verdict.status == DISTINGUISHABLE:
         protocol = verdict.protocol
         check("protocol present", protocol is not None)
-        fits = measures = False
+        fits, sim = False, None
         if protocol is not None:
             # a protocol built for the other side, or of the wrong shape,
             # cannot act on these states
@@ -741,11 +721,9 @@ def verify_certificate(
             least = float(weights.min()) if len(weights) else 0.0
             check("povm elements positive", least >= -tol.psd_tol,
                   f"least weight {least:.3g}")
-            bad = _non_measurements(protocol, work, tol)
-            measures = not bad
-            check("bob plans are measurements", measures, f"outcomes {bad}")
-        if measures:
-            sim = simulate(work, protocol, tol)
+            bad, sim = check_protocol(work, protocol, tol)
+            check("bob plans are measurements", not bad, f"outcomes {bad}")
+        if sim is not None:
             check("povm complete", sim.completeness_deviation <= 10 * tol.psd_tol,
                   f"deviation {sim.completeness_deviation:.3g}")
             check("supports respected", sim.max_support_leakage <= 10 * tol.psd_tol,
@@ -755,9 +733,11 @@ def verify_certificate(
 
     if kind in (KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST):
         g = ga if kind == KIND_CHORDAL_ALICE else host
-        check("graph chordal", is_chordal(g).chordal)
+        chord = is_chordal(g)
+        check("graph chordal", chord.chordal)
         order = tuple(data.get("ordering", ()))
-        check("ordering valid", is_perfect_elimination_ordering(g, order))
+        check("ordering valid", order == chord.ordering
+              or is_perfect_elimination_ordering(g, order))
     elif kind == KIND_SANDWICH:
         g = Graph.from_edges(work.n, data.get("sandwich_edges", ()))
         check("between bounds", is_subgraph(ga, g) and is_subgraph(g, host))

@@ -572,25 +572,21 @@ def edge_clique_cover_number(g: Graph, exact_bound: int = 12) -> CoverResult:
         )
 
     cliques = tuple(c for c in maximal_cliques(g) if len(c) >= 2)
-    # bit e of covered[ci] is set when clique ci holds edges[e]; sets of
-    # edges are masks over the sorted edge list
-    covered = [
-        _mask(e + 1 for e, (i, j) in enumerate(edges) if i in c and j in c)
-        for c in cliques
-    ]
-    edge_in = [
-        tuple(ci for ci, m in enumerate(covered) if m >> e & 1)
-        for e in range(len(edges))
-    ]
+    # bit e of covered[ci] is set, and ci listed in edge_in[e], when clique
+    # ci holds edges[e]; sets of edges are masks over the sorted edge list
+    index = {edge: e for e, edge in enumerate(edges)}
+    covered, edge_in = [0] * len(cliques), [[] for _ in edges]
+    for ci, c in enumerate(cliques):
+        for e in map(index.__getitem__, itertools.combinations(sorted(c), 2)):
+            covered[ci] |= 1 << e
+            edge_in[e].append(ci)
 
     # greedy start: the clique covering the most uncovered edges, lowest first
     best: list[int] = []
     uncovered = _full(len(edges))
     while uncovered:
-        ci = max(
-            range(len(cliques)),
-            key=lambda i: ((uncovered & covered[i]).bit_count(), -i),
-        )
+        gains = [(uncovered & m).bit_count() for m in covered]
+        ci = gains.index(max(gains))
         best.append(ci)
         uncovered &= ~covered[ci]
     max_clique_edges = max(len(c) * (len(c) - 1) // 2 for c in cliques)

@@ -9,6 +9,8 @@ through a least-squares preimage), and checked by exact simulation. The
 eigenvalues of the lifted elements' sum minus the identity are both the
 lift's test for a fill and the simulation's completeness check, so a
 decision lifts and simulates with one eigensolve when nothing is filled.
+A given protocol is re-checked in one pass (check_protocol): Bob's replies
+are judged on one Gram of his columns, as the lift's are, then simulated.
 
 Both halves are kept as arrays, one row per POVM element and one column
 per Bob vector; PovmElement and BobPlan are views of them, built when
@@ -169,13 +171,13 @@ def outcome_numbers(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.array(list(first.values()), dtype=int))
 
 
-def outcome_overlaps(basis: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """|B* B - I| for Bob's columns B, on the pairs of columns that answer
-    the same outcome, and zero on the other pairs."""
-    same = outcomes[:, None] == outcomes[None, :]
-    overlaps = basis.conj().T @ basis
-    overlaps.flat[::len(outcomes) + 1] -= 1
-    return np.abs(overlaps) * same
+def plan_overlaps(basis: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """|B* B - I| for Bob's columns B on the pairs of columns that the mask
+    same marks (those answering one outcome), zero on the others: one Gram
+    of all columns, which each caller judges at its own threshold."""
+    gram = basis.conj().T @ basis
+    gram.flat[::len(gram) + 1] -= 1
+    return np.abs(gram) * same
 
 
 def _bob_plans(
@@ -185,19 +187,19 @@ def _bob_plans(
     leaves (boolean, one row per outcome): member j's normalised Bob
     vector, its outcome and its label.
 
-    Bob's parts must be orthonormal within every outcome; when they are
-    not, the first outcome holding an overlapping pair names its worst
-    pair.
+    Bob's parts must be orthonormal within every outcome; if not, the first
+    outcome holding an overlapping pair names its worst pair.
     """
     outcome, member = np.nonzero(members)
     cols = states.bob[member]
     basis = (cols / np.linalg.norm(cols, axis=1, keepdims=True)).T
     outcomes = outcome + 1
     labels = states.label_array()[member]
-    off = outcome_overlaps(basis, outcomes)
+    same = outcomes[:, None] == outcomes
+    off = plan_overlaps(basis, same)
     flawed = off.max(axis=1, initial=0.0) > 100 * tol.zero_tol
     if flawed.any():
-        block = outcomes == outcomes[np.argmax(flawed)]
+        block = same[np.argmax(flawed)]
         within = off[np.ix_(block, block)]
         j, i = np.unravel_index(np.argmax(within), within.shape)
         raise NonOrthogonalBobClique(
@@ -341,6 +343,7 @@ def simulate(
     tol: Tolerance = DEFAULT_TOL,
     *,
     _deviation: Optional[float] = None,
+    _owner: Optional[np.ndarray] = None,
 ) -> ProtocolReport:
     """Exact outcome statistics of the two-round protocol on each state:
     Alice's element probabilities summed per outcome, times the weight of
@@ -348,20 +351,22 @@ def simulate(
     whose label names no state counts for none; an outcome without columns
     gives up. The completeness deviation is the largest |eigenvalue| of the
     elements' sum minus I; the lift, which takes those eigenvalues, passes
-    it as _deviation."""
+    it as _deviation, and check_protocol the labels' positions as _owner."""
     povm = protocol.alice
     if _deviation is None:
         _deviation = _completeness_deviation(povm)
+    at = _owner if _owner is not None else states.label_positions(protocol.bob_labels)
     probs, inside = _alice_probabilities(povm, states)
-    owner = states.label_positions(protocol.bob_labels)
-    named = np.flatnonzero(owner >= 0)
-    at = owner[named]
+    basis, outcomes = protocol.bob_basis, protocol.bob_outcomes
+    if at.min(initial=0) < 0:
+        named = at >= 0
+        basis, outcomes, at = basis[:, named], outcomes[named], at[named]
     # for each Bob column: the elements of its outcome, and what they give
     # the state the column detects
-    same = povm.outcomes[:, None] == protocol.bob_outcomes[named]
+    same = povm.outcomes[:, None] == outcomes
     p_alice = (probs[:, at] * same).sum(axis=0)
     seen = (inside[:, at] & same).any(axis=0)
-    hits = np.einsum("dc,cd->c", protocol.bob_basis[:, named].conj(), states.bob[at])
+    hits = np.einsum("dc,cd->c", basis.conj(), states.bob[at])
     success = np.bincount(at, weights=p_alice * np.abs(hits) ** 2 * seen,
                           minlength=states.n)
     per_state = tuple(zip(states.labels, success.tolist()))
@@ -371,6 +376,25 @@ def simulate(
         _deviation,
         float(probs[~inside].max(initial=0.0)),
     )
+
+
+def check_protocol(
+    states: ProductStateSet, protocol: Protocol, tol: Tolerance = DEFAULT_TOL
+) -> tuple[list[int], Optional[ProtocolReport]]:
+    """The outcomes, in the order Bob's columns first name them, whose
+    columns are not orthonormal (to 10 rank_tol) or not each labelled with a
+    different state, and only when there are none the simulation; the labels
+    are resolved, and the same-outcome mask is built, once for both."""
+    outcomes = protocol.bob_outcomes
+    owner = states.label_positions(protocol.bob_labels)
+    same = outcomes[:, None] == outcomes
+    # a label that names no state, or a state its outcome names twice
+    flawed = (owner < 0) | ((same & (owner[:, None] == owner)).sum(axis=1) > 1)
+    overlap = plan_overlaps(protocol.bob_basis, same).max(axis=1, initial=0.0)
+    flawed |= overlap > 10 * tol.rank_tol
+    if flawed.any():
+        return list(dict.fromkeys(outcomes[(same & flawed).any(axis=1)].tolist())), None
+    return [], simulate(states, protocol, tol, _owner=owner)
 
 
 def as_projective_basis(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -24,11 +25,11 @@ from loccgraph.criteria import (
     verify_certificate,
 )
 from loccgraph.decomposition import support_faces
-from loccgraph.errors import InvalidInput, LoccGraphError
+from loccgraph.errors import InvalidInput, LoccGraphError, NonOrthogonalBobClique
 from loccgraph.families import FAMILIES, generate
-from loccgraph.graphs import independence_number, maximal_cliques
+from loccgraph.graphs import independence_number, is_chordal, maximal_cliques
 from loccgraph.linalg import DEFAULT_TOL
-from loccgraph.locc import BobPlan, Povm, simulate
+from loccgraph.locc import BobPlan, Povm, check_protocol, simulate, synthesize_protocol
 from loccgraph.serialize import verdict_to_json
 from loccgraph.states import ProductStateSet
 
@@ -603,6 +604,10 @@ def test_dominance_supports_name_states_by_int_index_in_range():
         (supports + [[False]], False),
         (supports[:k] + with_one + supports[k + 1:], True),
         (supports + [supports[0] + supports[0][:1]], True),
+        # in memory nothing checks the field's shape, so these reach verify
+        ([1, 2], False),
+        (5, False),
+        (None, False),
     ]:
         outcome = verify_certificate(s, _with_dominance(v, supports=edit))
         assert _failed(outcome) == (set() if ok else {"supports are host cliques"})
@@ -744,6 +749,111 @@ def test_plan_check_reports_what_a_per_plan_check_reports():
     assert detail == f"outcomes {expected}"
 
 
+def _tilted(plan, overlap):
+    """The plan with its first column turned towards its second, to the
+    given overlap."""
+    basis = plan.basis.copy()
+    basis[:, 0] = (basis[:, 0] + overlap * basis[:, 1]) / np.sqrt(1 + overlap ** 2)
+    return dataclasses.replace(plan, basis=basis)
+
+
+def test_one_pass_check_matches_the_per_plan_references():
+    # check_protocol tests the plans and simulates in one pass; each forgery
+    # must fail the outcomes the per-plan check fails, and simulate as the
+    # plan-by-plan reference does
+    s = generate("path-rep:8")
+    v = decide(s, BOB_FIRST)
+    work = s.swapped()
+    plans = list(v.protocol.bob)
+    assert len(plans[1].labels) >= 2
+    stranger = next(l for l in plans[1].labels if l not in plans[2].labels)
+    p = v.protocol
+    perm = np.random.default_rng(26).permutation(len(p.bob_outcomes))
+    forgeries = {
+        "as decided": (v, []),
+        "plans in reverse": (_with_plans(v, plans[::-1]), []),
+        "columns interleaved": (_with_protocol(
+            v, bob_basis=p.bob_basis[:, perm], bob_outcomes=p.bob_outcomes[perm],
+            bob_labels=p.bob_labels[perm]), []),
+        "a label naming no state": (_with_plans(v, plans[:2] + [dataclasses.replace(
+            plans[2], labels=("x",) + plans[2].labels[1:])] + plans[3:]), [3]),
+        "an outcome without columns": (_with_plans(v, plans[:1] + plans[2:]), []),
+        "a label repeated across outcomes": (_with_plans(v, plans[:2] + [dataclasses.replace(
+            plans[2], labels=(stranger,) + plans[2].labels[1:])] + plans[3:]), []),
+        # above decide's 100 zero_tol, within verify's 10 rank_tol
+        "tilted 3e-7": (_with_plans(v, plans[:1] + [_tilted(plans[1], 3e-7)] + plans[2:]), []),
+        "tilted 1e-3": (_with_plans(v, plans[:1] + [_tilted(plans[1], 1e-3)] + plans[2:]), [2]),
+    }
+    for name, (forged, expected) in forgeries.items():
+        protocol = forged.protocol
+        bad, sim = check_protocol(work, protocol)
+        assert bad == _per_plan_non_measurements(protocol.bob, set(s.labels)) == expected, name
+        details = {n: d for n, _, d in verify_certificate(s, forged).checks}
+        assert details["bob plans are measurements"] == f"outcomes {expected}", name
+        assert (sim is None) == bool(bad), name
+        if sim is not None:
+            assert sim == simulate(work, protocol), name
+        _assert_simulation_matches_reference(work, protocol, sim)
+    # the lift holds Bob's own vectors to 100 zero_tol: the 3e-7 tilt, put
+    # into the states, makes it refuse the splitting it lifted before
+    tilted = _tilted(plans[1], 3e-7)
+    moved = work.bob.copy()
+    moved[work.labels.index(tilted.labels[0])] = tilted.basis[:, 0]
+    with pytest.raises(NonOrthogonalBobClique, match=r"overlap \([1-9.]+e-07\)"):
+        synthesize_protocol(ProductStateSet.from_vectors(work.alice, moved, work.labels),
+                            v.decomposition)
+
+
+def _pairwise_elimination_ordering(g, order) -> bool:
+    """Whether order lists every vertex once and each vertex's later
+    neighbours are pairwise adjacent, pair by pair."""
+    if sorted(order) != list(g.vertices):
+        return False
+    for k, v in enumerate(order):
+        later = [u for u in order[k + 1:] if g.has_edge(u, v)]
+        if any(not g.has_edge(x, y) for i, x in enumerate(later) for y in later[i + 1:]):
+            return False
+    return True
+
+
+def _random_elimination_ordering(g, rng):
+    """A perfect elimination ordering of chordal g: a random simplicial
+    vertex of what is left, again and again."""
+    left, order = set(g.vertices), []
+    while left:
+        simplicial = [v for v in sorted(left) if all(
+            g.has_edge(x, y) for x, y in itertools.combinations(
+                [u for u in sorted(left) if g.has_edge(u, v)], 2))]
+        v = simplicial[int(rng.integers(len(simplicial)))]
+        order.append(v)
+        left.remove(v)
+    return tuple(order)
+
+
+def test_verify_checks_any_other_ordering_pair_by_pair():
+    # verify takes the ordering is_chordal kept on the graph as proved; a
+    # valid ordering that differs from it must pass, and every ordering the
+    # pairwise reference rejects must fail
+    rng = np.random.default_rng(26)
+    other_valid = 0
+    for _ in range(10):
+        states, g = brute.random_product_instance(int(rng.integers(4, 9)), rng)
+        v = decide(states)
+        kept = tuple(v.certificate.data["ordering"])
+        assert kept == is_chordal(states.build_graphs().alice).ordering
+        orders = [kept, kept[::-1], _random_elimination_ordering(g, rng)]
+        orders += [tuple(int(u) for u in rng.permutation(g.n) + 1) for _ in range(6)]
+        orders += [kept[:-1], kept + kept[:1]]
+        for order in orders:
+            forged = _forge(v, certificate=Certificate(v.certificate.kind,
+                                                       {"ordering": list(order)}))
+            valid = _pairwise_elimination_ordering(g, order)
+            assert _failed(verify_certificate(states, forged, success_tol=1e-6)) == (
+                set() if valid else {"ordering valid"}), order
+            other_valid += valid and order != kept
+    assert other_valid >= 10
+
+
 def test_malformed_protocols_fail_the_dimension_check():
     # each of these raised inside the simulation instead of failing a check
     s = generate("example1")
@@ -833,8 +943,8 @@ def test_decide_runs_one_independence_search_per_eta_bound(monkeypatch, spec):
     assert len(searched) == 1
 
 
-def _assert_simulation_matches_reference(states, protocol):
-    sim = simulate(states, protocol)
+def _assert_simulation_matches_reference(states, protocol, sim=None):
+    sim = sim or simulate(states, protocol)
     ref = brute.reference_simulation(states, protocol)
     assert [label for label, _ in sim.per_state] == list(states.labels)
     assert np.allclose([p for _, p in sim.per_state],

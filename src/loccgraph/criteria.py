@@ -392,12 +392,18 @@ def decide(
     params["alice_chordal"] = chord_a.chordal
     params["host_chordal"] = chord_h.chordal
 
-    for kind, chord in ((KIND_CHORDAL_ALICE, chord_a), (KIND_CHORDAL_HOST, chord_h)):
-        if chord.chordal:
-            return distinguishable_verdict(
-                work, direction, Certificate(kind, {"ordering": list(chord.ordering)}),
-                params, notes, ga, host, tol,
-            )
+    if chord_a.chordal:
+        return distinguishable_verdict(
+            work, direction,
+            Certificate(KIND_CHORDAL_ALICE, {"ordering": list(chord_a.ordering)}),
+            params, notes, ga, host, tol,
+        )
+    if chord_h.chordal:
+        return distinguishable_verdict(
+            work, direction,
+            Certificate(KIND_CHORDAL_HOST, {"ordering": list(chord_h.ordering)}),
+            params, notes, ga, host, tol,
+        )
 
     verdict = _minimum_dimension_verdict(
         work, direction, graphs, d_eff, params, notes, opt

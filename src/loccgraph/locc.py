@@ -187,8 +187,9 @@ def _bob_plans(
     leaves (boolean, one row per outcome): member j's normalised Bob
     vector, its outcome and its label.
 
-    Bob's parts must be orthonormal within every outcome; if not, the first
-    outcome holding an overlapping pair names its worst pair.
+    Bob's parts must be orthonormal within every outcome; when they are
+    not, the first outcome holding an overlapping pair names its worst
+    pair.
     """
     outcome, member = np.nonzero(members)
     cols = states.bob[member]
@@ -357,16 +358,14 @@ def simulate(
         _deviation = _completeness_deviation(povm)
     at = _owner if _owner is not None else states.label_positions(protocol.bob_labels)
     probs, inside = _alice_probabilities(povm, states)
-    basis, outcomes = protocol.bob_basis, protocol.bob_outcomes
-    if at.min(initial=0) < 0:
-        named = at >= 0
-        basis, outcomes, at = basis[:, named], outcomes[named], at[named]
+    named = at >= 0
+    outcomes, at = protocol.bob_outcomes[named], at[named]
     # for each Bob column: the elements of its outcome, and what they give
     # the state the column detects
     same = povm.outcomes[:, None] == outcomes
     p_alice = (probs[:, at] * same).sum(axis=0)
     seen = (inside[:, at] & same).any(axis=0)
-    hits = np.einsum("dc,cd->c", basis.conj(), states.bob[at])
+    hits = np.einsum("dc,cd->c", protocol.bob_basis[:, named].conj(), states.bob[at])
     success = np.bincount(at, weights=p_alice * np.abs(hits) ** 2 * seen,
                           minlength=states.n)
     per_state = tuple(zip(states.labels, success.tolist()))

@@ -35,6 +35,7 @@ from .errors import InvalidCover, InvalidInput, LoccGraphError, SearchBudgetExce
 # perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
+    EtaBounds,
     Graph,
     chordal_sandwich,
     chromatic_number,
@@ -132,7 +133,9 @@ class DecideOptions:
 
 def effective_dimension(states: ProductStateSet, tol: Tolerance = DEFAULT_TOL) -> int:
     """The rank of Alice's frame: the set's alice_rank, which is the width
-    of its alice_span."""
+    of its alice_span. A set that an independent host set has proved of
+    full rank (ProductStateSet.proves_full_rank) reads it without a
+    factorisation."""
     return states.alice_rank(tol)
 
 
@@ -251,6 +254,7 @@ def _minimum_dimension_verdict(
     direction: str,
     graphs: StateGraphs,
     d_eff: int,
+    search: EtaBounds | SearchBudgetExceeded,
     params: dict,
     notes: list[str],
     opt: DecideOptions,
@@ -258,9 +262,10 @@ def _minimum_dimension_verdict(
     """The rungs that weigh d_eff against alpha(host) and chi(bob); None
     when none decides. States independent in the host overlap pairwise on
     Bob's side, so their Alice parts are orthogonal: alpha(host) <= d_eff.
-    All three rungs read one search of Bob's overlap graph, the host's
-    complement, for alpha(host), its witness and chi(bob); none fires when
-    that search runs past search_budget · n nodes.
+    All three rungs read search, decide's one search of Bob's overlap
+    graph, the host's complement, for alpha(host), its witness and
+    chi(bob), or the SearchBudgetExceeded it raised; none fires when that
+    search ran past search_budget · n nodes.
 
     MinDimNoSimplicial: call v sandwich-simplicial when N_ga[v], v and its
     Alice-overlap neighbours, is a host clique. Let I be an independent
@@ -286,14 +291,12 @@ def _minimum_dimension_verdict(
     """
     ga, host = graphs.alice, graphs.bob_orthogonality()
     eta = None
-    try:
-        # the host's complement is Bob's overlap graph, so the host's
-        # minimum-rank bounds are alpha(host) with its witness and chi(bob)
-        eta = eta_bounds_of_complement(graphs.bob, opt.search_budget)
+    if isinstance(search, SearchBudgetExceeded):
+        notes.append(str(search))
+    else:
+        eta = search
         params["alpha_host"] = eta.lower
         params["chi_bob"] = eta.upper
-    except SearchBudgetExceeded as exc:
-        notes.append(str(exc))
     params["simplicial_host"] = tuple(sorted(simplicial_vertices(host)))
     params["sandwich_simplicial"] = tuple(sorted(graphs.sandwich_simplicial))
     if eta is None:
@@ -371,12 +374,24 @@ def decide(
     host = graphs.bob_orthogonality()
     chord_a = is_chordal(ga)
     chord_h = is_chordal(host)
-    # the rank alone costs less than the span, which brings the rank with
-    # it: take the span first where a rung will read it, after a chordal
-    # graph, or past MinDimNoSimplicial, which a sandwich-simplicial vertex
-    # stops
-    if chord_a.chordal or chord_h.chordal or graphs.sandwich_simplicial:
+    chordal = chord_a.chordal or chord_h.chordal
+    search = None
+    if not chordal:
+        try:
+            # the host's complement is Bob's overlap graph, so the host's
+            # minimum-rank bounds are alpha(host) with its witness and chi(bob)
+            search = eta_bounds_of_complement(gb, opt.search_budget)
+        except SearchBudgetExceeded as exc:
+            search = exc
+    # the span brings the rank with it: take it first where a rung will
+    # read it, after a chordal graph, or past MinDimNoSimplicial, which a
+    # sandwich-simplicial vertex stops. Otherwise an alpha(host) witness of
+    # d_alice states may prove the rank, with no factorisation at all; the
+    # singular values alone give it where that proof fails
+    if chordal or graphs.sandwich_simplicial:
         work.alice_svd(tol)
+    elif not isinstance(search, SearchBudgetExceeded):
+        work.proves_full_rank([i - 1 for i in sorted(search.lower_witness)], tol)
     d_eff = effective_dimension(work, tol)
     notes: list[str] = []
     params: dict = {
@@ -406,7 +421,7 @@ def decide(
         )
 
     verdict = _minimum_dimension_verdict(
-        work, direction, graphs, d_eff, params, notes, opt
+        work, direction, graphs, d_eff, search, params, notes, opt
     )
     if verdict is not None:
         return verdict
@@ -503,6 +518,8 @@ def analyze(
         # alpha(host) with its witness and chi(bob)
         eta = eta_bounds_of_complement(graphs.bob, budget)
         alpha, wit, chi = eta.lower, tuple(sorted(eta.lower_witness)), eta.upper
+        # an independent host set of d_alice states may prove the rank
+        states.proves_full_rank([i - 1 for i in wit], tol)
     except SearchBudgetExceeded as exc:
         notes.append(str(exc))
     return AnalyzeReport(
@@ -644,6 +661,16 @@ class VerificationOutcome:
     checks: tuple[tuple[str, bool, str], ...]
 
 
+def _state_indices(value, n: int) -> Optional[list]:
+    """value as a list of int state indices in 1..n; None when it is not
+    iterable or holds anything else."""
+    try:
+        out = list(value)
+    except TypeError:
+        return None
+    return out if all(isinstance(v, int) and 1 <= v <= n for v in out) else None
+
+
 def _host_cliques(host: Graph, supports) -> bool:
     """Whether supports is a collection of non-empty cliques of host, each
     naming its states by int indices in 1..n; one pass over each support."""
@@ -676,6 +703,7 @@ def verify_certificate(
     is checked in one pass, check_protocol: Bob's plans, then, only if all
     are measurements, the simulation. An ordering equal to the one
     is_chordal keeps on the graph is proved; any other is checked pairwise.
+    A field of the wrong shape fails the check that reads it.
     """
     if verdict.direction not in (ALICE_FIRST, BOB_FIRST):
         return VerificationOutcome(
@@ -686,10 +714,6 @@ def verify_certificate(
     ga, gb = graphs.alice, graphs.bob
     host = graphs.bob_orthogonality()
     kind = verdict.certificate.kind
-    if kind in (KIND_SPANNING, KIND_DUAL_WITNESS):
-        # these checks read the span, which brings the rank with it
-        work.alice_svd(tol)
-    d_eff = effective_dimension(work, tol)
     search_budget = verdict.parameters.get("search_budget", DecideOptions.search_budget)
     sandwich_budget = verdict.parameters.get(
         "sandwich_budget", DecideOptions.sandwich_budget
@@ -741,13 +765,24 @@ def verify_certificate(
         g = ga if kind == KIND_CHORDAL_ALICE else host
         chord = is_chordal(g)
         check("graph chordal", chord.chordal)
-        order = tuple(data.get("ordering", ()))
-        check("ordering valid", order == chord.ordering
-              or is_perfect_elimination_ordering(g, order))
+        try:
+            order = tuple(data.get("ordering", ()))
+        except TypeError:  # the field is not iterable
+            order = None
+        check("ordering valid", order == chord.ordering or (
+            _state_indices(order, work.n) is not None
+            and is_perfect_elimination_ordering(g, order)))
     elif kind == KIND_SANDWICH:
-        g = Graph.from_edges(work.n, data.get("sandwich_edges", ()))
-        check("between bounds", is_subgraph(ga, g) and is_subgraph(g, host))
-        check("sandwich chordal", is_chordal(g).chordal)
+        try:
+            edges = [_state_indices(e, work.n) for e in data.get("sandwich_edges", ())]
+        except TypeError:  # the field is not iterable
+            edges = [None]
+        g = None
+        if all(e is not None and len(e) == 2 and e[0] != e[1] for e in edges):
+            g = Graph.from_edges(work.n, edges)
+        check("between bounds", g is not None and is_subgraph(ga, g) and is_subgraph(g, host),
+              "" if g is not None else f"edges need two distinct states in 1..{work.n}")
+        check("sandwich chordal", g is not None and is_chordal(g).chordal)
     elif kind == KIND_FEASIBLE:
         # the pieces sum to the identity on Alice's span and each is silent
         # outside its host clique exactly when, pushed through her frame,
@@ -787,13 +822,20 @@ def verify_certificate(
         # _minimum_dimension_verdict
         simp = sorted(graphs.sandwich_simplicial)
         check("no sandwich-simplicial vertices", not simp, f"vertices {simp}")
-        witness = list(data.get("alpha_witness", ()))
-        in_range = len(set(witness)) == len(witness) and all(
-            isinstance(i, int) and 1 <= i <= work.n for i in witness
-        )
-        check("witness distinct and in range", in_range, f"witness {witness}")
+        raw = data.get("alpha_witness", ())
+        witness = _state_indices(raw, work.n)
+        in_range = witness is not None and len(set(witness)) == len(witness)
+        check("witness distinct and in range", in_range,
+              f"witness {raw if witness is None else witness}")
+        witness = witness or []
         # independent in the host means pairwise overlapping on Bob's side
-        check("witness independent in host", in_range and is_clique(gb, witness))
+        independent = in_range and is_clique(gb, witness)
+        check("witness independent in host", independent)
+        # so their Alice parts are orthogonal, and d_alice of them may prove
+        # the rank of the frame and their own at once
+        rows = [i - 1 for i in witness]
+        proved = independent and work.proves_full_rank(rows, tol)
+        d_eff = effective_dimension(work, tol)
         check(
             "witness size meets rank",
             len(witness) == d_eff,
@@ -801,7 +843,7 @@ def verify_certificate(
         )
         rank = None
         if in_range:
-            rank = numeric_rank(work.alice[[i - 1 for i in witness]], tol)
+            rank = d_eff if proved else numeric_rank(work.alice[rows], tol)
         check("witness spans effective space", rank == d_eff, f"rank {rank}")
     elif kind in (KIND_ALPHA_CHI, KIND_NO_SANDWICH):
         try:
@@ -809,6 +851,7 @@ def verify_certificate(
             # it gives alpha(host) and chi(bob)
             eta = eta_bounds_of_complement(gb, search_budget)
             alpha, chi = eta.lower, eta.upper
+            d_eff = effective_dimension(work, tol)
             check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
             if kind == KIND_ALPHA_CHI:
                 check("alpha below chi", alpha < chi, f"alpha {alpha}")

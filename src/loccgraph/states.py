@@ -15,10 +15,12 @@ at most once per set, only when first read, and kept on it:
   host is the Alice graph itself when they are equal), each keeping its
   read-only adjacency matrix and edge count; with the StateGraphs, the
   sandwich-simplicial vertices;
-- per rank_tol: the rank of the measuring side's frame, from its singular
-  values alone, and its SVD, whose left factor is an orthonormal basis of
-  the span. Whichever comes second agrees with the first: the rank is read
-  off a kept SVD, and an SVD taken after the rank is cut at it;
+- per rank_tol: the rank of the measuring side's frame and its SVD, whose
+  left factor is an orthonormal basis of the span. The rank is read off a
+  kept SVD, proved without a factorisation by d_alice states whose block
+  of the Gram is diagonally dominant enough (proves_full_rank), or counted
+  from the singular values alone; an SVD taken after the rank is cut at
+  it, so whichever comes first, the two agree;
 - the swapped set (the same object on every call, whose own swapped() is
   this set), and the labels as a read-only array with each label's
   position.
@@ -248,8 +250,9 @@ class ProductStateSet:
         return self._overlaps(tol)[1]
 
     def alice_rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        """The numeric rank of Alice's frame: the width of the kept SVD when
-        there is one, else counted from the singular values alone."""
+        """The numeric rank of Alice's frame: the rank kept by
+        proves_full_rank or the width of the kept SVD when there is one,
+        else counted from the singular values alone."""
         key = ("rank", tol.rank_tol)
         if key not in self._derived:
             svd = self._derived.get(("svd", tol.rank_tol))
@@ -257,6 +260,30 @@ class ProductStateSet:
                 numeric_rank(self.alice_frame(), tol) if svd is None else len(svd[1])
             )
         return self._derived[key]
+
+    def proves_full_rank(self, rows: Sequence[int], tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Whether the states at these 0-based rows, d_alice of them, prove
+        that Alice's frame and their own rows have numeric rank d_alice,
+        with no factorisation; when they do, alice_rank keeps d_alice.
+
+        With B their block of Alice's Gram, B's least eigenvalue, the
+        rows' sigma_d squared, is at least min_i (B_ii - sum_{j != i}
+        |B_ij|) by Gershgorin's discs, and adding the other states never
+        lowers sigma_d; tr(Gram) bounds sigma_1 squared of the frame, and
+        of the rows, from above. Past 4 rank_tol^2 tr(Gram), sigma_d /
+        sigma_1 exceeds twice rank_tol, which leaves the SVD's O(eps
+        sigma_1) error room: numeric_rank counts d_alice values of both.
+        """
+        if len(rows) != self.d_alice:
+            return False
+        gram = self._grams[0]
+        # |B|, whose diagonal is B's and whose row sums hold it once
+        block = np.abs(gram[rows][:, rows])
+        least = (2 * block.diagonal() - block.sum(axis=1)).min()
+        if least <= 4 * tol.rank_tol ** 2 * gram.trace().real:
+            return False
+        self._derived.setdefault(("rank", tol.rank_tol), self.d_alice)
+        return True
 
     def alice_svd(
         self, tol: Tolerance = DEFAULT_TOL

@@ -404,6 +404,34 @@ def greedy_integer_set(d: int, n: int, rng: np.random.Generator,
     return None
 
 
+def integer_corpus(seeds, draws: int = 40):
+    """The greedy_integer_set corpus: per seed, from one default_rng(seed),
+    each draw takes d in 3..5 and n in 5..12, with Bob's entries in
+    (0, 1, -1) on even draws and (0, 1) on odd ones. Yields (seed, draw,
+    set) for each draw that found a set."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for draw in range(draws):
+            d, n = int(rng.integers(3, 6)), int(rng.integers(5, 13))
+            s = greedy_integer_set(d, n, rng, bob_values=(0, 1, -1) if draw % 2 == 0 else (0, 1))
+            if s is not None:
+                yield seed, draw, s
+
+
+def equal_overlap_set(alice_overlap: float, bob_overlap: float, d: int = 3):
+    """d product states in C^d x C^d whose Alice parts overlap pairwise by
+    alice_overlap and Bob parts by bob_overlap. With Bob's overlap just
+    above zero_tol and the product under it, the set is orthonormal and
+    independent in the host, yet its Alice parts overlap far from zero."""
+    from loccgraph import ProductStateSet
+
+    def parts(c):
+        w, v = np.linalg.eigh((1 - c) * np.eye(d) + c * np.ones((d, d)))
+        return v @ np.diag(np.sqrt(w)) @ v.T
+
+    return ProductStateSet.from_vectors(parts(alice_overlap), parts(bob_overlap))
+
+
 # sets of greedy_integer_set's kind that reach rungs no family reaches, as
 # {name: (direction, kind, alice vectors, bob vectors)}; from_vectors
 # normalises them

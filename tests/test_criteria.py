@@ -613,6 +613,108 @@ def test_dominance_supports_name_states_by_int_index_in_range():
         assert _failed(outcome) == (set() if ok else {"supports are host cliques"})
 
 
+def _rank_proof_outputs():
+    """What analyze, decide and verify give on sets where an alpha(host)
+    witness may prove the rank: the pinned and face sets, rings, a slice of
+    the integer corpus and sets with large Alice overlaps inside an
+    orthogonal set. Each direction is also verified with a forged
+    MinDimNoSimplicial naming analyze's witness, on a fresh copy, so that
+    verify's own proof or fallback decides its witness checks."""
+    sets = [brute.pinned_set(name)[0] for name in brute.PINNED_SETS]
+    sets += [brute.face_set(name)[0] for name in brute.FACE_SETS]
+    sets += [generate(spec) for spec in ("bennett", "tiles", "bullseye:11",
+                                         "bullseye-recursive:7")]
+    sets += [s for _, _, s in brute.integer_corpus([101])]
+    sets += [brute.equal_overlap_set(c, 1.5e-9) for c in (0.4, 0.6)]
+    out = []
+    for s in sets:
+        for direction in (ALICE_FIRST, BOB_FIRST):
+            work = s if direction == ALICE_FIRST else s.swapped()
+            report = analyze(ProductStateSet(work.alice, work.bob, work.labels))
+            v = decide(s, direction)
+            forged = Verdict(INDISTINGUISHABLE, direction, Certificate(
+                "MinDimNoSimplicial", {"alpha_witness": list(report.alpha_witness)}), {})
+            fresh = ProductStateSet(s.alice, s.bob, s.labels)
+            out.append((report.d_eff, report.alpha_witness, json.dumps(verdict_to_json(v)),
+                        verify_certificate(s, v).checks,
+                        verify_certificate(fresh, forged).checks))
+    return out
+
+
+def test_verdicts_do_not_depend_on_the_rank_proof(monkeypatch):
+    proofs, prove = [], ProductStateSet.proves_full_rank
+
+    def counted(self, rows, tol=DEFAULT_TOL):
+        proofs.append(prove(self, rows, tol))
+        return proofs[-1]
+
+    monkeypatch.setattr(ProductStateSet, "proves_full_rank", counted)
+    proved = _rank_proof_outputs()
+    monkeypatch.setattr(ProductStateSet, "proves_full_rank", lambda *args: False)
+    assert _rank_proof_outputs() == proved
+    # analyze, decide and verify each offered witnesses, and some were refused
+    assert proofs.count(True) >= 40 and proofs.count(False) >= 10
+
+
+def _with_data(verdict, **fields):
+    data = dict(verdict.certificate.data, **fields)
+    return dataclasses.replace(
+        verdict, certificate=Certificate(verdict.certificate.kind, data))
+
+
+# in memory nothing checks a certificate field's shape, so each of these
+# reaches verify, which fails the check that reads the field
+
+
+def test_a_malformed_ordering_fails_its_check():
+    s = generate("example1")
+    v = decide(s)
+    assert v.certificate.kind == "ChordalAliceGraph"
+    order = v.certificate.data["ordering"]
+    # an ordering equal to the kept one is proved, as the peel takes it
+    for edit in (list(order), tuple(order), [float(i) for i in order]):
+        assert verify_certificate(s, _with_data(v, ordering=edit)).ok
+    for edit in (5, None, "1234", [float(i) for i in order[::-1]],
+                 [[i] for i in order], order + [s.n + 1]):
+        outcome = verify_certificate(s, _with_data(v, ordering=edit))
+        assert _failed(outcome) == {"ordering valid"}, edit
+
+
+def test_a_malformed_alpha_witness_fails_its_checks():
+    s = generate("bennett")
+    v = decide(s)
+    assert v.certificate.kind == "MinDimNoSimplicial"
+    for edit in (5, None, [[1, 2]], ["1", "2", "3"], [1.0, 2.0, 3.0]):
+        outcome = verify_certificate(s, _with_data(v, alpha_witness=edit))
+        assert _failed(outcome) == {
+            "witness distinct and in range", "witness independent in host",
+            "witness size meets rank", "witness spans effective space"}, edit
+
+
+def test_malformed_sandwich_edges_fail_their_checks():
+    s, direction, kind = brute.pinned_set("sandwich")
+    v = decide(s, direction)
+    assert v.certificate.kind == kind == "ChordalSandwich"
+    assert verify_certificate(s, _with_data(v, sandwich_edges=[
+        list(e) for e in v.certificate.data["sandwich_edges"]])).ok
+    for edit in (5, None, [[1]], [[1, 99]], [[1, 1]], [[1, 2, 3]], [1, 2], [[0.0, 1.0]]):
+        outcome = verify_certificate(s, _with_data(v, sandwich_edges=edit))
+        assert _failed(outcome) == {"between bounds", "sandwich chordal"}, edit
+
+
+@pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
+def test_analyzing_a_ring_factors_nothing(monkeypatch, direction):
+    # the alpha(host) witness proves d_eff, so no SVD of any shape is taken
+    s = generate("bullseye:11")
+    work = s if direction == ALICE_FIRST else s.swapped()
+    factorised, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        factorised.append(np.shape(a)) or svd(a, *args, **kwargs)))
+    report = analyze(work)
+    assert report.d_eff == report.alpha_host == len(report.alpha_witness) == work.d_alice
+    assert factorised == []
+
+
 def test_singular_comparison_matrix_falls_through_to_the_convex_search():
     from loccgraph.decomposition import comparison_matrix, dominance_scaling
 

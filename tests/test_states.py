@@ -4,11 +4,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import brute
 from loccgraph.criteria import decide
 from loccgraph.errors import InvalidInput, NotMutuallyOrthogonal
+from loccgraph.families import generate
 from loccgraph.graphs import Graph, adjacency_matrix, complement
-from loccgraph.linalg import Tolerance
+from loccgraph.linalg import DEFAULT_TOL, Tolerance, numeric_rank
 from loccgraph.locc import simulate
 from loccgraph.serialize import (
     protocol_from_json,
@@ -375,3 +379,86 @@ def test_the_intake_matches_building_each_fact_alone():
         shared += host == alice
     # the sets reach the threshold and both kinds of host
     assert near >= 100 and 20 <= shared <= 220
+
+
+def _proof_agrees(s: ProductStateSet, rows) -> bool:
+    """Whether d_alice states at rows prove the rank; when they do, the
+    frame, the rows, the kept rank and the span all have rank d_alice."""
+    proved = s.proves_full_rank(rows)
+    if proved:
+        d = s.d_alice
+        assert numeric_rank(s.alice_frame()) == numeric_rank(s.alice[rows]) == d
+        assert s.alice_rank() == s.alice_span().shape[1] == d
+    return proved
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 6),
+       st.one_of(st.floats(-9, 0), st.floats(-7, -5)),
+       st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.1, 0.5, 1.5]))
+def test_a_proved_rank_is_the_numeric_rank(seed, d, extra, exponent, spread):
+    # d rows spread away from an orthonormal basis, one scaled by
+    # 10**exponent, shuffled among extra rows of norms 1e-9 to 10. The
+    # scaled row's least Gershgorin disc meets the proof's margin, 4e-14
+    # tr(Gram), near exponents -7 to -5 when the spread is below the scale
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(_complex(rng, d, d))
+    basis = q + spread * _complex(rng, d, d) / np.sqrt(2 * d)
+    basis[0] *= 10.0 ** exponent
+    others = _complex(rng, extra, d) * 10.0 ** rng.uniform(-9, 1, size=(extra, 1))
+    order = rng.permutation(d + extra)
+    alice = np.concatenate([basis, others])[order]
+    s = ProductStateSet(alice, np.ones((d + extra, 1)), tuple(map(str, range(d + extra))))
+    _proof_agrees(s, list(np.argsort(order)[:d]))
+
+
+@pytest.mark.parametrize("scale,proved,rank", [
+    (1.0, True, 3), (3e-7, True, 3), (2.5e-7, False, 3), (5e-8, False, 2)])
+def test_the_rank_proof_keeps_its_margin(scale, proved, rank):
+    # the least disc is scale^2 against 4 rank_tol^2 tr(Gram) = 4e-14 (2 +
+    # scale^2): the proof holds down to scale 2.83e-7, while numeric_rank
+    # counts the scaled row down to 1e-7
+    alice = np.eye(3, dtype=complex)
+    alice[0] *= scale
+    s = ProductStateSet(alice, np.ones((3, 1)), ("1", "2", "3"))
+    assert _proof_agrees(s, [0, 1, 2]) == proved
+    assert s.alice_rank() == rank
+
+
+def test_the_rank_proof_needs_d_alice_states():
+    s = ProductStateSet(np.eye(3, dtype=complex), np.ones((3, 1)), ("1", "2", "3"))
+    assert not s.proves_full_rank([0, 1]) and not s.proves_full_rank([0, 1, 2, 0])
+    assert ("rank", DEFAULT_TOL.rank_tol) not in s._derived
+    assert _proof_agrees(s, [2, 0, 1])
+
+
+def test_a_tiny_witness_part_refuses_the_proof():
+    # an Alice part scaled by 1e-8 and its Bob part by 1e8 leave the set
+    # orthonormal; the proof refuses, and the rank falls back to the SVD
+    s = generate("bennett")
+    witness = [i - 1 for i in decide(s).certificate.data["alpha_witness"]]
+    alice, bob = s.alice.copy(), s.bob.copy()
+    alice[witness[0]] *= 1e-8
+    bob[witness[0]] *= 1e8
+    scaled = ProductStateSet(alice, bob, s.labels)
+    scaled.require_orthonormal()
+    assert _proof_agrees(s, witness)
+    assert not _proof_agrees(scaled, witness)
+    assert scaled.alice_rank() == numeric_rank(scaled.alice_frame())
+
+
+@pytest.mark.parametrize("alice_overlap,proved", [(0.4, True), (0.6, False)])
+def test_bob_overlaps_just_above_zero_tol_allow_large_alice_overlaps(alice_overlap, proved):
+    # the product of the overlaps stays under zero_tol, so the set is
+    # orthonormal and independent in the host, yet its Alice Gram is far
+    # from the identity: discs 1 - 2 * overlap
+    s = brute.equal_overlap_set(alice_overlap, 1.5e-9)
+    s.require_orthonormal()
+    graphs = s.build_graphs()
+    assert graphs.bob.edge_count() == 3 and graphs.bob_orthogonality().edge_count() == 0
+    assert _proof_agrees(s, [0, 1, 2]) == proved
+    assert s.alice_rank() == 3

@@ -483,11 +483,13 @@ def _count_derivations(monkeypatch, frame: np.ndarray) -> dict:
 # (rank derivations, SVDs) of the measuring frame: the chordal rungs, and
 # the rungs past MinDimNoSimplicial when a vertex is sandwich-simplicial,
 # read the span with the rank; with no such vertex the rank comes first,
-# and the span follows when the rung does not fire because alpha(host) is
+# proved by an alpha(host) witness of d_alice states when one exists
+# (bennett: no factorisation at all), else from the singular values, and
+# the span follows when the rung does not fire because alpha(host) is
 # below d_eff
 _FRAME_DERIVATIONS = {
     "example1": (0, 1), "path-rep:8": (1, 1), "example3": (1, 1),
-    "cycle-rep:6": (1, 1), "pentagon-path": (0, 1), "bennett": (1, 0),
+    "cycle-rep:6": (1, 1), "pentagon-path": (0, 1), "bennett": (0, 0),
 }
 
 
@@ -558,14 +560,22 @@ def test_a_peel_runs_the_psd_eigensolve_only_when_its_factorisation_fails(
 
 @pytest.mark.parametrize("direction", [ALICE_FIRST, BOB_FIRST])
 def test_a_bullseye_is_decided_and_verified_without_its_span(monkeypatch, direction):
-    # MinDimNoSimplicial reads only the rank
+    # MinDimNoSimplicial reads only the rank, which its witness proves, in
+    # decide and in verify, also on fresh states read back from a file: no
+    # SVD of any shape is taken
     s = generate("bullseye:11")
     frame = (s if direction == ALICE_FIRST else s.swapped()).alice_frame()
     counts = _count_derivations(monkeypatch, frame)
+    factorised, counting = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        factorised.append(np.shape(a)) or counting(a, *args, **kwargs)))
     v = decide(s, direction)
     assert v.certificate.kind == "MinDimNoSimplicial"
     assert verify_certificate(s, verdict_from_json(json.loads(_write(v)), s)).ok
-    assert counts == {"intake": 1, "ranks": 1, "svds": 0}
+    fresh = generate("bullseye:11")
+    assert verify_certificate(fresh, verdict_from_json(json.loads(_write(v)), fresh)).ok
+    assert counts == {"intake": 2, "ranks": 0, "svds": 0}
+    assert factorised == []
 
 
 def test_deciding_and_verifying_leaves_numpy_ma_unimported():

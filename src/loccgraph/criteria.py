@@ -35,7 +35,6 @@ from .errors import InvalidCover, InvalidInput, LoccGraphError, SearchBudgetExce
 # perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
-    EtaBounds,
     Graph,
     chordal_sandwich,
     chromatic_number,
@@ -249,23 +248,20 @@ def distinguishable_verdict(
     )
 
 
-def _minimum_dimension_verdict(
-    work: ProductStateSet,
-    direction: str,
-    graphs: StateGraphs,
-    d_eff: int,
-    search: EtaBounds | SearchBudgetExceeded,
-    params: dict,
-    notes: list[str],
-    opt: DecideOptions,
-) -> Optional[Verdict]:
-    """The rungs that weigh d_eff against alpha(host) and chi(bob); None
-    when none decides. States independent in the host overlap pairwise on
-    Bob's side, so their Alice parts are orthogonal: alpha(host) <= d_eff.
-    All three rungs read search, decide's one search of Bob's overlap
+def decide(
+    states: ProductStateSet,
+    direction: str = ALICE_FIRST,
+    options: Optional[DecideOptions] = None,
+) -> Verdict:
+    """Decide one-way distinguishability with the given side measuring first.
+
+    The ladder, in order: a chordal overlap graph or chordal host; then the
+    rungs that weigh d_eff against alpha(host) and chi(bob); scaled
+    diagonal dominance; the convex end. States independent in the host
+    overlap pairwise on Bob's side, so their Alice parts are orthogonal:
+    alpha(host) <= d_eff. The middle rungs read one search of Bob's overlap
     graph, the host's complement, for alpha(host), its witness and
-    chi(bob), or the SearchBudgetExceeded it raised; none fires when that
-    search ran past search_budget · n nodes.
+    chi(bob); none fires when that search ran past search_budget · n nodes.
 
     MinDimNoSimplicial: call v sandwich-simplicial when N_ga[v], v and its
     Alice-overlap neighbours, is a host clique. Let I be an independent
@@ -289,79 +285,6 @@ def _minimum_dimension_verdict(
     sandwich exist (brute.PINNED_SETS "host-sandwich"), so the rung gives
     no verdict there.
     """
-    ga, host = graphs.alice, graphs.bob_orthogonality()
-    eta = None
-    if isinstance(search, SearchBudgetExceeded):
-        notes.append(str(search))
-    else:
-        eta = search
-        params["alpha_host"] = eta.lower
-        params["chi_bob"] = eta.upper
-    params["simplicial_host"] = tuple(sorted(simplicial_vertices(host)))
-    params["sandwich_simplicial"] = tuple(sorted(graphs.sandwich_simplicial))
-    if eta is None:
-        return None
-    params["eta_host"] = eta
-    alpha, chi = eta.lower, eta.upper
-    if d_eff == chi and alpha < chi:
-        return Verdict(
-            INDISTINGUISHABLE, direction,
-            Certificate(
-                KIND_ALPHA_CHI,
-                {"alpha": alpha, "chi": chi,
-                 "alpha_witness": sorted(eta.lower_witness)},
-            ),
-            params, notes=tuple(notes),
-        )
-    # an independent host set of size d_eff proves alpha(host) = d_eff
-    if alpha == d_eff >= 3 and not graphs.sandwich_simplicial:
-        return Verdict(
-            INDISTINGUISHABLE, direction,
-            Certificate(
-                KIND_NO_SIMPLICIAL,
-                {"alpha": d_eff, "d_eff": d_eff,
-                 "alpha_witness": sorted(eta.lower_witness),
-                 "eta": d_eff,
-                 "eta_certificate": "independent set meets Gram rank"},
-            ),
-            params, notes=tuple(notes),
-        )
-    if chi != d_eff:
-        return None
-    # at minimum dimension a chordal sandwich decides either way: peeling it
-    # gives the protocol, and its absence is the certificate
-    try:
-        sandwich = chordal_sandwich(ga, host, opt.sandwich_budget)
-    except SearchBudgetExceeded as exc:
-        notes.append(str(exc))
-        return None
-    if sandwich is None:
-        if host is not ga:
-            # a protocol's first measurement then joins its outcome cliques
-            # into a graph between ga and the host that need not be chordal
-            notes.append("no chordal sandwich, but the host is larger than "
-                         "the overlap graph")
-            return None
-        return Verdict(
-            INDISTINGUISHABLE, direction,
-            Certificate(KIND_NO_SANDWICH, {"chi": chi}),
-            params, notes=tuple(notes),
-        )
-    certificate = Certificate(KIND_SANDWICH, {
-        "sandwich_edges": [list(e) for e in sandwich.edge_list()],
-        "ordering": list(is_chordal(sandwich).ordering),
-    })
-    return distinguishable_verdict(
-        work, direction, certificate, params, notes, ga, host, opt.tol
-    )
-
-
-def decide(
-    states: ProductStateSet,
-    direction: str = ALICE_FIRST,
-    options: Optional[DecideOptions] = None,
-) -> Verdict:
-    """Decide one-way distinguishability with the given side measuring first."""
     if direction not in (ALICE_FIRST, BOB_FIRST):
         raise LoccGraphError(f"unknown direction {direction!r}")
     opt = options or DecideOptions()
@@ -374,26 +297,19 @@ def decide(
     host = graphs.bob_orthogonality()
     chord_a = is_chordal(ga)
     chord_h = is_chordal(host)
-    chordal = chord_a.chordal or chord_h.chordal
-    search = None
-    if not chordal:
+    notes: list[str] = []
+    eta = None
+    if not (chord_a.chordal or chord_h.chordal):
         try:
             # the host's complement is Bob's overlap graph, so the host's
             # minimum-rank bounds are alpha(host) with its witness and chi(bob)
-            search = eta_bounds_of_complement(gb, opt.search_budget)
+            eta = eta_bounds_of_complement(gb, opt.search_budget)
+            # a witness of d_alice states may prove the rank with no
+            # factorisation at all
+            work.proves_full_rank([i - 1 for i in sorted(eta.lower_witness)], tol)
         except SearchBudgetExceeded as exc:
-            search = exc
-    # the span brings the rank with it: take it first where a rung will
-    # read it, after a chordal graph, or past MinDimNoSimplicial, which a
-    # sandwich-simplicial vertex stops. Otherwise an alpha(host) witness of
-    # d_alice states may prove the rank, with no factorisation at all; the
-    # singular values alone give it where that proof fails
-    if chordal or graphs.sandwich_simplicial:
-        work.alice_svd(tol)
-    elif not isinstance(search, SearchBudgetExceeded):
-        work.proves_full_rank([i - 1 for i in sorted(search.lower_witness)], tol)
+            notes.append(str(exc))
     d_eff = effective_dimension(work, tol)
-    notes: list[str] = []
     params: dict = {
         "n": work.n,
         "d_alice": work.d_alice,
@@ -403,28 +319,55 @@ def decide(
         "bob_edges": gb.edge_count(),
         "search_budget": opt.search_budget,
         "sandwich_budget": opt.sandwich_budget,
+        "alice_chordal": chord_a.chordal,
+        "host_chordal": chord_h.chordal,
     }
-    params["alice_chordal"] = chord_a.chordal
-    params["host_chordal"] = chord_h.chordal
+
+    def conclude(kind: str, data: dict) -> Verdict:
+        certificate = Certificate(kind, data)
+        if _PROVES[kind] == DISTINGUISHABLE:
+            return distinguishable_verdict(
+                work, direction, certificate, params, notes, ga, host, tol
+            )
+        return Verdict(_PROVES[kind], direction, certificate, params, notes=tuple(notes))
 
     if chord_a.chordal:
-        return distinguishable_verdict(
-            work, direction,
-            Certificate(KIND_CHORDAL_ALICE, {"ordering": list(chord_a.ordering)}),
-            params, notes, ga, host, tol,
-        )
+        return conclude(KIND_CHORDAL_ALICE, {"ordering": list(chord_a.ordering)})
     if chord_h.chordal:
-        return distinguishable_verdict(
-            work, direction,
-            Certificate(KIND_CHORDAL_HOST, {"ordering": list(chord_h.ordering)}),
-            params, notes, ga, host, tol,
-        )
+        return conclude(KIND_CHORDAL_HOST, {"ordering": list(chord_h.ordering)})
 
-    verdict = _minimum_dimension_verdict(
-        work, direction, graphs, d_eff, search, params, notes, opt
-    )
-    if verdict is not None:
-        return verdict
+    if eta is not None:
+        params.update(alpha_host=eta.lower, chi_bob=eta.upper, eta_host=eta)
+    params["simplicial_host"] = tuple(sorted(simplicial_vertices(host)))
+    params["sandwich_simplicial"] = tuple(sorted(graphs.sandwich_simplicial))
+    if eta is not None and eta.lower < eta.upper == d_eff:
+        return conclude(KIND_ALPHA_CHI, {"alpha": eta.lower, "chi": eta.upper,
+                                         "alpha_witness": sorted(eta.lower_witness)})
+    # an independent host set of size d_eff proves alpha(host) = d_eff
+    if eta is not None and eta.lower == d_eff >= 3 and not graphs.sandwich_simplicial:
+        return conclude(KIND_NO_SIMPLICIAL, {
+            "alpha": d_eff, "d_eff": d_eff, "alpha_witness": sorted(eta.lower_witness),
+            "eta": d_eff, "eta_certificate": "independent set meets Gram rank",
+        })
+    if eta is not None and eta.upper == d_eff:
+        # at minimum dimension a chordal sandwich decides either way:
+        # peeling it gives the protocol, and its absence is the certificate
+        try:
+            sandwich = chordal_sandwich(ga, host, opt.sandwich_budget)
+        except SearchBudgetExceeded as exc:
+            notes.append(str(exc))
+        else:
+            if sandwich is not None:
+                return conclude(KIND_SANDWICH, {
+                    "sandwich_edges": [list(e) for e in sandwich.edge_list()],
+                    "ordering": list(is_chordal(sandwich).ordering),
+                })
+            if host is ga:
+                return conclude(KIND_NO_SANDWICH, {"chi": eta.upper})
+            # a protocol's first measurement then joins its outcome cliques
+            # into a graph between ga and the host that need not be chordal
+            notes.append("no chordal sandwich, but the host is larger than "
+                         "the overlap graph")
 
     m = work.alice_gram()
     # every overlap edge is a host edge for an orthogonal product set, so a
@@ -432,53 +375,45 @@ def decide(
     # overlaps near zero on both sides can break it
     x = dominance_scaling(m, ga, tol) if is_subgraph(ga, host) else None
     if x is not None:
-        return distinguishable_verdict(
-            work, direction,
-            Certificate(KIND_SCALED_DD, {
-                "scaling": x.tolist(),
-                "supports": [sorted(s) for s in greedy_clique_cover(ga)],
-            }),
-            params, notes, ga, host, tol,
-        )
+        return conclude(KIND_SCALED_DD, {
+            "scaling": x.tolist(),
+            "supports": [sorted(s) for s in greedy_clique_cover(ga)],
+        })
 
     # the convex end: Alice's outcome operators on the faces of the maximal
     # admissible supports; all faces empty is the spanning obstruction
     faces = spanning_obstruction(work, maximal_cliques(host), tol)
     if faces.empty:
-        return Verdict(INDISTINGUISHABLE, direction, Certificate(KIND_SPANNING, {
+        return conclude(KIND_SPANNING, {
             "d_eff": faces.d_eff,
             "supports": [sorted(s) for s, _ in faces.entries],
             "outside_ranks": [r for _, r in faces.entries],
-        }), params, notes=tuple(notes))
+        })
     feas = feasibility_search(faces, tol, opt.max_iter)
     if feas.converged:
-        return distinguishable_verdict(
-            work, direction,
-            Certificate(KIND_FEASIBLE, {
-                "supports": [sorted(s) for s in feas.supports],
-                "weights": feas.weights.tolist(),
-                "directions": feas.directions,
-                "gap": feas.gap,
-                "iterations": feas.iterations,
-            }),
-            params, notes, ga, host, tol,
-        )
+        return conclude(KIND_FEASIBLE, {
+            "supports": [sorted(s) for s in feas.supports],
+            "weights": feas.weights.tolist(),
+            "directions": feas.directions,
+            "gap": feas.gap,
+            "iterations": feas.iterations,
+        })
     if feas.witness is not None:
         # every one-way protocol restricts to such operators, and none exist
-        return Verdict(INDISTINGUISHABLE, direction, Certificate(KIND_DUAL_WITNESS, {
+        return conclude(KIND_DUAL_WITNESS, {
             "witness": faces.lift(feas.witness.matrix),
             "shift": feas.witness.shift,
             "shifted_inner_product": feas.witness.value,
             "iterations": feas.iterations,
-        }), params, notes=tuple(notes))
+        })
     notes.append(
         f"feasibility search ran out of its iteration budget "
         f"({opt.max_iter}) at gap {feas.gap:.3g}"
     )
-    return Verdict(UNKNOWN, direction, Certificate(KIND_UNKNOWN, {
+    return conclude(KIND_UNKNOWN, {
         "reason": "iteration budget exhausted",
         "gap": feas.gap, "iterations": feas.iterations,
-    }), params, notes=tuple(notes))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +634,8 @@ def verify_certificate(
     """Re-derive everything a verdict asserts, from the states alone.
 
     The searches run with the budgets the verdict records (the defaults when
-    it records none); a search over its budget fails its check. A protocol
+    it records none); a search over its budget, or with a budget that is no
+    int, fails its check. A protocol
     is checked in one pass, check_protocol: Bob's plans, then, only if all
     are measurements, the simulation. An ordering equal to the one
     is_chordal keeps on the graph is proved; any other is checked pairwise.
@@ -714,10 +650,13 @@ def verify_certificate(
     ga, gb = graphs.alice, graphs.bob
     host = graphs.bob_orthogonality()
     kind = verdict.certificate.kind
-    search_budget = verdict.parameters.get("search_budget", DecideOptions.search_budget)
-    sandwich_budget = verdict.parameters.get(
-        "sandwich_budget", DecideOptions.sandwich_budget
-    )
+
+    def budget(key: str) -> int:
+        value = verdict.parameters.get(key, getattr(DecideOptions, key))
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SearchBudgetExceeded(f"{key} {value!r} is not an integer")
+        return value
+
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -763,15 +702,8 @@ def verify_certificate(
 
     if kind in (KIND_CHORDAL_ALICE, KIND_CHORDAL_HOST):
         g = ga if kind == KIND_CHORDAL_ALICE else host
-        chord = is_chordal(g)
-        check("graph chordal", chord.chordal)
-        try:
-            order = tuple(data.get("ordering", ()))
-        except TypeError:  # the field is not iterable
-            order = None
-        check("ordering valid", order == chord.ordering or (
-            _state_indices(order, work.n) is not None
-            and is_perfect_elimination_ordering(g, order)))
+        check("graph chordal", is_chordal(g).chordal)
+        check("ordering valid", is_perfect_elimination_ordering(g, data.get("ordering", ())))
     elif kind == KIND_SANDWICH:
         try:
             edges = [_state_indices(e, work.n) for e in data.get("sandwich_edges", ())]
@@ -818,8 +750,7 @@ def verify_certificate(
     elif kind == KIND_NO_SIMPLICIAL:
         # an independent host set of size d_eff attains the bound
         # alpha(host) <= d_eff, so no exact search is needed; why this and
-        # no sandwich-simplicial vertex prove the status: see
-        # _minimum_dimension_verdict
+        # no sandwich-simplicial vertex prove the status: see decide
         simp = sorted(graphs.sandwich_simplicial)
         check("no sandwich-simplicial vertices", not simp, f"vertices {simp}")
         raw = data.get("alpha_witness", ())
@@ -849,18 +780,18 @@ def verify_certificate(
         try:
             # the host's complement is Bob's overlap graph, so one search of
             # it gives alpha(host) and chi(bob)
-            eta = eta_bounds_of_complement(gb, search_budget)
+            eta = eta_bounds_of_complement(gb, budget("search_budget"))
             alpha, chi = eta.lower, eta.upper
             d_eff = effective_dimension(work, tol)
             check("at minimum dimension", chi == d_eff, f"chi {chi}, d_eff {d_eff}")
             if kind == KIND_ALPHA_CHI:
                 check("alpha below chi", alpha < chi, f"alpha {alpha}")
             else:
-                # why the host must be ga: see _minimum_dimension_verdict
+                # why the host must be ga: see decide
                 check("overlap graph is the host", host is ga)
                 check(
                     "no chordal sandwich",
-                    chordal_sandwich(ga, host, sandwich_budget) is None,
+                    chordal_sandwich(ga, host, budget("sandwich_budget")) is None,
                 )
         except SearchBudgetExceeded as exc:
             check("search within budget", False, str(exc))

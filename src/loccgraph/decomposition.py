@@ -166,10 +166,8 @@ def chordal_decompose(
         ordering = chord.ordering
         if not chord.chordal:
             misfit = f"pattern graph has a chordless cycle {chord.hole}"
-    # is_chordal verified its own ordering; any other is checked here
-    elif (tuple(ordering) != chord.ordering
-          and not is_perfect_elimination_ordering(g, ordering)):
-        misfit = f"{list(ordering)} is no perfect elimination ordering"
+    elif not is_perfect_elimination_ordering(g, ordering):
+        misfit = f"{ordering!r} is no perfect elimination ordering"
 
     pieces = None
     if not misfit:

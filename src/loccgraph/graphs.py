@@ -296,8 +296,20 @@ def lex_bfs_order(g: Graph) -> tuple[int, ...]:
 
 
 def is_perfect_elimination_ordering(g: Graph, order: Sequence[int]) -> bool:
-    """Full pairwise check that later neighborhoods are cliques."""
-    if sorted(order) != list(g.vertices):
+    """Whether order lists each vertex of g once so that each vertex's later
+    neighbours form a clique. The ordering is_chordal kept on g is proved
+    already, even with float entries; any other is checked pairwise, and is
+    False unless it is an iterable of ints."""
+    try:
+        order = tuple(order)
+    except TypeError:
+        return False
+    if not all(isinstance(v, (int, float)) for v in order):
+        return False
+    kept = g.__dict__.get("_is_chordal")
+    if kept is not None and order == kept.ordering:
+        return True
+    if not all(isinstance(v, int) for v in order) or sorted(order) != list(g.vertices):
         return False
     later = _full(g.n)
     for v in order:

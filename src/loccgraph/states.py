@@ -16,11 +16,10 @@ at most once per set, only when first read, and kept on it:
   read-only adjacency matrix and edge count; with the StateGraphs, the
   sandwich-simplicial vertices;
 - per rank_tol: the rank of the measuring side's frame and its SVD, whose
-  left factor is an orthonormal basis of the span. The rank is read off a
-  kept SVD, proved without a factorisation by d_alice states whose block
-  of the Gram is diagonally dominant enough (proves_full_rank), or counted
-  from the singular values alone; an SVD taken after the rank is cut at
-  it, so whichever comes first, the two agree;
+  left factor is an orthonormal basis of the span. The rank is proved
+  without a factorisation by d_alice states whose block of the Gram is
+  diagonally dominant enough (proves_full_rank), or else read off the SVD;
+  an SVD taken after a proved rank is cut at it, so the two agree;
 - the swapped set (the same object on every call, whose own swapped() is
   this set), and the labels as a read-only array with each label's
   position.
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
 from .graphs import Graph, sandwich_simplicial_vertices, simplicial_vertices
-from .linalg import DEFAULT_TOL, Tolerance, numeric_rank, thin_svd
+from .linalg import DEFAULT_TOL, Tolerance, thin_svd
 
 
 @dataclass(frozen=True)
@@ -251,20 +250,14 @@ class ProductStateSet:
 
     def alice_rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """The numeric rank of Alice's frame: the rank kept by
-        proves_full_rank or the width of the kept SVD when there is one,
-        else counted from the singular values alone."""
-        key = ("rank", tol.rank_tol)
-        if key not in self._derived:
-            svd = self._derived.get(("svd", tol.rank_tol))
-            self._derived[key] = (
-                numeric_rank(self.alice_frame(), tol) if svd is None else len(svd[1])
-            )
-        return self._derived[key]
+        proves_full_rank, else the width of alice_svd."""
+        rank = self._derived.get(("rank", tol.rank_tol))
+        return len(self.alice_svd(tol)[1]) if rank is None else rank
 
     def proves_full_rank(self, rows: Sequence[int], tol: Tolerance = DEFAULT_TOL) -> bool:
         """Whether the states at these 0-based rows, d_alice of them, prove
         that Alice's frame and their own rows have numeric rank d_alice,
-        with no factorisation; when they do, alice_rank keeps d_alice.
+        with no factorisation; when they do, d_alice is kept as the rank.
 
         With B their block of Alice's Gram, B's least eigenvalue, the
         rows' sigma_d squared, is at least min_i (B_ii - sum_{j != i}
@@ -289,7 +282,7 @@ class ProductStateSet:
         self, tol: Tolerance = DEFAULT_TOL
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Alice's frame's SVD cut to its numeric rank (linalg.thin_svd), or
-        to alice_rank when that is kept, as read-only arrays."""
+        to the rank proves_full_rank kept, as read-only arrays."""
         key = ("svd", tol.rank_tol)
         if key not in self._derived:
             svd = thin_svd(self.alice_frame(), tol, self._derived.get(("rank", tol.rank_tol)))

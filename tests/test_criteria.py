@@ -675,7 +675,7 @@ def test_a_malformed_ordering_fails_its_check():
     for edit in (list(order), tuple(order), [float(i) for i in order]):
         assert verify_certificate(s, _with_data(v, ordering=edit)).ok
     for edit in (5, None, "1234", [float(i) for i in order[::-1]],
-                 [[i] for i in order], order + [s.n + 1]):
+                 [[i] for i in order], order + [s.n + 1], np.array([[1, 2], [3, 4]])):
         outcome = verify_certificate(s, _with_data(v, ordering=edit))
         assert _failed(outcome) == {"ordering valid"}, edit
 
@@ -689,6 +689,20 @@ def test_a_malformed_alpha_witness_fails_its_checks():
         assert _failed(outcome) == {
             "witness distinct and in range", "witness independent in host",
             "witness size meets rank", "witness spans effective space"}, edit
+
+
+@pytest.mark.parametrize("spec,kind,key", [
+    ("tiles", "AlphaLessThanChi", "search_budget"),
+    ("example2", "NonChordalSandwichAtMinDim", "search_budget"),
+    ("example2", "NonChordalSandwichAtMinDim", "sandwich_budget"),
+])
+@pytest.mark.parametrize("value", [None, "5"])
+def test_a_malformed_budget_fails_the_search(spec, kind, key, value):
+    s = generate(spec)
+    v = decide(s)
+    assert v.certificate.kind == kind
+    forged = dataclasses.replace(v, parameters=dict(v.parameters, **{key: value}))
+    assert _failed(verify_certificate(s, forged)) == {"search within budget"}
 
 
 def test_malformed_sandwich_edges_fail_their_checks():

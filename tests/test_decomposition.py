@@ -113,6 +113,13 @@ def test_chordal_decompose_rejects_a_matrix_whose_factorisation_fails_late(
     assert errors == [f"matrix has eigenvalue {1 - 0.9 * np.sqrt(2):.3g}"] * 2
 
 
+# (2, 1, 3, 4) is no perfect elimination ordering of P4 as ints either
+@pytest.mark.parametrize("ordering", [[2.0, 1.0, 3.0, 4.0], 5])
+def test_chordal_decompose_rejects_an_ordering_that_is_no_list_of_ints(ordering):
+    with pytest.raises(PatternViolation):
+        chordal_decompose(np.eye(4), path_graph(4), ordering=ordering)
+
+
 def test_chordal_decompose_rejects_non_chordal_graph():
     g = cycle_graph(4)
     m = np.eye(4) + 0.3 * np.array([

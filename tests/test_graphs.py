@@ -82,6 +82,15 @@ def test_lex_bfs_gives_peo_on_chordal():
     assert is_perfect_elimination_ordering(g, tuple(reversed(order)))
 
 
+def test_an_ordering_of_floats_is_no_perfect_elimination_ordering():
+    g = path_graph(4)
+    assert not is_perfect_elimination_ordering(g, [4.0, 3.0, 2.0, 1.0])
+    assert not is_perfect_elimination_ordering(g, 5)
+    # the ordering is_chordal kept on g is proved, with float entries too
+    kept = is_chordal(g).ordering
+    assert is_perfect_elimination_ordering(g, [float(v) for v in kept])
+
+
 def test_is_chordal_outputs():
     res = is_chordal(path_graph(4))
     assert res.chordal and res.ordering is not None
@@ -187,7 +196,9 @@ def test_one_pass_chordality_matches_the_oracles():
         res = is_chordal(g)
         reference = tuple(reversed(brute.reference_lex_bfs_order(g)))
         assert lex_bfs_order(g) == reference[::-1]
-        two_pass = is_perfect_elimination_ordering(g, reference)
+        # on a fresh copy, which keeps no chordality, every ordering is
+        # checked pairwise
+        two_pass = is_perfect_elimination_ordering(Graph(g.n, g.nbrs), reference)
         assert res.chordal == two_pass, (g.n, g.nbrs)
         assert res.ordering == (reference if two_pass else None)
         nxg = nx.Graph()

@@ -480,16 +480,14 @@ def _count_derivations(monkeypatch, frame: np.ndarray) -> dict:
     return counts
 
 
-# (rank derivations, SVDs) of the measuring frame: the chordal rungs, and
-# the rungs past MinDimNoSimplicial when a vertex is sandwich-simplicial,
-# read the span with the rank; with no such vertex the rank comes first,
-# proved by an alpha(host) witness of d_alice states when one exists
-# (bennett: no factorisation at all), else from the singular values, and
-# the span follows when the rung does not fire because alpha(host) is
-# below d_eff
+# (rank derivations, SVDs) of the measuring frame: an alpha(host) witness
+# of d_alice states proves the rank when one exists (bennett: no
+# factorisation at all); otherwise the rank is the width of the one SVD,
+# which gives the span too
 _FRAME_DERIVATIONS = {
-    "example1": (0, 1), "path-rep:8": (1, 1), "example3": (1, 1),
-    "cycle-rep:6": (1, 1), "pentagon-path": (0, 1), "bennett": (0, 0),
+    "example1": (0, 1), "path-rep:8": (0, 1), "example3": (0, 1),
+    "cycle-rep:6": (0, 1), "pentagon-path": (0, 1), "bennett": (0, 0),
+    "cycle-rep:8": (0, 1), "path-rep:12": (0, 1),
 }
 
 
@@ -500,6 +498,8 @@ _FRAME_DERIVATIONS = {
     ("cycle-rep:6", ALICE_FIRST),     # SpanningObstruction
     ("pentagon-path", BOB_FIRST),     # DualWitness
     ("bennett", BOB_FIRST),           # MinDimNoSimplicial
+    ("cycle-rep:8", BOB_FIRST),       # ScaledDiagonalDominance
+    ("path-rep:12", BOB_FIRST),       # ScaledDiagonalDominance
 ])
 def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
     s = generate(spec)

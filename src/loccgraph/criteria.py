@@ -29,10 +29,10 @@ from .decomposition import (
     verify_decomposition,
 )
 from .errors import InvalidCover, InvalidInput, LoccGraphError, SearchBudgetExceeded
-# chromatic_number, edge_clique_cover_number, eta_plus_bounds,
-# find_two_clique_cover, frame, independence_number, synthesize_protocol and
-# validate_povm are no longer called here; they stay bound because
-# perfbench/layertrace.py wraps the names this module binds
+# chordal_sandwich, chromatic_number, edge_clique_cover_number,
+# eta_plus_bounds, find_two_clique_cover, frame, independence_number,
+# synthesize_protocol and validate_povm are no longer called here; they stay
+# bound because perfbench/layertrace.py wraps the names this module binds
 from .graphs import (  # noqa: F401
     ChordalityResult,
     Graph,
@@ -128,6 +128,12 @@ class DecideOptions:
     # nodes per state: each exact graph search spends at most
     # search_budget * n nodes
     search_budget: int = 40
+
+    def __post_init__(self):
+        for key in ("max_iter", "sandwich_budget", "search_budget"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 0:  # bools are no budgets
+                raise InvalidInput(f"{key} must be an int >= 0, got {value!r}")
 
 
 def effective_dimension(states: ProductStateSet, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -353,7 +359,7 @@ def decide(
         # at minimum dimension a chordal sandwich decides either way:
         # peeling it gives the protocol, and its absence is the certificate
         try:
-            sandwich = chordal_sandwich(ga, host, opt.sandwich_budget)
+            sandwich = graphs.chordal_sandwich(opt.sandwich_budget)
         except SearchBudgetExceeded as exc:
             notes.append(str(exc))
         else:
@@ -382,7 +388,7 @@ def decide(
 
     # the convex end: Alice's outcome operators on the faces of the maximal
     # admissible supports; all faces empty is the spanning obstruction
-    faces = spanning_obstruction(work, maximal_cliques(host), tol)
+    faces = work.host_faces(tol)
     if faces.empty:
         return conclude(KIND_SPANNING, {
             "d_eff": faces.d_eff,
@@ -508,13 +514,11 @@ def converse_theorem_checks(
     budget: int = 40,
     match_tol: float = 1e-7,
 ) -> ConverseReport:
-    graphs = states.build_graphs(tol)
-    host = graphs.bob_orthogonality()
     d_eff = effective_dimension(states, tol)
     notes: list[str] = []
     try:
         # eta's bounds are alpha(host) and chi(complement(host)) = chi(bob)
-        eta = eta_bounds_of_complement(graphs.bob, budget)
+        eta = eta_bounds_of_complement(states.build_graphs(tol).bob, budget)
     except SearchBudgetExceeded as exc:
         return ConverseReport(
             False, d_eff, None, None, None, (), (), 0, False, notes=(str(exc),)
@@ -532,7 +536,7 @@ def converse_theorem_checks(
     scale = max(1.0, float(np.linalg.norm(m)))
     # a support whose face is a line forces its outcome's direction; an
     # empty face lets nothing live on the support
-    faces = spanning_obstruction(states, maximal_cliques(host), tol)
+    faces = states.host_faces(tol)
     span = faces.span
     forced: list[tuple[frozenset[int], np.ndarray]] = []
     under: list[frozenset[int]] = []
@@ -635,11 +639,13 @@ def verify_certificate(
 
     The searches run with the budgets the verdict records (the defaults when
     it records none); a search over its budget, or with a budget that is no
-    int, fails its check. A protocol
-    is checked in one pass, check_protocol: Bob's plans, then, only if all
-    are measurements, the simulation. An ordering equal to the one
-    is_chordal keeps on the graph is proved; any other is checked pairwise.
-    A field of the wrong shape fails the check that reads it.
+    int, fails its check. What the set keeps at the same tolerances and
+    budgets (see states) is read, not derived again: the alpha/chi search,
+    the sandwich search, the faces, and the witness that proved the rank.
+    An ordering or a clique equal to the one the graph keeps is proved; any
+    other is checked pairwise. A protocol is checked in one pass,
+    check_protocol: Bob's plans, then, only if all are measurements, the
+    simulation. A field of the wrong shape fails the check that reads it.
     """
     if verdict.direction not in (ALICE_FIRST, BOB_FIRST):
         return VerificationOutcome(
@@ -791,15 +797,12 @@ def verify_certificate(
                 check("overlap graph is the host", host is ga)
                 check(
                     "no chordal sandwich",
-                    chordal_sandwich(ga, host, budget("sandwich_budget")) is None,
+                    graphs.chordal_sandwich(budget("sandwich_budget")) is None,
                 )
         except SearchBudgetExceeded as exc:
             check("search within budget", False, str(exc))
     elif kind == KIND_SPANNING:
-        check(
-            "obstruction reproducible",
-            spanning_obstruction(work, maximal_cliques(host), tol).empty,
-        )
+        check("obstruction reproducible", work.host_faces(tol).empty)
     elif kind == KIND_DUAL_WITNESS:
         try:
             z = np.asarray(data.get("witness"), dtype=complex)
@@ -810,8 +813,7 @@ def verify_certificate(
         check("witness is an operator on the measuring side", well_formed,
               f"shape {z.shape}, measuring side C^{d}")
         if well_formed:
-            faces = spanning_obstruction(work, maximal_cliques(host), tol)
-            w = dual_witness(faces, z, tol)
+            w = dual_witness(work.host_faces(tol), z, tol)
             check(
                 "witness excludes every splitting",
                 w.holds,

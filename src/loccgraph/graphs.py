@@ -204,7 +204,10 @@ def is_subgraph(g: Graph, h: Graph) -> bool:
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+    """Whether the vertices form a clique of g; the one clique_search kept is proved."""
     vs = set(vertices)
+    if vs == g.__dict__.get("_clique_search"):
+        return True
     if not all(1 <= v <= g.n for v in vs):
         # a vertex outside the graph is adjacent to nothing
         return len(vs) <= 1
@@ -418,7 +421,7 @@ def clique_search(
     It cuts a branch whose size plus bound cannot beat the best clique,
     stops at a clique as large as the colouring, and raises
     SearchBudgetExceeded past node_budget branches. It keeps its own stack,
-    so a dive may run deeper than Python's recursion limit.
+    so a dive may run deeper than Python's recursion limit; g keeps the clique.
     """
     nbrs = g.nbrs
     by_degree: dict[int, int] = {}
@@ -458,7 +461,8 @@ def clique_search(
             cand ^= low
         cls = _first_fit(nbrs, [m for c in cls[:top] if (m := c & cand)])
         top = len(cls)
-    return frozenset(_bits(found)), tuple(classes)
+    clique = g.__dict__["_clique_search"] = frozenset(_bits(found))
+    return clique, tuple(classes)
 
 
 def _first_fit(nbrs: Sequence[int], groups: list[int]) -> list[int]:
@@ -758,9 +762,12 @@ class EtaBounds:
 def eta_bounds_of_complement(g: Graph, budget: int = 40) -> EtaBounds:
     """eta_plus_bounds(complement(g)) without building the complement: the
     clique number of g with a maximum clique, and chi(g), from one clique
-    search of g (see chromatic_number for the budget)."""
-    clique, classes = _clique_and_colouring(g, budget)
-    return EtaBounds(len(clique), clique, len(classes), len(clique) == len(classes))
+    search of g (see chromatic_number for the budget), kept on g per budget."""
+    kept = g.__dict__.setdefault("_eta_bounds_of_complement", {})
+    if budget not in kept:
+        clique, classes = _clique_and_colouring(g, budget)
+        kept[budget] = EtaBounds(len(clique), clique, len(classes), len(clique) == len(classes))
+    return kept[budget]
 
 
 def eta_plus_bounds(g: Graph, budget: int = 40) -> EtaBounds:

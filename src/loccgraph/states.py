@@ -14,22 +14,25 @@ at most once per set, only when first read, and kept on it:
   orthonormality report, and the Alice, Bob and host overlap graphs (the
   host is the Alice graph itself when they are equal), each keeping its
   read-only adjacency matrix and edge count; with the StateGraphs, the
-  sandwich-simplicial vertices;
+  sandwich-simplicial vertices and, per budget, the chordal sandwich;
 - per rank_tol: the rank of the measuring side's frame and its SVD, whose
   left factor is an orthonormal basis of the span. The rank is proved
   without a factorisation by d_alice states whose block of the Gram is
-  diagonally dominant enough (proves_full_rank), or else read off the SVD;
-  an SVD taken after a proved rank is cut at it, so the two agree;
+  diagonally dominant enough (proves_full_rank, which keeps those rows),
+  or else read off the SVD; an SVD taken after a proved rank is cut at it,
+  so the two agree;
+- per (zero_tol, rank_tol): the faces the host's maximal cliques leave in
+  Alice's span (host_faces);
 - the swapped set (the same object on every call, whose own swapped() is
   this set), and the labels as a read-only array with each label's
   position.
 
-Each Graph in turn keeps its chordality, maximal cliques and simplicial
-vertices (see graphs). Nothing is kept at module level and nothing derived
-from a verdict or certificate is kept, so verify_certificate re-checks each
-certificate against the states alone. The swapped set refers back to its
-origin weakly, so keeping only the swapped set does not keep the other
-alive.
+Each Graph in turn keeps its chordality, maximal cliques, simplicial
+vertices and, per budget, alpha/chi search (see graphs). Nothing is kept
+at module level; each kept fact holds of the states alone, so
+verify_certificate reads what decide derived on the same set. The swapped
+set refers back to its origin weakly, so keeping only the swapped set does
+not keep the other alive.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotMutuallyOrthogonal, ZeroVector
-from .graphs import Graph, sandwich_simplicial_vertices, simplicial_vertices
+from .decomposition import Faces, faces_in_span
+from .graphs import (Graph, chordal_sandwich, maximal_cliques, sandwich_simplicial_vertices,
+                     simplicial_vertices)
 from .linalg import DEFAULT_TOL, Tolerance, thin_svd
 
 
@@ -71,6 +76,13 @@ class StateGraphs:
         if self._host is self.alice:
             return simplicial_vertices(self.alice)
         return sandwich_simplicial_vertices(self.alice, self._host)
+
+    def chordal_sandwich(self, budget: int) -> Optional[Graph]:
+        """graphs.chordal_sandwich from the Alice graph to the host, kept per budget."""
+        kept = self.__dict__.setdefault("_chordal_sandwich", {})
+        if budget not in kept:
+            kept[budget] = chordal_sandwich(self.alice, self._host, budget)
+        return kept[budget]
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,13 @@ def _intake(
     host = alice if np.array_equal(block[0], block[2]) else Graph._from_adjacency(block[2])
     report = OrthonormalityReport(not units and not pairs, units, pairs)
     return report, StateGraphs(alice, bob, host)
+
+
+def _gershgorin_proves(gram: np.ndarray, rows: Sequence[int], tol: Tolerance) -> bool:
+    """proves_full_rank's disc test on |B|, whose row sums hold its diagonal once."""
+    block = np.abs(gram[rows][:, rows])
+    least = (2 * block.diagonal() - block.sum(axis=1)).min()
+    return least > 4 * tol.rank_tol ** 2 * gram.trace().real
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +276,8 @@ class ProductStateSet:
     def proves_full_rank(self, rows: Sequence[int], tol: Tolerance = DEFAULT_TOL) -> bool:
         """Whether the states at these 0-based rows, d_alice of them, prove
         that Alice's frame and their own rows have numeric rank d_alice,
-        with no factorisation; when they do, d_alice is kept as the rank.
+        with no factorisation; when they do, d_alice is kept as the rank,
+        and the first rows that proved it are proved when offered again.
 
         With B their block of Alice's Gram, B's least eigenvalue, the
         rows' sigma_d squared, is at least min_i (B_ii - sum_{j != i}
@@ -269,13 +289,12 @@ class ProductStateSet:
         """
         if len(rows) != self.d_alice:
             return False
-        gram = self._grams[0]
-        # |B|, whose diagonal is B's and whose row sums hold it once
-        block = np.abs(gram[rows][:, rows])
-        least = (2 * block.diagonal() - block.sum(axis=1)).min()
-        if least <= 4 * tol.rank_tol ** 2 * gram.trace().real:
+        if tuple(rows) == self._derived.get(("proof", tol.rank_tol)):
+            return True
+        if not _gershgorin_proves(self._grams[0], rows, tol):
             return False
         self._derived.setdefault(("rank", tol.rank_tol), self.d_alice)
+        self._derived.setdefault(("proof", tol.rank_tol), tuple(rows))
         return True
 
     def alice_svd(
@@ -295,6 +314,18 @@ class ProductStateSet:
         """Read-only orthonormal basis (d x d_eff) of the span of Alice's
         vectors: the left factor of alice_svd."""
         return self.alice_svd(tol)[0]
+
+    def host_faces(self, tol: Tolerance = DEFAULT_TOL) -> Faces:
+        """The faces the host's maximal cliques leave in Alice's span
+        (decomposition.faces_in_span), with read-only bases."""
+        key = ("faces", tol.zero_tol, tol.rank_tol)
+        if key not in self._derived:
+            cliques = maximal_cliques(self.build_graphs(tol).bob_orthogonality())
+            faces = faces_in_span(self.alice_span(tol), self.alice_frame(), cliques, tol)
+            for w in faces.bases:
+                w.setflags(write=False)
+            self._derived[key] = faces
+        return self._derived[key]
 
     def validate_orthonormal(self, tol: Tolerance = DEFAULT_TOL) -> OrthonormalityReport:
         return self._overlaps(tol)[0]

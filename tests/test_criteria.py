@@ -705,6 +705,17 @@ def test_a_malformed_budget_fails_the_search(spec, kind, key, value):
     assert _failed(verify_certificate(s, forged)) == {"search within budget"}
 
 
+@pytest.mark.parametrize("key", ["max_iter", "sandwich_budget", "search_budget"])
+@pytest.mark.parametrize("value", [2.5, True, -1, "5"])
+def test_decide_options_refuse_a_budget_that_is_no_int_from_zero(key, value):
+    # such a budget reached the verdict, which then failed "search within
+    # budget" (tiles with search_budget 2.5 or True, example2 with
+    # sandwich_budget 25.0)
+    assert getattr(DecideOptions(**{key: 0}), key) == 0
+    with pytest.raises(InvalidInput, match=key):
+        DecideOptions(**{key: value})
+
+
 def test_malformed_sandwich_edges_fail_their_checks():
     s, direction, kind = brute.pinned_set("sandwich")
     v = decide(s, direction)
@@ -1134,7 +1145,8 @@ def test_verify_runs_one_independence_search_for_alpha_below_chi(monkeypatch, di
     # verify's AlphaLessThanChi check reads alpha(host) and chi(bob) off one
     # eta_bounds_of_complement call: chi(bob) is chi(complement(host)), whose
     # clique number is alpha(host), so one clique search of Bob's graph
-    # gives both
+    # gives both. On a fresh copy of the set, since on the set decide
+    # searched, verify reads the search decide kept
     import loccgraph.graphs as graphs
 
     s = generate("tiles")
@@ -1148,5 +1160,6 @@ def test_verify_runs_one_independence_search_for_alpha_below_chi(monkeypatch, di
         return original(g, *args)
 
     monkeypatch.setattr(graphs, "clique_search", counting)
-    assert verify_certificate(s, v).ok
+    fresh = ProductStateSet(s.alice, s.bob, s.labels)
+    assert verify_certificate(fresh, v).ok
     assert len(searched) == 1

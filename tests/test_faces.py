@@ -1,6 +1,6 @@
 """The convex end searches for Alice's outcome operators on the faces of her
-span: the sets on which a search over Gram splittings stalled or raised, and
-the face search as an oracle for the graph rungs."""
+span: the rank-deficient FACE_SETS, which it decides both ways, and the face
+search as an oracle for the graph rungs."""
 
 import json
 

@@ -436,6 +436,18 @@ def test_the_rank_proof_needs_d_alice_states():
     assert _proof_agrees(s, [2, 0, 1])
 
 
+def test_kept_witness_rows_prove_only_themselves():
+    # decide keeps the witness rows it proved; other rows are tested, and
+    # rows that repeat a state prove nothing, as on a fresh set
+    s = generate("bennett")
+    v = decide(s)
+    assert v.certificate.kind == "MinDimNoSimplicial"
+    a, b, c = [i - 1 for i in v.certificate.data["alpha_witness"]]
+    fresh = ProductStateSet(s.alice, s.bob, s.labels)
+    for rows in ([a, b, c], [a, a, b], [c, b, a]):
+        assert s.proves_full_rank(rows) == fresh.proves_full_rank(rows) == (len(set(rows)) == 3)
+
+
 def test_a_tiny_witness_part_refuses_the_proof():
     # an Alice part scaled by 1e-8 and its Bob part by 1e8 leave the set
     # orthonormal; the proof refuses, and the rank falls back to the SVD

@@ -21,13 +21,16 @@ from loccgraph.criteria import (
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
     KINDS,
+    DecideOptions,
+    analyze,
+    converse_theorem_checks,
     decide,
     effective_dimension,
     verify_certificate,
 )
 from loccgraph.errors import InvalidInput
 from loccgraph.families import generate
-from loccgraph.linalg import numeric_rank
+from loccgraph.linalg import Tolerance, numeric_rank
 from loccgraph.serialize import (
     protocol_to_json,
     states_from_json,
@@ -425,6 +428,72 @@ def test_verifying_on_the_decided_set_matches_a_fresh_parse():
         assert kept.ok and kept.checks == again.checks, name
 
 
+@pytest.mark.parametrize("spec,direction,edit,check", [
+    pytest.param("bennett", BOB_FIRST,
+                 _edit_certificate("alpha_witness", lambda w: [2, *w[1:]]),
+                 "witness independent in host", id="witness-swapped"),
+    pytest.param("tiles", ALICE_FIRST, lambda d: d["parameters"].update(search_budget=0),
+                 "search within budget", id="budget-too-small"),
+    pytest.param("pentagon-path", BOB_FIRST, _negate_witness,
+                 "witness excludes every splitting", id="witness-negated"),
+])
+def test_a_kept_search_answers_only_its_own_question(spec, direction, edit, check):
+    # after decide on the same set, a forgery asks about other rows, another
+    # budget or another operator, and gets the checks a fresh set gives
+    s = generate(spec)
+    data = json.loads(_write(decide(s, direction)))
+    # state 2 is no witness state, so the swap leaves a witness of three
+    assert 2 not in data["certificate"].get("alpha_witness", ())
+    edit(data)
+    outcome = verify_certificate(s, verdict_from_json(data, s))
+    assert check in _failed(outcome)
+    fresh = states_from_json(json.loads(json.dumps(states_to_json(s))))
+    assert outcome.checks == verify_certificate(fresh, verdict_from_json(data, fresh)).checks
+
+
+@pytest.mark.parametrize("spec,direction,searches", [
+    ("bennett", BOB_FIRST, {"proof": 1}),
+    ("tiles", ALICE_FIRST, {"alpha_chi": 1}),
+    ("example2", ALICE_FIRST, {"alpha_chi": 1, "sandwich": 1}),
+    ("cycle-rep:6", ALICE_FIRST, {"faces": 1}),
+    ("pentagon-path", BOB_FIRST, {"faces": 1}),
+])
+def test_verifying_on_a_fresh_set_runs_its_searches_again(
+    state_searches, spec, direction, searches
+):
+    s = generate(spec)
+    v = decide(s, direction)
+    checks = verify_certificate(s, v).checks
+    state_searches.clear()
+    fresh = states_from_json(json.loads(json.dumps(states_to_json(s))))
+    assert verify_certificate(fresh, v).checks == checks
+    assert state_searches == searches
+
+
+@pytest.mark.parametrize("spec,direction,options", [
+    ("tiles", ALICE_FIRST, DecideOptions(search_budget=0)),
+    ("pinned:sandwich", brute.PINNED_SETS["sandwich"][0], DecideOptions(sandwich_budget=0)),
+])
+def test_deciding_again_at_another_budget_matches_a_fresh_set(spec, direction, options):
+    s = _states(spec)
+    first = decide(s, direction)
+    again = decide(s, direction, options)
+    assert again.certificate.kind != first.certificate.kind
+    fresh = states_from_json(json.loads(json.dumps(states_to_json(s))))
+    assert _write(again) == _write(decide(fresh, direction, options))
+
+
+def test_verifying_at_another_rank_tol_matches_a_fresh_set():
+    # at rank_tol 0.2 each maximal support of cycle-rep:6 leaves a line free
+    s = generate("cycle-rep:6")
+    v = decide(s, ALICE_FIRST)
+    tol = Tolerance(rank_tol=0.2)
+    outcome = verify_certificate(s, v, tol)
+    assert _failed(outcome) == {"obstruction reproducible"}
+    fresh = states_from_json(json.loads(json.dumps(states_to_json(s))))
+    assert outcome.checks == verify_certificate(fresh, v, tol).checks
+
+
 def test_effective_dimension_is_the_frame_rank():
     # the kept span's width counts singular values as numeric_rank does
     for s, direction, name in _kept_cases():
@@ -487,7 +556,20 @@ def _count_derivations(monkeypatch, frame: np.ndarray) -> dict:
 _FRAME_DERIVATIONS = {
     "example1": (0, 1), "path-rep:8": (0, 1), "example3": (0, 1),
     "cycle-rep:6": (0, 1), "pentagon-path": (0, 1), "bennett": (0, 0),
-    "cycle-rep:8": (0, 1), "path-rep:12": (0, 1),
+    "cycle-rep:8": (0, 1), "path-rep:12": (0, 1), "tiles": (0, 1),
+    "example2": (0, 0),
+}
+
+# the state searches decide runs (state_searches); verify reads them back on
+# the same set
+_STATE_SEARCHES = {
+    "example1": {}, "path-rep:8": {"alpha_chi": 1},
+    "example3": {"alpha_chi": 1, "faces": 1},
+    "cycle-rep:6": {"alpha_chi": 1, "faces": 1},
+    "pentagon-path": {"alpha_chi": 1, "faces": 1},
+    "bennett": {"alpha_chi": 1, "proof": 1}, "cycle-rep:8": {"alpha_chi": 1},
+    "path-rep:12": {"alpha_chi": 1}, "tiles": {"alpha_chi": 1},
+    "example2": {"alpha_chi": 1, "proof": 1, "sandwich": 1},
 }
 
 
@@ -500,8 +582,10 @@ _FRAME_DERIVATIONS = {
     ("bennett", BOB_FIRST),           # MinDimNoSimplicial
     ("cycle-rep:8", BOB_FIRST),       # ScaledDiagonalDominance
     ("path-rep:12", BOB_FIRST),       # ScaledDiagonalDominance
+    ("tiles", ALICE_FIRST),           # AlphaLessThanChi
+    ("example2", ALICE_FIRST),        # NonChordalSandwichAtMinDim
 ])
-def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
+def test_decide_and_verify_derive_each_fact_once(monkeypatch, state_searches, spec, direction):
     s = generate(spec)
     frame = (s.alice if direction == ALICE_FIRST else s.bob).T
     counts = _count_derivations(monkeypatch, frame)
@@ -510,6 +594,14 @@ def test_decide_and_verify_derive_each_fact_once(monkeypatch, spec, direction):
     assert verify_certificate(s, back).ok
     ranks, svds = _FRAME_DERIVATIONS[spec]
     assert counts == {"intake": 1, "ranks": ranks, "svds": svds}
+    assert state_searches == _STATE_SEARCHES[spec]
+    # analyze and the converse checks run none of decide's searches again;
+    # they derive once what decide did not need
+    work = s if direction == ALICE_FIRST else s.swapped()
+    analyze(work)
+    converse_theorem_checks(work, v)
+    assert all(runs == 1 for runs in state_searches.values()), state_searches
+    assert state_searches.keys() >= _STATE_SEARCHES[spec].keys()
 
 
 @pytest.mark.parametrize("source,singular", [
